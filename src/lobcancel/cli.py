@@ -18,13 +18,8 @@ import numpy as np
 
 from . import distfit, reportio
 from .lob import LobError
-from .orderflow import OrderEvent, parse_stream, serialize_events, split_days
-from .profiles import (
-    EmpiricalPdf,
-    InstrumentProfile,
-    ProfileRun,
-    replay_day,
-)
+from .orderflow import OrderEvent, parse_stream, serialize_events
+from .profiles import EmpiricalPdf, ProfileRun, replay_days
 from .synth import (
     ConfigInvalid,
     ExpProfileLaw,
@@ -135,10 +130,12 @@ def _apply_config_file(args, argv: list[str]) -> None:
 
 def _read_file(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise InputDataError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputDataError(f"{path}: not valid UTF-8 at byte {exc.start}: {exc.reason}") from exc
 
 
 def cmd_validate(args) -> int:
@@ -169,32 +166,21 @@ def _parse_inputs(paths: list[str], instrument: str | None) -> list[OrderEvent]:
     return events
 
 
-def _profile_instrument(job: tuple[str, list[OrderEvent]]) -> tuple[InstrumentProfile, list]:
-    instrument, events = job
-    profile = InstrumentProfile(instrument)
-    observations = []
-    for (_, _day), day_events in sorted(split_days(events).items()):
-        day = replay_day(day_events)
-        profile.add_day(day)
-        observations.extend(day.observations)
-    return profile, observations
-
-
 def _run_profiles(events: list[OrderEvent], workers: int) -> ProfileRun:
     by_instrument: dict[str, list[OrderEvent]] = {}
     for ev in events:
         by_instrument.setdefault(ev.instrument, []).append(ev)
-    jobs = [(code, by_instrument[code]) for code in sorted(by_instrument)]
+    jobs = [by_instrument[code] for code in sorted(by_instrument)]
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_profile_instrument, jobs))
+            results = list(pool.map(replay_days, jobs))
     else:
-        results = [_profile_instrument(job) for job in jobs]
+        results = [replay_days(job) for job in jobs]
     per_instrument = {}
     observations = []
-    for profile, obs in results:  # jobs are sorted, so the merge order is fixed
-        per_instrument[profile.instrument] = profile
-        observations.extend(obs)
+    for run in results:  # jobs are sorted, so the merge order is fixed
+        per_instrument.update(run.per_instrument)
+        observations.extend(run.observations)
     return ProfileRun(per_instrument, observations)
 
 

@@ -1,7 +1,9 @@
 """Price-time-priority limit-order book with cancellation position capture.
 
 Two ladders of price levels (buy descending, sell ascending), each level a
-FIFO queue of resting orders. Incoming submissions match against the opposite
+FIFO queue of resting orders. Each ladder keeps its occupied prices in one
+sorted list, so the best price is its first entry and a level's rank is one
+bisection away. Incoming submissions match against the opposite
 ladder best price first, FIFO within a level, trading at the maker's price;
 any remainder rests. Cancels remove quantity from a referenced resting order
 and capture the order's book coordinates *before* removal.
@@ -11,8 +13,10 @@ different instruments can be driven in parallel.
 """
 from __future__ import annotations
 
-import heapq
+import gc
+from bisect import bisect_left, insort
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .orderflow import EventKind, OrderEvent, Side
@@ -116,39 +120,63 @@ class ApplyOutcome:
     rested: int | None = None
 
 
-class _BookSide:
-    """One ladder: levels keyed by price, heap of (priority-signed) prices."""
+@contextmanager
+def gc_paused():
+    """Run a block with the cyclic garbage collector off, then restore its state.
 
-    __slots__ = ("sign", "levels", "heap", "order_count", "total_size")
+    Replay loops allocate millions of events, orders and records that form no
+    reference cycles; reference counting frees them, and collector passes
+    over them would reclaim nothing.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+class _BookSide:
+    """One ladder: levels keyed by price, plus the sorted priority-signed prices.
+
+    ``keys`` holds ``sign * price`` for every occupied level in ascending
+    order, so ``keys[0]`` is the best price and ``keys[rank - 1]`` the level
+    of that 1-based rank.
+    """
+
+    __slots__ = ("sign", "levels", "keys", "order_count", "total_size")
 
     def __init__(self, side: Side):
-        # Buy prices are negated so the heap minimum is always the best price.
+        # Buy prices are negated so ascending keys run from the best price.
         self.sign = -1 if side is Side.BUY else 1
         self.levels: dict[int, PriceLevel] = {}
-        self.heap: list[int] = []
+        self.keys: list[int] = []
         self.order_count = 0
         self.total_size = 0
 
     def best_price(self) -> int | None:
-        heap = self.heap
-        levels = self.levels
-        while heap:
-            price = self.sign * heap[0]
-            if price in levels:
-                return price
-            heapq.heappop(heap)
-        return None
+        return self.sign * self.keys[0] if self.keys else None
+
+    def rank(self, price: int) -> int:
+        """1-based rank of an occupied price level under price priority."""
+        return bisect_left(self.keys, self.sign * price) + 1
+
+    def price_at(self, rank: int) -> int:
+        """Price of the level with this 1-based rank under price priority."""
+        return self.sign * self.keys[rank - 1]
 
     def sorted_prices(self) -> list[int]:
         """Prices in priority order (descending for buys, ascending for sells)."""
-        return sorted(self.levels, reverse=self.sign < 0)
+        sign = self.sign
+        return [sign * key for key in self.keys]
 
     def add_order(self, order: RestingOrder) -> None:
         level = self.levels.get(order.price_ticks)
         if level is None:
             level = PriceLevel(order.price_ticks, deque())
             self.levels[order.price_ticks] = level
-            heapq.heappush(self.heap, self.sign * order.price_ticks)
+            insort(self.keys, self.sign * order.price_ticks)
         level.queue.append(order)
         self.order_count += 1
         self.total_size += order.remaining_size
@@ -189,21 +217,17 @@ class LimitOrderBook:
         if event.order_id in index:
             raise DuplicateOrderId(f"order {event.order_id} already resting")
         side = event.side
-        is_buy = side is Side.BUY
-        own, opp = (self.buy, self.sell) if is_buy else (self.sell, self.buy)
+        own, opp = (self.buy, self.sell) if side is Side.BUY else (self.sell, self.buy)
         remaining = event.size
         price = event.price_ticks
         trades: list[Trade] = []
+        # An opposite level crosses the incoming price when its signed key is
+        # at most the price signed the same way.
+        opp_keys = opp.keys
+        cross_key = opp.sign * price
 
-        while remaining > 0:
-            best = opp.best_price()
-            if best is None:
-                break
-            if is_buy:
-                if best > price:
-                    break
-            elif best < price:
-                break
+        while remaining > 0 and opp_keys and opp_keys[0] <= cross_key:
+            best = opp.sign * opp_keys[0]
             queue = opp.levels[best].queue
             while remaining > 0 and queue:
                 maker = queue[0]
@@ -220,6 +244,7 @@ class LimitOrderBook:
                     opp.order_count -= 1
             if not queue:
                 del opp.levels[best]
+                del opp_keys[0]
 
         rested = None
         if remaining > 0:
@@ -227,13 +252,10 @@ class LimitOrderBook:
             own.add_order(order)
             index[event.order_id] = order
             rested = event.order_id
-            best_opp = opp.best_price()
-            if best_opp is not None:
-                crossed = price >= best_opp if is_buy else price <= best_opp
-                if crossed:
-                    raise CrossedBookInvariantViolation(
-                        f"book crossed after resting {event.order_id} at {price}"
-                    )
+            if opp_keys and opp_keys[0] <= cross_key:
+                raise CrossedBookInvariantViolation(
+                    f"book crossed after resting {event.order_id} at {price}"
+                )
         return ApplyOutcome(trades, None, rested)
 
     def _apply_cancel(self, event: OrderEvent) -> ApplyOutcome:
@@ -246,14 +268,11 @@ class LimitOrderBook:
                 f"cancel {qty} > remaining {order.remaining_size} for order {order.order_id}"
             )
         book_side = self.buy if order.side is Side.BUY else self.sell
-        levels = book_side.levels
+        keys = book_side.keys
         price = order.price_ticks
-        queue = levels[price].queue
-        if order.side is Side.BUY:
-            rank = 1 + sum(1 for q in levels if q > price)
-        else:
-            rank = 1 + sum(1 for q in levels if q < price)
-        n_levels = len(levels)
+        queue = book_side.levels[price].queue
+        rank = book_side.rank(price)
+        n_levels = len(keys)
         n_at_level = len(queue)
         n_side = book_side.order_count
         pos = queue.index(order) + 1
@@ -277,11 +296,12 @@ class LimitOrderBook:
         order.remaining_size -= qty
         book_side.total_size -= qty
         if order.remaining_size == 0:
-            queue.remove(order)
+            del queue[pos - 1]
             del self.index[order.order_id]
             book_side.order_count -= 1
             if not queue:
-                del levels[price]
+                del book_side.levels[price]
+                del keys[rank - 1]
         return ApplyOutcome([], record, None)
 
     # -- position queries ---------------------------------------------------
@@ -291,7 +311,7 @@ class LimitOrderBook:
         book_side = self._side(side)
         if price_ticks not in book_side.levels:
             raise UnknownLevel(f"no {side.name} level at {price_ticks}")
-        return book_side.sorted_prices().index(price_ticks) + 1
+        return book_side.rank(price_ticks)
 
     def queue_position(self, order_id: int) -> int:
         """1-based FIFO position of a resting order within its level."""
@@ -344,6 +364,9 @@ class LimitOrderBook:
                     assert self.index.get(order.order_id) is order, "index out of sync"
                     count += 1
                     total += order.remaining_size
+            assert side_obj.keys == sorted(side_obj.sign * p for p in side_obj.levels), (
+                "sorted ladder out of sync"
+            )
             assert count == side_obj.order_count, "order_count out of sync"
             assert total == side_obj.total_size, "total_size out of sync"
             seen += count

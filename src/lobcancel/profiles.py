@@ -28,6 +28,7 @@ from .lob import (
     DuplicateOrderId,
     LimitOrderBook,
     Trade,
+    gc_paused,
 )
 from .orderflow import (
     CONTINUOUS_PHASES,
@@ -116,16 +117,9 @@ def relative_queue_position(record: CancellationRecord) -> float:
 class OrderLifecycle:
     order_id: int
     side: Side
-    kind: EventKind
-    price_ticks: int
-    size: int
-    seq: int
     submit_phase: SessionPhase
     klass: AggressivenessClass
     in_scope: bool               # submitted during a continuous session
-    arrival_fill: int = 0
-    rested_qty: int = 0
-    cancel_events: int = 0
     cancelled_in_scope: bool = False
 
 
@@ -153,10 +147,14 @@ class DayResult:
     trades: list[Trade] | None = None
 
 
+@gc_paused()
 def replay_day(
     events: list[OrderEvent], *, collect_trades: bool = False
 ) -> DayResult:
-    """Replay one instrument-day (events in stream order) through a fresh book."""
+    """Replay one instrument-day (events in stream order) through a fresh book.
+
+    Runs with the cyclic garbage collector paused (see ``lob.gc_paused``).
+    """
     book = LimitOrderBook()
     lifecycles: dict[int, OrderLifecycle] = {}
     observations: list[CancelObservation] = []
@@ -180,7 +178,6 @@ def replay_day(
                 return
             record = outcome.cancellation
             life = lifecycles[ev.order_id]
-            life.cancel_events += 1
             in_ratio = continuous and life.in_scope
             if in_ratio:
                 life.cancelled_in_scope = True
@@ -209,24 +206,18 @@ def replay_day(
             except DuplicateOrderId:
                 diagnostics["duplicate_order_ids"] += 1
                 return
-            filled = sum(t.size for t in outcome.trades)
-            if trades is not None:
+            traded = bool(outcome.trades)
+            if traded and trades is not None:
                 trades.extend(outcome.trades)
             klass = classify_submission(
-                ev.side, ev.price_ticks, pre_bid, pre_ask, filled > 0, outcome.rested is not None
+                ev.side, ev.price_ticks, pre_bid, pre_ask, traded, outcome.rested is not None
             )
             lifecycles[ev.order_id] = OrderLifecycle(
                 order_id=ev.order_id,
                 side=ev.side,
-                kind=ev.kind,
-                price_ticks=ev.price_ticks,
-                size=ev.size,
-                seq=ev.seq,
                 submit_phase=phase,
                 klass=klass,
                 in_scope=continuous,
-                arrival_fill=filled,
-                rested_qty=ev.size - filled,
             )
 
     for ev in events:
@@ -332,8 +323,13 @@ class ProfileRun:
         return pooled
 
 
-def profile_events(events: list[OrderEvent]) -> ProfileRun:
-    """Split events into instrument-days, replay each, accumulate profiles."""
+def replay_days(events: list[OrderEvent]) -> ProfileRun:
+    """Replay every instrument-day in (instrument, day) order and pool the results.
+
+    The one replay driver: ``profile_events`` and the CLI's per-instrument
+    pool jobs both run it. The CLI calls it under this name so that a
+    per-layer trace still sees each ``replay_day`` entered from the CLI.
+    """
     per_instrument: dict[str, InstrumentProfile] = {}
     observations: list[CancelObservation] = []
     for (instrument, _day), day_events in sorted(split_days(events).items()):
@@ -344,6 +340,11 @@ def profile_events(events: list[OrderEvent]) -> ProfileRun:
         profile.add_day(day)
         observations.extend(day.observations)
     return ProfileRun(per_instrument, observations)
+
+
+def profile_events(events: list[OrderEvent]) -> ProfileRun:
+    """Split events into instrument-days, replay each, accumulate profiles."""
+    return replay_days(events)
 
 
 # -- ratio report ----------------------------------------------------------------

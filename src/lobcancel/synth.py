@@ -21,7 +21,7 @@ from datetime import date, datetime, time, timedelta
 
 import numpy as np
 
-from .lob import LimitOrderBook
+from .lob import LimitOrderBook, gc_paused
 from .orderflow import EventKind, OrderEvent, Side
 from .profiles import UNIT_BIN_SPEC, EmpiricalPdf, accumulate_pdf
 
@@ -145,6 +145,7 @@ class _SessionClock:
         return self.base_pm + timedelta(milliseconds=ms - self.AM_MS)
 
 
+@gc_paused()
 def generate_stream(config: GenConfig) -> list[OrderEvent]:
     """Emit a replayable event stream of exactly ``config.n_events`` events.
 
@@ -152,7 +153,8 @@ def generate_stream(config: GenConfig) -> list[OrderEvent]:
     price levels of ``initial_queue`` orders per side, then mixes limits,
     marketables, and full cancels per the configured shares. Sides starved of
     resting orders fall back to limit submissions, which keeps the book deep
-    enough for the position laws to act on.
+    enough for the position laws to act on. Runs with the cyclic garbage
+    collector paused (see ``lob.gc_paused``).
     """
     rng = random.Random(config.seed)
     book = LimitOrderBook()
@@ -233,9 +235,8 @@ def generate_stream(config: GenConfig) -> list[OrderEvent]:
             and own.order_count > max_side_orders
         )
         if want_cancel and own.order_count > min_side_orders:
-            prices = own.sorted_prices()
-            rank = level_sampler.draw(len(prices))
-            queue = own.levels[prices[rank - 1]].queue
+            rank = level_sampler.draw(len(own.keys))
+            queue = own.levels[own.price_at(rank)].queue
             victim = queue[queue_sampler.draw(len(queue)) - 1]
             emit(EventKind.CANCEL, side, victim.price_ticks, 0, victim.order_id)
         elif config.limit_share <= u < cancel_cut and opp.order_count > min_side_orders:

@@ -32,7 +32,7 @@ from lobcancel.synth import (
     generate_stream,
     simulate_uniform_queues,
 )
-from test_lob import BruteBook, random_stream
+from test_lob import BruteBook, cancel_coords, random_stream
 
 
 def finish(number: int, description: str, ok: bool, detail: str = "") -> None:
@@ -44,7 +44,7 @@ def finish(number: int, description: str, ok: bool, detail: str = "") -> None:
 def test_criterion_1_lob_oracle_equivalence():
     rng = random.Random(20030101)
     start = time.perf_counter()
-    mismatches = 0
+    mismatches = cancels = 0
     for trial in range(1000):
         events = random_stream(rng, rng.randrange(20, 201), instrument=f"T{trial}")
         book = LimitOrderBook()
@@ -58,15 +58,22 @@ def test_criterion_1_lob_oracle_equivalence():
                 except Exception:
                     pass
                 continue
-            got = [(t.maker_id, t.taker_id, t.price_ticks, t.size) for t in book.apply(ev).trades]
+            outcome = book.apply(ev)
+            got = [(t.maker_id, t.taker_id, t.price_ticks, t.size) for t in outcome.trades]
             if got != want_trades:
                 mismatches += 1
+            if ev.kind is EventKind.CANCEL:
+                cancels += 1
+                if cancel_coords(outcome.cancellation) != brute.last_cancel:
+                    mismatches += 1
         if book.to_state_dict() != brute.state():
             mismatches += 1
     elapsed = time.perf_counter() - start
     ok = mismatches == 0 and elapsed < 60.0
-    finish(1, "trade-by-trade equality with brute-force matcher on 1000 streams",
-           ok, f"mismatches={mismatches}, elapsed={elapsed:.1f}s (limit 60s)")
+    finish(1, "trade-by-trade and cancel-coordinate equality with brute-force matcher "
+              "on 1000 streams",
+           ok, f"mismatches={mismatches}, cancels checked={cancels}, "
+               f"elapsed={elapsed:.1f}s (limit 60s)")
 
 
 def test_criterion_2_engine_throughput():

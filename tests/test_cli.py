@@ -37,6 +37,16 @@ def test_validate_missing_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_invalid_utf8_byte_exits_1_naming_the_file(fixture_csv, tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(fixture_csv.read_bytes().replace(b"000777", b"00077\xff", 1))
+    for argv in (["validate", str(path)], ["profile", str(path), "--out", str(tmp_path / "o")]):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "not valid UTF-8" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_validate_fuzzed_inputs_never_crash(tmp_path):
     rng = random.Random(1312)
     for i in range(30):

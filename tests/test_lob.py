@@ -33,13 +33,20 @@ def apply_rows(book, rows, start_seq=1):
 
 
 class BruteBook:
-    """Reference matcher that rescans every resting order at every event."""
+    """Reference matcher that rescans every resting order at every event.
+
+    After each successful cancel, ``last_cancel`` holds the cancelled order's
+    coordinates, counted from scratch over the live orders before removal, in
+    the layout of ``cancel_coords``.
+    """
 
     def __init__(self):
         self.live = []  # {id, side, price, rem, arrival}
+        self.last_cancel = None
 
     def apply(self, ev):
         trades = []
+        self.last_cancel = None
         if ev.kind is EventKind.CANCEL:
             found = [o for o in self.live if o["id"] == ev.order_id]
             if not found:
@@ -48,6 +55,21 @@ class BruteBook:
             qty = ev.size if ev.size > 0 else order["rem"]
             if qty > order["rem"]:
                 return trades, "exceeds"
+            side = order["side"]
+            same_side = [o for o in self.live if o["side"] is side]
+            prices = sorted({o["price"] for o in same_side}, reverse=side is Side.BUY)
+            queue = sorted(
+                (o for o in same_side if o["price"] == order["price"]), key=lambda o: o["arrival"]
+            )
+            self.last_cancel = (
+                side,
+                prices.index(order["price"]) + 1,
+                len(prices),
+                len(queue),
+                len(same_side),
+                queue.index(order) + 1,
+                qty,
+            )
             order["rem"] -= qty
             if order["rem"] == 0:
                 self.live.remove(order)
@@ -95,6 +117,20 @@ class BruteBook:
         return out
 
 
+def cancel_coords(record):
+    """(side, level_rank, side_levels, level_orders, side_orders, queue_rank,
+    cancelled_size) of a CancellationRecord, comparable with BruteBook.last_cancel."""
+    return (
+        record.side,
+        record.level_rank,
+        record.side_levels,
+        record.level_orders,
+        record.side_orders,
+        record.queue_rank,
+        record.cancelled_size,
+    )
+
+
 def random_stream(rng, n_events, instrument="RND"):
     """Random event soup including dangling and oversized cancels."""
     events = []
@@ -118,7 +154,11 @@ def random_stream(rng, n_events, instrument="RND"):
 
 
 def replay_both(events):
-    """Apply the same events to the engine and the reference; compare per event."""
+    """Apply the same events to the engine and the reference; compare per event.
+
+    Trades are compared on every submission, cancellation coordinates on
+    every successful cancel, and the resting state at the end.
+    """
     book = LimitOrderBook()
     brute = BruteBook()
     engine_trades = []
@@ -135,6 +175,12 @@ def replay_both(events):
         outcome = book.apply(ev)
         got = [(t.maker_id, t.taker_id, t.price_ticks, t.size) for t in outcome.trades]
         assert got == want_trades, f"trade mismatch at seq {ev.seq}"
+        if ev.kind is EventKind.CANCEL:
+            assert cancel_coords(outcome.cancellation) == brute.last_cancel, (
+                f"cancellation coordinates mismatch at seq {ev.seq}"
+            )
+        else:
+            assert outcome.cancellation is None
         engine_trades.extend(got)
     assert book.to_state_dict() == brute.state()
     return book, engine_trades

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from datetime import datetime, timedelta
@@ -10,7 +11,7 @@ from conftest import (
     FIXTURE_CLASSES,
     FIXTURE_TRADES,
 )
-from lobcancel.lob import LimitOrderBook
+from lobcancel.lob import CrossedBookInvariantViolation, LimitOrderBook
 from lobcancel.orderflow import EventKind, OrderEvent, SessionPhase, Side
 from lobcancel.profiles import (
     AggressivenessClass,
@@ -366,3 +367,60 @@ def test_merge_is_order_independent():
     a.merge(profile)
     assert a.buy.orders_total == 2 * profile.buy.orders_total
     assert a.buy.cancel_events == 2 * profile.buy.cancel_events
+
+
+# -- paused cyclic collector ------------------------------------------------------
+
+
+SMALL_GEN = GenConfig(seed=1, n_events=400, initial_levels=5, initial_queue=2)
+
+
+@pytest.fixture
+def collector_state():
+    """Set the collector on or off for one test, restoring the session's state."""
+    was_enabled = gc.isenabled()
+
+    def set_state(enabled):
+        (gc.enable if enabled else gc.disable)()
+
+    yield set_state
+    set_state(was_enabled)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_replay_loops_restore_collector_state(fixture_events, collector_state, enabled):
+    collector_state(enabled)
+    replay_day(fixture_events)
+    assert gc.isenabled() is enabled
+    generate_stream(SMALL_GEN)
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_replay_loops_restore_collector_state_when_book_raises(
+    fixture_events, collector_state, monkeypatch, enabled
+):
+    seen = []
+
+    def boom(self, event):
+        seen.append(gc.isenabled())
+        raise CrossedBookInvariantViolation("synthetic failure")
+
+    monkeypatch.setattr(LimitOrderBook, "apply", boom)
+    collector_state(enabled)
+    with pytest.raises(CrossedBookInvariantViolation):
+        replay_day(fixture_events)
+    assert gc.isenabled() is enabled
+    with pytest.raises(CrossedBookInvariantViolation):
+        generate_stream(SMALL_GEN)
+    assert gc.isenabled() is enabled
+    assert seen == [False, False]  # the book ran with the collector paused
+
+
+def test_fixture_replay_leaves_no_cyclic_garbage(fixture_events):
+    # The premise of pausing the collector: a replay allocates no cycles, so
+    # a collection right after it, with its result dropped, finds nothing.
+    gc.collect()
+    day = replay_day(fixture_events)
+    del day
+    assert gc.collect() == 0
