@@ -31,11 +31,8 @@ from .profiles import (
     ProfileRun,
     accumulate_pdf,
     classify_submission,
-    normalized_level,
     profile_events,
     ratio_report,
-    relative_level,
-    relative_queue_position,
     replay_day,
 )
 from .distfit import (

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -19,7 +20,7 @@ import numpy as np
 from . import distfit, reportio
 from .lob import LobError
 from .orderflow import OrderEvent, parse_stream, serialize_events
-from .profiles import EmpiricalPdf, ProfileRun, replay_days
+from .profiles import POSITIVE_RAY, UNIT_INTERVAL, EmpiricalPdf, ProfileRun, replay_days
 from .synth import (
     ConfigInvalid,
     ExpProfileLaw,
@@ -207,18 +208,21 @@ def cmd_profile(args) -> int:
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            payload = json.load(fh)
     except OSError as exc:
         raise InputDataError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputDataError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise InputDataError(f"schema error at $ in {path}: expected a JSON object")
+    return payload
 
 
 def _pdf_from_payload(payload: dict | None, where: str) -> EmpiricalPdf | None:
     if payload is None:
         return None
     try:
-        return EmpiricalPdf(
+        pdf = EmpiricalPdf(
             bin_edges=np.asarray(payload["edges"], float),
             density=np.asarray(payload["density"], float),
             count=int(payload["count"]),
@@ -226,6 +230,15 @@ def _pdf_from_payload(payload: dict | None, where: str) -> EmpiricalPdf | None:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputDataError(f"schema error at {where}: {exc!r}") from exc
+    edges = pdf.bin_edges
+    if edges.ndim != 1 or pdf.density.shape != (edges.size - 1,):
+        raise InputDataError(
+            f"schema error at {where}: {pdf.density.size} density values "
+            f"for {edges.size} edges"
+        )
+    if pdf.domain not in (UNIT_INTERVAL, POSITIVE_RAY):
+        raise InputDataError(f"schema error at {where}: unknown domain {pdf.domain!r}")
+    return pdf
 
 
 def _load_norm_level_samples(path: str) -> dict[tuple[str, str], list[float]]:
@@ -250,6 +263,16 @@ def _entry_seed(base_seed: int, instrument: str, side: str, model: str) -> int:
     return base_seed ^ zlib.crc32(f"{instrument}|{side}|{model}".encode())
 
 
+# Body models: the profiles.json density each one fits, the error recorded
+# when that density is missing, and its distfit fitter. Fitters are looked up
+# on the module at call time, so a wrapper installed on distfit is honoured.
+_BODY_MODELS = {
+    "lognormal": ("pdf_rel_level", "no relative-level density", "fit_lognormal_lsq"),
+    "gamma": ("pdf_rel_level", "no relative-level density", "fit_gamma_lsq"),
+    "exp": ("pdf_queue_frac", "no queue-position density", "fit_exp_profile"),
+}
+
+
 def _fit_entry(
     instrument: str,
     side: str,
@@ -260,77 +283,38 @@ def _fit_entry(
     seed: int,
 ) -> list[dict]:
     where = f"$.sides.{side} of {instrument}"
-    out: list[dict] = []
     side_data = sides_payload[side]
-
-    def record(model: str, params: dict | None, error: str | None = None) -> None:
-        entry = {"instrument": instrument, "side": side, "model": model}
-        if error is None:
-            entry["params"] = params
-        else:
-            entry["error"] = error
-        out.append(entry)
-
+    code = "B" if side == "buy" else "S"
+    out: list[dict] = []
     for model in models:
+        entry = {"instrument": instrument, "side": side, "model": model}
+        out.append(entry)
         try:
-            if model == "lognormal":
-                pdf = _pdf_from_payload(side_data.get("pdf_rel_level"), where)
-                if pdf is None:
-                    record(model, None, "no relative-level density")
+            if model == "powerlaw":
+                if norm_samples is None:
+                    entry["error"] = "cancels.csv with raw samples not available"
                     continue
-                fit = distfit.fit_lognormal_lsq(pdf)
-                p = distfit.gof_pvalue_mc(
+                if instrument == "__ensemble__":
+                    xs = [v for (_, s), vals in norm_samples.items() if s == code for v in vals]
+                else:
+                    xs = norm_samples.get((instrument, code), [])
+                entry["params"] = dataclasses.asdict(distfit.fit_powerlaw_tail(xs))
+                continue
+            key, missing, fitter = _BODY_MODELS[model]
+            pdf = _pdf_from_payload(side_data.get(key), where)
+            if pdf is None:
+                entry["error"] = missing
+                continue
+            fit = getattr(distfit, fitter)(pdf)
+            params = dataclasses.asdict(fit)
+            if model == "lognormal":
+                params["p_value"] = distfit.gof_pvalue_mc(
                     pdf, fit, repeats=repeats, seed=_entry_seed(seed, instrument, side, model)
                 )
-                record(
-                    model,
-                    {
-                        "mu": fit.mu,
-                        "sigma": fit.sigma,
-                        "unit_mass": fit.unit_mass,
-                        "rms": fit.rms,
-                        "p_value": p,
-                        "repeats": repeats,
-                    },
-                )
-            elif model == "gamma":
-                pdf = _pdf_from_payload(side_data.get("pdf_rel_level"), where)
-                if pdf is None:
-                    record(model, None, "no relative-level density")
-                    continue
-                fit = distfit.fit_gamma_lsq(pdf)
-                record(
-                    model,
-                    {"shape": fit.shape, "scale": fit.scale, "unit_mass": fit.unit_mass, "rms": fit.rms},
-                )
-            elif model == "exp":
-                pdf = _pdf_from_payload(side_data.get("pdf_queue_frac"), where)
-                if pdf is None:
-                    record(model, None, "no queue-position density")
-                    continue
-                fit = distfit.fit_exp_profile(pdf)
-                record(model, {"beta": fit.beta, "norm": fit.norm, "rms": fit.rms})
-            elif model == "powerlaw":
-                if norm_samples is None:
-                    record(model, None, "cancels.csv with raw samples not available")
-                    continue
-                xs = norm_samples.get((instrument, "B" if side == "buy" else "S"), [])
-                if instrument == "__ensemble__":
-                    key = "B" if side == "buy" else "S"
-                    xs = [v for (_, s), vals in norm_samples.items() if s == key for v in vals]
-                fit = distfit.fit_powerlaw_tail(xs)
-                record(
-                    model,
-                    {
-                        "alpha": fit.alpha,
-                        "xmin": fit.xmin,
-                        "tail_size": fit.tail_size,
-                        "stderr": fit.stderr,
-                        "ks": fit.ks,
-                    },
-                )
+                params["repeats"] = repeats
+            entry["params"] = params
         except distfit.FitError as exc:
-            record(model, None, f"{type(exc).__name__}: {exc}")
+            entry["error"] = f"{type(exc).__name__}: {exc}"
     return out
 
 
@@ -454,31 +438,44 @@ def cmd_report(args) -> int:
     payload = _load_json(args.profiles)
     if payload.get("kind") != "profiles":
         raise InputDataError(f"schema error at $.kind in {args.profiles}")
-    print("instrument  side  orders  cancelled  r      r1     r2     r3     r4")
+    fits = _load_json(args.fits) if args.fits else None
+    if fits is not None and fits.get("kind") != "fits":
+        raise InputDataError(f"schema error at $.kind in {args.fits}: expected 'fits'")
+    lines = ["instrument  side  orders  cancelled  r      r1     r2     r3     r4"]
     for block in payload.get("instruments", []) + [payload.get("ensemble")]:
         if not block:
             continue
         for side in ("buy", "sell"):
-            data = block["sides"][side]
-            ratios = [
-                data["class_ratios"][k]["ratio"]
-                for k in ("partially_filled", "inside_spread", "at_best", "inside_book")
-            ]
-            cells = "  ".join(f"{_fmt_ratio(r):<5}" for r in ratios)
-            print(
-                f"{block['instrument']:<11} {side:<5} {data['orders']:<7} "
-                f"{data['cancelled_orders']:<10} {_fmt_ratio(data['ratio']):<6} {cells}"
-            )
-    if args.fits:
-        fits = _load_json(args.fits)
-        print("\nfits:")
-        for entry in fits.get("fits", []):
-            label = f"{entry['instrument']}/{entry['side']}/{entry['model']}"
-            if "error" in entry:
-                print(f"  {label}: ERROR {entry['error']}")
-            else:
-                params = ", ".join(f"{k}={v:.4g}" for k, v in sorted(entry["params"].items()))
-                print(f"  {label}: {params}")
+            try:
+                data = block["sides"][side]
+                ratios = [
+                    data["class_ratios"][k]["ratio"]
+                    for k in ("partially_filled", "inside_spread", "at_best", "inside_book")
+                ]
+                cells = "  ".join(f"{_fmt_ratio(r):<5}" for r in ratios)
+                lines.append(
+                    f"{block['instrument']:<11} {side:<5} {data['orders']:<7} "
+                    f"{data['cancelled_orders']:<10} {_fmt_ratio(data['ratio']):<6} {cells}"
+                )
+            except (KeyError, TypeError) as exc:
+                raise InputDataError(
+                    f"schema error at $.sides.{side} in {args.profiles}: {exc!r}"
+                ) from exc
+    if fits is not None:
+        lines += ["", "fits:"]
+        for i, entry in enumerate(fits.get("fits", [])):
+            try:
+                label = f"{entry['instrument']}/{entry['side']}/{entry['model']}"
+                if "error" in entry:
+                    lines.append(f"  {label}: ERROR {entry['error']}")
+                else:
+                    params = ", ".join(f"{k}={v:.4g}" for k, v in sorted(entry["params"].items()))
+                    lines.append(f"  {label}: {params}")
+            except (KeyError, TypeError, AttributeError, ValueError) as exc:
+                raise InputDataError(
+                    f"schema error at $.fits[{i}] in {args.fits}: {exc!r}"
+                ) from exc
+    print("\n".join(lines))
     return 0
 
 

@@ -19,7 +19,7 @@ the same inputs return bit-identical results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
@@ -65,7 +65,6 @@ class LogNormalFit:
     sigma: float
     unit_mass: float          # mass of lognormal(mu, sigma) on (0, 1]
     rms: float                # rms of (fit - empirical density) over bins
-    p_value: float | None = None
 
 
 @dataclass(frozen=True)
@@ -172,36 +171,48 @@ def _require_bins(pdf: EmpiricalPdf) -> tuple[np.ndarray, np.ndarray]:
     return pdf.centers(), np.asarray(pdf.density, float)
 
 
-def _lognormal_sse(params: np.ndarray, centers: np.ndarray, density: np.ndarray) -> float:
-    mu, sigma = params
-    mass = lognormal_unit_mass(mu, sigma)
-    if not mass > 1e-300:
-        return 1e300
-    model = np.exp(-((np.log(centers) - mu) ** 2) / (2.0 * sigma**2))
-    model /= math.sqrt(2.0 * math.pi) * sigma * centers * mass
-    diff = model - density
-    return float(diff @ diff)
+def _fit_truncated(
+    pdf: EmpiricalPdf, density_fn, mass_fn, grid, bounds, start, name: str
+) -> tuple[tuple[float, ...], float]:
+    """Bounded least-squares fit of a density truncated to (0, 1] at bin centers.
+
+    The sum of squared differences goes through the public ``density_fn`` and
+    ``mass_fn``; parameters whose (0, 1] mass underflows score 1e300. The
+    start is ``start`` when given, else the first grid point of least SSE,
+    and bounded Nelder-Mead refines it. Returns the parameters and the rms.
+    """
+    centers, density = _require_bins(pdf)
+
+    def sse(params) -> float:
+        if not mass_fn(*params) > 1e-300:
+            return 1e300
+        diff = density_fn(centers, *params) - density
+        return float(diff @ diff)
+
+    x0 = start if start is not None else min(grid, key=sse)
+    res = optimize.minimize(
+        sse,
+        np.asarray(x0, float),
+        method="Nelder-Mead",
+        bounds=bounds,
+        options={"xatol": _XATOL, "fatol": 1e-12, "maxiter": 4000, "maxfev": 4000},
+    )
+    if not res.success:
+        raise OptimizerDidNotConverge(f"{name} fit did not converge: {res.message}")
+    return tuple(float(v) for v in res.x), math.sqrt(res.fun / len(density))
 
 
-def _lognormal_grid_start(centers: np.ndarray, density: np.ndarray) -> np.ndarray:
-    mus = np.linspace(MU_BOUNDS[0], MU_BOUNDS[1], 17)
-    sigmas = np.linspace(SIGMA_BOUNDS[0], SIGMA_BOUNDS[1], 16)
-    log_c = np.log(centers)
-    best = None
-    best_sse = math.inf
-    for sigma in sigmas:
-        for mu in mus:
-            mass = 0.5 * (1.0 + math.erf(-mu / (sigma * math.sqrt(2.0))))
-            if not mass > 1e-300:
-                continue
-            model = np.exp(-((log_c - mu) ** 2) / (2.0 * sigma**2)) / (
-                math.sqrt(2.0 * math.pi) * sigma * centers * mass
-            )
-            sse = float(np.sum((model - density) ** 2))
-            if sse < best_sse:
-                best_sse = sse
-                best = (mu, sigma)
-    return np.asarray(best)
+# Start grids, scanned in this order (the first point of least SSE wins).
+_LOGNORMAL_GRID = tuple(
+    (mu, sigma)
+    for sigma in np.linspace(SIGMA_BOUNDS[0], SIGMA_BOUNDS[1], 16)
+    for mu in np.linspace(MU_BOUNDS[0], MU_BOUNDS[1], 17)
+)
+_GAMMA_GRID = tuple(
+    (shape, scale)
+    for shape in np.geomspace(GAMMA_SHAPE_BOUNDS[0], GAMMA_SHAPE_BOUNDS[1], 14)
+    for scale in np.geomspace(GAMMA_SCALE_BOUNDS[0], GAMMA_SCALE_BOUNDS[1], 14)
+)
 
 
 def fit_lognormal_lsq(pdf: EmpiricalPdf, *, start=None) -> LogNormalFit:
@@ -212,52 +223,20 @@ def fit_lognormal_lsq(pdf: EmpiricalPdf, *, start=None) -> LogNormalFit:
     recomputed for every candidate parameter pair. The search is a coarse
     grid (skipped when ``start`` is given) refined by bounded Nelder-Mead.
     """
-    centers, density = _require_bins(pdf)
-    x0 = np.asarray(start, float) if start is not None else _lognormal_grid_start(centers, density)
-    res = optimize.minimize(
-        _lognormal_sse,
-        x0,
-        args=(centers, density),
-        method="Nelder-Mead",
-        bounds=[MU_BOUNDS, SIGMA_BOUNDS],
-        options={"xatol": _XATOL, "fatol": 1e-12, "maxiter": 4000, "maxfev": 4000},
+    (mu, sigma), rms = _fit_truncated(
+        pdf, trunc_lognormal_pdf, lognormal_unit_mass, _LOGNORMAL_GRID,
+        [MU_BOUNDS, SIGMA_BOUNDS], start, "log-normal",
     )
-    if not res.success:
-        raise OptimizerDidNotConverge(f"log-normal fit did not converge: {res.message}")
-    mu, sigma = (float(v) for v in res.x)
-    rms = math.sqrt(res.fun / len(density))
     return LogNormalFit(mu, sigma, lognormal_unit_mass(mu, sigma), rms)
 
 
 def fit_gamma_lsq(pdf: EmpiricalPdf) -> GammaFit:
     """Least-squares truncated gamma fit; comparison partner for the log-normal."""
-    centers, density = _require_bins(pdf)
-
-    def sse(params: np.ndarray) -> float:
-        shape, scale = params
-        mass = gamma_unit_mass(shape, scale)
-        if not mass > 1e-300:
-            return 1e300
-        diff = trunc_gamma_pdf(centers, shape, scale) - density
-        return float(diff @ diff)
-
-    shapes = np.geomspace(GAMMA_SHAPE_BOUNDS[0], GAMMA_SHAPE_BOUNDS[1], 14)
-    scales = np.geomspace(GAMMA_SCALE_BOUNDS[0], GAMMA_SCALE_BOUNDS[1], 14)
-    x0 = min(
-        ((s, t) for s in shapes for t in scales),
-        key=lambda p: sse(np.asarray(p)),
+    (shape, scale), rms = _fit_truncated(
+        pdf, trunc_gamma_pdf, gamma_unit_mass, _GAMMA_GRID,
+        [GAMMA_SHAPE_BOUNDS, GAMMA_SCALE_BOUNDS], None, "gamma",
     )
-    res = optimize.minimize(
-        sse,
-        np.asarray(x0),
-        method="Nelder-Mead",
-        bounds=[GAMMA_SHAPE_BOUNDS, GAMMA_SCALE_BOUNDS],
-        options={"xatol": _XATOL, "fatol": 1e-12, "maxiter": 4000, "maxfev": 4000},
-    )
-    if not res.success:
-        raise OptimizerDidNotConverge(f"gamma fit did not converge: {res.message}")
-    shape, scale = (float(v) for v in res.x)
-    return GammaFit(shape, scale, gamma_unit_mass(shape, scale), math.sqrt(res.fun / len(density)))
+    return GammaFit(shape, scale, gamma_unit_mass(shape, scale), rms)
 
 
 def fit_exp_profile(pdf: EmpiricalPdf) -> ExpProfileFit:
@@ -269,7 +248,7 @@ def fit_exp_profile(pdf: EmpiricalPdf) -> ExpProfileFit:
     centers, density = _require_bins(pdf)
 
     def sse(beta: float) -> float:
-        diff = (1.0 - np.exp(beta * centers)) / exp_profile_norm(beta) - density
+        diff = exp_profile_pdf(centers, beta) - density
         return float(diff @ diff)
 
     res = optimize.minimize_scalar(
@@ -381,7 +360,3 @@ def gof_pvalue_mc(
         if refit.rms >= fit.rms:
             hits += 1
     return hits / repeats
-
-
-def with_p_value(fit: LogNormalFit, p: float) -> LogNormalFit:
-    return replace(fit, p_value=p)

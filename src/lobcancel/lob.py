@@ -83,7 +83,9 @@ class CancellationRecord:
 
     ``level_rank``/``queue_rank`` are 1-based (1 = best price level, 1 = front
     of the queue) and include the cancelled order itself, so the fractional
-    coordinates span (0, 1] and the last order in a queue maps to 1.
+    coordinates span (0, 1] and the last order in a queue maps to 1. Besides
+    the side, the record holds integers only; the three ratio coordinates are
+    properties derived from them.
     """
 
     cancel_index: int        # per-book counter, +1 for each cancellation
@@ -93,9 +95,6 @@ class CancellationRecord:
     level_orders: int        # orders queued at this level, cancelled one included
     side_orders: int         # total resting orders on this side
     queue_rank: int          # FIFO position within the level
-    rel_level: float         # level_rank / side_levels
-    norm_level: float        # rel_level rescaled by the level's share of side_orders
-    queue_frac: float        # queue_rank / level_orders
     cancelled_size: int
 
     def __post_init__(self) -> None:
@@ -104,13 +103,28 @@ class CancellationRecord:
             and 1 <= self.queue_rank <= self.level_orders
             and self.level_orders <= self.side_orders
             and self.cancelled_size > 0
-            and self.rel_level == self.level_rank / self.side_levels
-            and self.queue_frac == self.queue_rank / self.level_orders
-            and self.norm_level
-            == (self.level_rank * self.side_orders) / (self.side_levels * self.level_orders)
         )
         if not ok:
             raise ValueError(f"inconsistent cancellation record: {self}")
+
+    @property
+    def rel_level(self) -> float:
+        """Price-level rank over occupied levels; in (0, 1], 1 = worst level."""
+        return self.level_rank / self.side_levels
+
+    @property
+    def norm_level(self) -> float:
+        """Relative level divided by the level's share of the side's orders.
+
+        Integer products before the single division keep the flat-book
+        identity (equal queues => normalized level == level rank) exact.
+        """
+        return (self.level_rank * self.side_orders) / (self.side_levels * self.level_orders)
+
+    @property
+    def queue_frac(self) -> float:
+        """FIFO rank over queue length; in (0, 1], 1 = back of the queue."""
+        return self.queue_rank / self.level_orders
 
 
 @dataclass(slots=True)
@@ -272,24 +286,16 @@ class LimitOrderBook:
         price = order.price_ticks
         queue = book_side.levels[price].queue
         rank = book_side.rank(price)
-        n_levels = len(keys)
-        n_at_level = len(queue)
-        n_side = book_side.order_count
         pos = queue.index(order) + 1
         self.cancel_count += 1
-        # Integer products before the single division keep the flat-book
-        # identity (equal queues => normalized level == level rank) exact.
         record = CancellationRecord(
             cancel_index=self.cancel_count,
             side=order.side,
             level_rank=rank,
-            side_levels=n_levels,
-            level_orders=n_at_level,
-            side_orders=n_side,
+            side_levels=len(keys),
+            level_orders=len(queue),
+            side_orders=book_side.order_count,
             queue_rank=pos,
-            rel_level=rank / n_levels,
-            norm_level=(rank * n_side) / (n_levels * n_at_level),
-            queue_frac=pos / n_at_level,
             cancelled_size=qty,
         )
 

@@ -21,9 +21,6 @@ class Side(Enum):
     BUY = "B"
     SELL = "S"
 
-    def opposite(self) -> "Side":
-        return Side.SELL if self is Side.BUY else Side.BUY
-
 
 class EventKind(Enum):
     LIMIT = "L"

@@ -92,32 +92,12 @@ def classify_submission(
     return AggressivenessClass.INSIDE_SPREAD if better else AggressivenessClass.INSIDE_BOOK
 
 
-# -- record coordinate helpers -------------------------------------------------
-
-
-def relative_level(record: CancellationRecord) -> float:
-    """Price-level rank over occupied levels; in (0, 1], 1 = worst level."""
-    return record.level_rank / record.side_levels
-
-
-def normalized_level(record: CancellationRecord) -> float:
-    """Relative level divided by the level's share of the side's orders."""
-    return (record.level_rank * record.side_orders) / (record.side_levels * record.level_orders)
-
-
-def relative_queue_position(record: CancellationRecord) -> float:
-    """FIFO rank over queue length; in (0, 1], 1 = back of the queue."""
-    return record.queue_rank / record.level_orders
-
-
 # -- replay -------------------------------------------------------------------
 
 
 @dataclass(slots=True)
 class OrderLifecycle:
-    order_id: int
     side: Side
-    submit_phase: SessionPhase
     klass: AggressivenessClass
     in_scope: bool               # submitted during a continuous session
     cancelled_in_scope: bool = False
@@ -212,13 +192,7 @@ def replay_day(
             klass = classify_submission(
                 ev.side, ev.price_ticks, pre_bid, pre_ask, traded, outcome.rested is not None
             )
-            lifecycles[ev.order_id] = OrderLifecycle(
-                order_id=ev.order_id,
-                side=ev.side,
-                submit_phase=phase,
-                klass=klass,
-                in_scope=continuous,
-            )
+            lifecycles[ev.order_id] = OrderLifecycle(ev.side, klass, in_scope=continuous)
 
     for ev in events:
         phase = phase_of(ev.timestamp)

@@ -208,8 +208,25 @@ def test_fit_all_models(profile_dir, tmp_path):
     assert ("SYNA", "sell", "powerlaw") in models
     ok = [e for e in payload["fits"] if "params" in e]
     assert len(ok) > len(payload["fits"]) // 2
-    ln = next(e for e in payload["fits"] if e["model"] == "lognormal" and "params" in e)
-    assert set(ln["params"]) == {"mu", "sigma", "unit_mass", "rms", "p_value", "repeats"}
+    params_keys = {
+        "lognormal": {"mu", "sigma", "unit_mass", "rms", "p_value", "repeats"},
+        "gamma": {"shape", "scale", "unit_mass", "rms"},
+        "exp": {"beta", "norm", "rms"},
+        "powerlaw": {"alpha", "xmin", "tail_size", "stderr", "ks"},
+    }
+    for model, keys in params_keys.items():
+        fitted = [e for e in payload["fits"] if e["model"] == model and "params" in e]
+        assert fitted and all(set(e["params"]) == keys for e in fitted), model
+    # an entry whose density is missing carries the error and no params
+    edited = _profiles_with(
+        out, tmp_path, lambda p: p["instruments"][0]["sides"]["buy"].update(pdf_queue_frac=None)
+    )
+    assert run(["fit", "--profiles", str(edited), "--out", str(fits_path), "--models", "exp"]) == 0
+    entries = json.loads(fits_path.read_text())["fits"]
+    failed = [e for e in entries if "error" in e]
+    assert [(e["instrument"], e["side"]) for e in failed] == [("SYNA", "buy")]
+    assert failed[0]["error"] == "no queue-position density" and "params" not in failed[0]
+    assert all(set(e) == {"instrument", "side", "model", "params"} for e in entries if e not in failed)
 
 
 def test_fit_model_toggle(profile_dir, tmp_path):
@@ -249,11 +266,54 @@ def test_fit_corrupt_profiles_schema_error(tmp_path, capsys):
     assert "schema error at $" in err
 
 
+def _profiles_with(out, tmp_path, edit):
+    """Copy of the fixture's profiles.json after ``edit`` mutates its payload."""
+    payload = json.loads((out / "profiles.json").read_text())
+    edit(payload)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def _drop_last_bin(payload):
+    payload["instruments"][0]["sides"]["buy"]["pdf_queue_frac"]["density"].pop()
+
+
+def _rename_domain(payload):
+    payload["ensemble"]["sides"]["sell"]["pdf_rel_level"]["domain"] = "unit-interval"
+
+
+@pytest.mark.parametrize(
+    "edit, model, expected",
+    [
+        (_drop_last_bin, "exp", "$.sides.buy of SYNA: 49 density values for 51 edges"),
+        (_rename_domain, "gamma", "$.sides.sell of __ensemble__: unknown domain 'unit-interval'"),
+    ],
+    ids=["density_length", "unknown_domain"],
+)
+def test_fit_malformed_density_is_schema_error(profile_dir, tmp_path, capsys, edit, model, expected):
+    _, _, out = profile_dir
+    path = _profiles_with(out, tmp_path, edit)
+    fits_path = tmp_path / "f.json"
+    assert run(["fit", "--profiles", str(path), "--out", str(fits_path), "--models", model]) == 1
+    assert f"schema error at {expected}" in capsys.readouterr().err
+    assert not fits_path.exists()
+
+
 def test_fit_invalid_json_exits_1(tmp_path, capsys):
     bad = tmp_path / "profiles.json"
     bad.write_text("{not json")
     assert run(["fit", "--profiles", str(bad), "--out", str(tmp_path / "f.json")]) == 1
     assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_json_artifact_that_is_not_an_object_exits_1(tmp_path, capsys):
+    bad = tmp_path / "profiles.json"
+    bad.write_text("[1, 2]")
+    for argv in (["fit", "--profiles", str(bad), "--out", str(tmp_path / "f.json")],
+                 ["report", "--profiles", str(bad)]):
+        assert run(argv) == 1
+        assert "schema error at $ in" in capsys.readouterr().err
 
 
 def test_fit_powerlaw_without_cancels_records_error(profile_dir, tmp_path):
@@ -295,3 +355,34 @@ def test_report_prints_summary(profile_dir, tmp_path, capsys):
     text = capsys.readouterr().out
     assert "SYNA" in text and "__ensemble__" in text
     assert "exp" in text
+
+
+def test_report_side_without_class_ratios_is_schema_error(profile_dir, tmp_path, capsys):
+    _, _, out = profile_dir
+    path = _profiles_with(
+        out, tmp_path, lambda p: p["instruments"][1]["sides"]["sell"].pop("class_ratios")
+    )
+    assert run(["report", "--profiles", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "schema error at $.sides.sell" in captured.err and "class_ratios" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "fits, expected",
+    [
+        ({"kind": "profiles", "fits": []}, "$.kind"),
+        ({"kind": "fits", "fits": [{"instrument": "X", "side": "buy"}]}, "$.fits[0]"),
+        ({"kind": "fits", "fits": [{"instrument": "X", "side": "buy", "model": "exp",
+                                    "params": {"beta": "steep"}}]}, "$.fits[0]"),
+    ],
+    ids=["wrong_kind", "entry_without_model", "non_numeric_param"],
+)
+def test_report_malformed_fits_is_schema_error(profile_dir, tmp_path, capsys, fits, expected):
+    _, _, out = profile_dir
+    path = tmp_path / "fits.json"
+    path.write_text(json.dumps(fits))
+    assert run(["report", "--profiles", str(out / "profiles.json"), "--fits", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert f"schema error at {expected}" in captured.err
+    assert captured.out == ""

@@ -178,14 +178,6 @@ def test_gof_pvalue_rejects_misspecified_data():
     assert df.gof_pvalue_mc(pdf, fit, repeats=49, seed=3) < 0.05
 
 
-def test_with_p_value_returns_updated_copy():
-    xs = df.sample_trunc_lognormal(2000, -2.0, 1.0, RNG(6))
-    fit = df.fit_lognormal_lsq(accumulate_pdf(xs, BinSpec("uniform", 50)))
-    updated = df.with_p_value(fit, 0.25)
-    assert updated.p_value == 0.25 and fit.p_value is None
-    assert (updated.mu, updated.sigma) == (fit.mu, fit.sigma)
-
-
 # -- power-law tail -------------------------------------------------------------------
 
 

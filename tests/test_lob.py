@@ -302,8 +302,7 @@ def test_cancellation_record_validates_on_construction():
     with pytest.raises(ValueError):
         CancellationRecord(
             cancel_index=1, side=Side.BUY, level_rank=3, side_levels=2, level_orders=1,
-            side_orders=1, queue_rank=1, rel_level=1.5, norm_level=1.5, queue_frac=1.0,
-            cancelled_size=10,
+            side_orders=1, queue_rank=1, cancelled_size=10,
         )
 
 

@@ -22,11 +22,8 @@ from lobcancel.profiles import (
     SampleOutsideDomain,
     accumulate_pdf,
     classify_submission,
-    normalized_level,
     profile_events,
     ratio_report,
-    relative_level,
-    relative_queue_position,
     replay_day,
 )
 from lobcancel.synth import GenConfig, generate_stream
@@ -139,29 +136,28 @@ def rec_stub(x, levels, n_at, y, n_side):
 
     return CancellationRecord(
         cancel_index=1, side=B, level_rank=x, side_levels=levels, level_orders=n_at,
-        side_orders=n_side, queue_rank=y, rel_level=x / levels,
-        norm_level=(x * n_side) / (levels * n_at), queue_frac=y / n_at, cancelled_size=1,
+        side_orders=n_side, queue_rank=y, cancelled_size=1,
     )
 
 
 def test_relative_level_arithmetic():
-    assert relative_level(rec_stub(2, 5, 1, 1, 5)) == pytest.approx(0.4)
-    assert relative_level(rec_stub(5, 5, 1, 1, 5)) == 1.0
-    assert relative_level(rec_stub(1, 1, 1, 1, 1)) == 1.0
+    assert rec_stub(2, 5, 1, 1, 5).rel_level == pytest.approx(0.4)
+    assert rec_stub(5, 5, 1, 1, 5).rel_level == 1.0
+    assert rec_stub(1, 1, 1, 1, 1).rel_level == 1.0
 
 
 def test_normalized_level_arithmetic():
-    assert normalized_level(rec_stub(2, 5, 3, 1, 30)) == pytest.approx(4.0)
+    assert rec_stub(2, 5, 3, 1, 30).norm_level == pytest.approx(4.0)
     # flat book: every level holds the same queue length -> exactly the rank
     for levels, q in [(4, 5), (3, 7), (11, 3)]:
         for x in range(1, levels + 1):
-            assert normalized_level(rec_stub(x, levels, q, 1, levels * q)) == float(x)
+            assert rec_stub(x, levels, q, 1, levels * q).norm_level == float(x)
 
 
 def test_relative_queue_position_arithmetic():
-    assert relative_queue_position(rec_stub(1, 1, 2, 2, 2)) == 1.0
-    assert relative_queue_position(rec_stub(1, 1, 1, 1, 1)) == 1.0
-    assert relative_queue_position(rec_stub(1, 1, 10, 1, 10)) == pytest.approx(0.1)
+    assert rec_stub(1, 1, 2, 2, 2).queue_frac == 1.0
+    assert rec_stub(1, 1, 1, 1, 1).queue_frac == 1.0
+    assert rec_stub(1, 1, 10, 1, 10).queue_frac == pytest.approx(0.1)
 
 
 def test_record_domain_invariants_on_generated_stream():
@@ -223,7 +219,6 @@ def test_call_and_cool_events_held_then_flushed():
     assert day.diagnostics["held_events"] == 3
     # the held submissions made it into the book before the 09:30 order
     assert day.lifecycles[3].klass is AC.INSIDE_SPREAD  # saw bid 1000 / ask 1010
-    assert day.lifecycles[1].submit_phase is SessionPhase.OPENING_CALL
     assert not day.lifecycles[1].in_scope
 
 
