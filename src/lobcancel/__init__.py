@@ -35,24 +35,6 @@ from .profiles import (
     ratio_report,
     replay_day,
 )
-from .distfit import (
-    ExpProfileFit,
-    GammaFit,
-    LogNormalFit,
-    PowerLawFit,
-    exp_profile_norm,
-    exp_profile_pdf,
-    fit_exp_profile,
-    fit_gamma_lsq,
-    fit_lognormal_lsq,
-    fit_powerlaw_tail,
-    gof_pvalue_mc,
-    lognormal_unit_mass,
-    sample_exp_profile,
-    sample_pareto,
-    sample_trunc_lognormal,
-    trunc_lognormal_pdf,
-)
 from .synth import (
     ExpProfileLaw,
     GenConfig,
@@ -64,3 +46,33 @@ from .synth import (
 )
 
 __version__ = "0.1.0"
+
+# The fitters need scipy, whose import costs more than the rest of the package
+# together; they are loaded on first access (PEP 562), so `gen`, `profile` and
+# library users who never fit do not pay for it.
+_DISTFIT_EXPORTS = frozenset({
+    "ExpProfileFit",
+    "GammaFit",
+    "LogNormalFit",
+    "PowerLawFit",
+    "exp_profile_norm",
+    "exp_profile_pdf",
+    "fit_exp_profile",
+    "fit_gamma_lsq",
+    "fit_lognormal_lsq",
+    "fit_powerlaw_tail",
+    "gof_pvalue_mc",
+    "lognormal_unit_mass",
+    "sample_exp_profile",
+    "sample_pareto",
+    "sample_trunc_lognormal",
+    "trunc_lognormal_pdf",
+})
+
+
+def __getattr__(name: str):
+    if name in _DISTFIT_EXPORTS:
+        from . import distfit
+
+        return getattr(distfit, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,12 +14,13 @@ import os
 import sys
 import zlib
 from concurrent.futures import ProcessPoolExecutor
+from operator import attrgetter
 
 import numpy as np
 
-from . import distfit, reportio
-from .lob import LobError
-from .orderflow import OrderEvent, parse_stream, serialize_events
+from . import reportio
+from .lob import LobError, gc_paused
+from .orderflow import parse_stream, serialize_events
 from .profiles import POSITIVE_RAY, UNIT_INTERVAL, EmpiricalPdf, ProfileRun, replay_days
 from .synth import (
     ConfigInvalid,
@@ -68,7 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instrument", default=None, help="only profile this instrument code")
     p.add_argument("--bins", type=int, default=50, help="bins for the unit-interval densities")
     p.add_argument("--log-bins", type=int, default=60, help="bins for the normalized-level density")
-    p.add_argument("--workers", type=int, default=1, help="process pool size across instruments")
+    p.add_argument("--workers", type=int, default=1,
+                   help="process pool size; files that share an instrument go to one worker")
 
     p = sub.add_parser("fit", parents=[common],
                        help="fit the parametric models to emitted profiles")
@@ -153,50 +155,91 @@ def cmd_validate(args) -> int:
 # -- profile --------------------------------------------------------------------
 
 
-def _parse_inputs(paths: list[str], instrument: str | None) -> list[OrderEvent]:
-    events: list[OrderEvent] = []
-    bad = []
-    for path in paths:
-        result = parse_stream(_read_file(path))
-        bad.extend(f"{path}:{err}" for err in result.errors)
-        events.extend(result.events)
-    if bad:
-        raise InputDataError("\n".join(bad))
+def _profile_job(
+    paths: list[str], instrument: str | None
+) -> tuple[ProfileRun | None, int, list[list[str]]]:
+    """Read, parse and replay ``paths`` as one unit of profile work.
+
+    Returns the run, the number of events replayed, and each path's parse
+    errors as ``path:error`` strings; a job with any parse error skips the
+    replay, since the command fails anyway. A pool worker runs this on its
+    own paths, so only file names and results cross the process boundary.
+    """
+    events = []
+    errors = []
+    with gc_paused():
+        for path in paths:
+            result = parse_stream(_read_file(path))
+            errors.append([f"{path}:{err}" for err in result.errors])
+            events.extend(result.events)
+    if any(errors):
+        return None, 0, errors
     if instrument is not None:
         events = [ev for ev in events if ev.instrument == instrument]
-    return events
+    return replay_days(events), len(events), errors
 
 
-def _run_profiles(events: list[OrderEvent], workers: int) -> ProfileRun:
-    by_instrument: dict[str, list[OrderEvent]] = {}
-    for ev in events:
-        by_instrument.setdefault(ev.instrument, []).append(ev)
-    jobs = [by_instrument[code] for code in sorted(by_instrument)]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(replay_days, jobs))
+def _instrument_codes(path: str) -> set[str]:
+    """Instrument column of every row, split into lines as parse_stream splits them."""
+    lines = _read_file(path).splitlines()[1:]
+    return {parts[2] for parts in (line.split(",", 3) for line in lines) if len(parts) > 2}
+
+
+def _disjoint_groups(paths: list[str]) -> list[list[str]]:
+    """Group paths, in argument order, so that no instrument spans two groups."""
+    root = list(range(len(paths)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    first: dict[str, int] = {}
+    for i, path in enumerate(paths):
+        for code in _instrument_codes(path):
+            a, b = sorted((find(i), find(first.setdefault(code, i))))
+            root[b] = a
+    groups: dict[int, list[str]] = {}
+    for i, path in enumerate(paths):
+        groups.setdefault(find(i), []).append(path)
+    return list(groups.values())
+
+
+def _run_profile_jobs(
+    paths: list[str], instrument: str | None, workers: int
+) -> tuple[ProfileRun, int]:
+    groups = _disjoint_groups(paths) if workers > 1 and len(paths) > 1 else [paths]
+    if len(groups) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(groups))) as pool:
+            results = list(pool.map(_profile_job, groups, [instrument] * len(groups)))
     else:
-        results = [replay_days(job) for job in jobs]
+        results = [_profile_job(groups[0], instrument)]
+    errors = {}
+    for group, (_, _, group_errors) in zip(groups, results):
+        errors.update(zip(group, group_errors))
+    bad = [err for path in paths for err in errors[path]]
+    if bad:
+        raise InputDataError("\n".join(bad))
     per_instrument = {}
     observations = []
-    for run in results:  # jobs are sorted, so the merge order is fixed
+    for run, _, _ in results:  # groups share no instrument, so the codes are disjoint
         per_instrument.update(run.per_instrument)
         observations.extend(run.observations)
-    return ProfileRun(per_instrument, observations)
+    observations.sort(key=attrgetter("instrument"))  # stable: day order holds within a code
+    return ProfileRun(per_instrument, observations), sum(n for _, n, _ in results)
 
 
 def cmd_profile(args) -> int:
-    events = _parse_inputs(args.inputs, args.instrument)
-    if not events:
+    run, n_events = _run_profile_jobs(args.inputs, args.instrument, args.workers)
+    if not n_events:
         raise UsageError("empty input: no events to profile")
-    run = _run_profiles(events, args.workers)
     os.makedirs(args.out, exist_ok=True)
     payload = reportio.profiles_payload(run, unit_bins=args.bins, log_bins=args.log_bins)
     reportio.write_text(os.path.join(args.out, "profiles.json"), reportio.render_json(payload))
     reportio.write_text(os.path.join(args.out, "cancels.csv"), reportio.cancels_csv(run.observations))
     n_cancels = sum(1 for o in run.observations if o.in_profile)
     print(
-        f"profiled {len(events)} events, {len(run.per_instrument)} instrument(s), "
+        f"profiled {n_events} events, {len(run.per_instrument)} instrument(s), "
         f"{n_cancels} in-profile cancellations -> {args.out}"
     )
     return 0
@@ -266,6 +309,8 @@ def _entry_seed(base_seed: int, instrument: str, side: str, model: str) -> int:
 # Body models: the profiles.json density each one fits, the error recorded
 # when that density is missing, and its distfit fitter. Fitters are looked up
 # on the module at call time, so a wrapper installed on distfit is honoured.
+# Only `_fit_entry` imports distfit, and with it scipy, so the other
+# subcommands start without paying for scipy's import.
 _BODY_MODELS = {
     "lognormal": ("pdf_rel_level", "no relative-level density", "fit_lognormal_lsq"),
     "gamma": ("pdf_rel_level", "no relative-level density", "fit_gamma_lsq"),
@@ -282,6 +327,8 @@ def _fit_entry(
     repeats: int,
     seed: int,
 ) -> list[dict]:
+    from . import distfit
+
     where = f"$.sides.{side} of {instrument}"
     side_data = sides_payload[side]
     code = "B" if side == "buy" else "S"
@@ -469,8 +516,10 @@ def cmd_report(args) -> int:
                 if "error" in entry:
                     lines.append(f"  {label}: ERROR {entry['error']}")
                 else:
-                    params = ", ".join(f"{k}={v:.4g}" for k, v in sorted(entry["params"].items()))
-                    lines.append(f"  {label}: {params}")
+                    params = dict(entry["params"])
+                    mark = " (at bound)" if params.pop("at_bound", False) else ""
+                    text = ", ".join(f"{k}={v:.4g}" for k, v in sorted(params.items()))
+                    lines.append(f"  {label}: {text}{mark}")
             except (KeyError, TypeError, AttributeError, ValueError) as exc:
                 raise InputDataError(
                     f"schema error at $.fits[{i}] in {args.fits}: {exc!r}"

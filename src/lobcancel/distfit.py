@@ -56,7 +56,9 @@ GAMMA_SCALE_BOUNDS = (1e-3, 20.0)
 MIN_FIT_BINS = 10
 MIN_TAIL_SIZE = 50
 MAX_TAIL_CANDIDATES = 500
-_XATOL = 1e-7  # refinement tolerance in parameter space
+_XATOL = 1e-7  # Nelder-Mead refinement tolerance in parameter space
+_EXP_XATOL = 1e-6  # bounded Brent tolerance of the exponential profile's beta
+_SQRT_EPS = math.sqrt(2.2e-16)  # the relative step of scipy's bounded Brent
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,7 @@ class LogNormalFit:
     sigma: float
     unit_mass: float          # mass of lognormal(mu, sigma) on (0, 1]
     rms: float                # rms of (fit - empirical density) over bins
+    at_bound: bool            # a parameter stopped within the tolerance of its box
 
 
 @dataclass(frozen=True)
@@ -73,6 +76,7 @@ class GammaFit:
     scale: float
     unit_mass: float
     rms: float
+    at_bound: bool
 
 
 @dataclass(frozen=True)
@@ -89,6 +93,7 @@ class ExpProfileFit:
     beta: float               # negative rate of the saturating exponential
     norm: float               # integral of (1 - e^(beta*y)) over (0, 1]
     rms: float
+    at_bound: bool
 
 
 # -- model densities -----------------------------------------------------------
@@ -171,15 +176,21 @@ def _require_bins(pdf: EmpiricalPdf) -> tuple[np.ndarray, np.ndarray]:
     return pdf.centers(), np.asarray(pdf.density, float)
 
 
+def _at_bound(params, bounds, tol: float) -> bool:
+    """True when any parameter lies within ``tol`` of either end of its box."""
+    return any(x - lo <= tol or hi - x <= tol for x, (lo, hi) in zip(params, bounds))
+
+
 def _fit_truncated(
     pdf: EmpiricalPdf, density_fn, mass_fn, grid, bounds, start, name: str
-) -> tuple[tuple[float, ...], float]:
+) -> tuple[tuple[float, ...], float, bool]:
     """Bounded least-squares fit of a density truncated to (0, 1] at bin centers.
 
     The sum of squared differences goes through the public ``density_fn`` and
     ``mass_fn``; parameters whose (0, 1] mass underflows score 1e300. The
     start is ``start`` when given, else the first grid point of least SSE,
-    and bounded Nelder-Mead refines it. Returns the parameters and the rms.
+    and bounded Nelder-Mead refines it. Returns the parameters, the rms and
+    whether a parameter stopped on its box (within ``_XATOL``).
     """
     centers, density = _require_bins(pdf)
 
@@ -199,7 +210,8 @@ def _fit_truncated(
     )
     if not res.success:
         raise OptimizerDidNotConverge(f"{name} fit did not converge: {res.message}")
-    return tuple(float(v) for v in res.x), math.sqrt(res.fun / len(density))
+    params = tuple(float(v) for v in res.x)
+    return params, math.sqrt(res.fun / len(density)), _at_bound(params, bounds, _XATOL)
 
 
 # Start grids, scanned in this order (the first point of least SSE wins).
@@ -223,20 +235,20 @@ def fit_lognormal_lsq(pdf: EmpiricalPdf, *, start=None) -> LogNormalFit:
     recomputed for every candidate parameter pair. The search is a coarse
     grid (skipped when ``start`` is given) refined by bounded Nelder-Mead.
     """
-    (mu, sigma), rms = _fit_truncated(
+    (mu, sigma), rms, at_bound = _fit_truncated(
         pdf, trunc_lognormal_pdf, lognormal_unit_mass, _LOGNORMAL_GRID,
         [MU_BOUNDS, SIGMA_BOUNDS], start, "log-normal",
     )
-    return LogNormalFit(mu, sigma, lognormal_unit_mass(mu, sigma), rms)
+    return LogNormalFit(mu, sigma, lognormal_unit_mass(mu, sigma), rms, at_bound)
 
 
 def fit_gamma_lsq(pdf: EmpiricalPdf) -> GammaFit:
     """Least-squares truncated gamma fit; comparison partner for the log-normal."""
-    (shape, scale), rms = _fit_truncated(
+    (shape, scale), rms, at_bound = _fit_truncated(
         pdf, trunc_gamma_pdf, gamma_unit_mass, _GAMMA_GRID,
         [GAMMA_SHAPE_BOUNDS, GAMMA_SCALE_BOUNDS], None, "gamma",
     )
-    return GammaFit(shape, scale, gamma_unit_mass(shape, scale), rms)
+    return GammaFit(shape, scale, gamma_unit_mass(shape, scale), rms, at_bound)
 
 
 def fit_exp_profile(pdf: EmpiricalPdf) -> ExpProfileFit:
@@ -252,12 +264,18 @@ def fit_exp_profile(pdf: EmpiricalPdf) -> ExpProfileFit:
         return float(diff @ diff)
 
     res = optimize.minimize_scalar(
-        sse, bounds=BETA_BOUNDS, method="bounded", options={"xatol": 1e-6, "maxiter": 500}
+        sse, bounds=BETA_BOUNDS, method="bounded", options={"xatol": _EXP_XATOL, "maxiter": 500}
     )
     if not res.success:
         raise OptimizerDidNotConverge(f"exponential profile fit did not converge: {res.message}")
     beta = float(res.x)
-    return ExpProfileFit(beta, exp_profile_norm(beta), math.sqrt(res.fun / len(density)))
+    # Bounded Brent stops once beta is within 2 * (sqrt(eps) * |beta| + xatol/3)
+    # of both ends of its bracket: 3.6e-6 at beta = -100, 6.7e-7 at -0.01.
+    tol = 2.0 * (_SQRT_EPS * abs(beta) + _EXP_XATOL / 3.0)
+    return ExpProfileFit(
+        beta, exp_profile_norm(beta), math.sqrt(res.fun / len(density)),
+        _at_bound((beta,), (BETA_BOUNDS,), tol),
+    )
 
 
 # -- power-law tail -----------------------------------------------------------

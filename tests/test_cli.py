@@ -209,9 +209,9 @@ def test_fit_all_models(profile_dir, tmp_path):
     ok = [e for e in payload["fits"] if "params" in e]
     assert len(ok) > len(payload["fits"]) // 2
     params_keys = {
-        "lognormal": {"mu", "sigma", "unit_mass", "rms", "p_value", "repeats"},
-        "gamma": {"shape", "scale", "unit_mass", "rms"},
-        "exp": {"beta", "norm", "rms"},
+        "lognormal": {"mu", "sigma", "unit_mass", "rms", "at_bound", "p_value", "repeats"},
+        "gamma": {"shape", "scale", "unit_mass", "rms", "at_bound"},
+        "exp": {"beta", "norm", "rms", "at_bound"},
         "powerlaw": {"alpha", "xmin", "tail_size", "stderr", "ks"},
     }
     for model, keys in params_keys.items():
@@ -355,6 +355,22 @@ def test_report_prints_summary(profile_dir, tmp_path, capsys):
     text = capsys.readouterr().out
     assert "SYNA" in text and "__ensemble__" in text
     assert "exp" in text
+
+
+def test_report_marks_fits_stopped_on_a_bound(profile_dir, tmp_path, capsys):
+    _, _, out = profile_dir
+    fits = {"kind": "fits", "fits": [
+        {"instrument": "X", "side": "buy", "model": "exp",
+         "params": {"beta": -0.0100004, "norm": 0.0033, "rms": 0.5, "at_bound": True}},
+        {"instrument": "X", "side": "sell", "model": "exp",
+         "params": {"beta": -25.0, "norm": 0.96, "rms": 0.01, "at_bound": False}},
+    ]}
+    path = tmp_path / "fits.json"
+    path.write_text(json.dumps(fits))
+    assert run(["report", "--profiles", str(out / "profiles.json"), "--fits", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "  X/buy/exp: beta=-0.01, norm=0.0033, rms=0.5 (at bound)" in lines
+    assert "  X/sell/exp: beta=-25, norm=0.96, rms=0.01" in lines
 
 
 def test_report_side_without_class_ratios_is_schema_error(profile_dir, tmp_path, capsys):

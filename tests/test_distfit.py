@@ -114,6 +114,7 @@ def test_lognormal_fit_recovers_parameters():
     assert fit.sigma == pytest.approx(1.11, abs=0.05)
     assert fit.unit_mass == pytest.approx(df.lognormal_unit_mass(fit.mu, fit.sigma), abs=1e-12)
     assert fit.rms >= 0.0
+    assert not fit.at_bound
 
 
 def test_lognormal_fit_rms_definition():
@@ -146,6 +147,17 @@ def test_gamma_fit_and_model_comparison():
     assert g_fit.shape > 0 and g_fit.scale > 0
     assert 0 < g_fit.unit_mass <= 1
     assert ln_fit.rms < g_fit.rms
+    assert not ln_fit.at_bound and not g_fit.at_bound
+
+
+def test_body_fits_flag_a_stop_on_their_box():
+    # uniform data on (0, 1]: the log-normal runs to the top of mu's box and
+    # the gamma to the top of scale's, and neither may pass for converged
+    pdf = accumulate_pdf(1.0 - RNG(16).random(30_000), BinSpec("uniform", 50))
+    ln_fit = df.fit_lognormal_lsq(pdf)
+    g_fit = df.fit_gamma_lsq(pdf)
+    assert ln_fit.mu == pytest.approx(df.MU_BOUNDS[1]) and ln_fit.at_bound
+    assert g_fit.scale == pytest.approx(df.GAMMA_SCALE_BOUNDS[1]) and g_fit.at_bound
 
 
 # -- Monte Carlo goodness of fit ---------------------------------------------------
@@ -264,15 +276,27 @@ def test_exp_profile_recovery():
     ys = df.sample_exp_profile(100_000, -25.0, RNG(8))
     fit = df.fit_exp_profile(accumulate_pdf(ys, BinSpec("uniform", 50)))
     assert fit.beta == pytest.approx(-25.0, abs=2.0)
+    assert not fit.at_bound
     assert fit.norm == pytest.approx(df.exp_profile_norm(fit.beta), abs=1e-12)
 
 
 def test_exp_profile_fit_respects_boundary_contract():
-    # near-uniform data pushes beta toward zero; the fit must stop at -0.01
+    # near-uniform data pushes beta to the steep end of its box (a flat
+    # profile is beta -> -inf); the fit must stay inside the box and say so
     rng = RNG(16)
     ys = 1.0 - rng.random(30_000)
     fit = df.fit_exp_profile(accumulate_pdf(ys, BinSpec("uniform", 50)))
-    assert fit.beta <= -0.01
+    assert df.BETA_BOUNDS[0] <= fit.beta <= df.BETA_BOUNDS[1]
+    assert fit.at_bound
+
+
+def test_exp_profile_flags_the_shallow_bound():
+    # the model is concave in y for every beta < 0, so a convex profile (3 y^2)
+    # is fitted best by its least concave member, at the beta -> 0 end
+    ys = np.cbrt(1.0 - RNG(19).random(50_000))
+    fit = df.fit_exp_profile(accumulate_pdf(ys, BinSpec("uniform", 50)))
+    assert fit.beta == pytest.approx(df.BETA_BOUNDS[1], abs=1e-5)
+    assert fit.at_bound
 
 
 def test_exp_profile_too_few_bins():
