@@ -236,7 +236,7 @@ def cmd_profile(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     payload = reportio.profiles_payload(run, unit_bins=args.bins, log_bins=args.log_bins)
     reportio.write_text(os.path.join(args.out, "profiles.json"), reportio.render_json(payload))
-    reportio.write_text(os.path.join(args.out, "cancels.csv"), reportio.cancels_csv(run.observations))
+    reportio.cancels_csv(os.path.join(args.out, "cancels.csv"), run.observations)
     n_cancels = sum(1 for o in run.observations if o.in_profile)
     print(
         f"profiled {n_events} events, {len(run.per_instrument)} instrument(s), "
@@ -285,19 +285,31 @@ def _pdf_from_payload(payload: dict | None, where: str) -> EmpiricalPdf | None:
 
 
 def _load_norm_level_samples(path: str) -> dict[tuple[str, str], list[float]]:
-    """Raw normalized-level samples per (instrument, side) from cancels.csv."""
+    """Raw normalized-level samples per (instrument, side) from cancels.csv.
+
+    Every row must have as many columns as the header; any other row is a
+    schema error.
+    """
     samples: dict[tuple[str, str], list[float]] = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            width = len(header)
+            inst, side, norm, prof = (
+                header.index(name) for name in ("instrument", "side", "norm_level", "in_profile")
+            )
             for row in reader:
-                if row["in_profile"] != "1":
-                    continue
-                value = float(row["norm_level"])
-                samples.setdefault((row["instrument"], row["side"]), []).append(value)
+                if len(row) != width:
+                    raise InputDataError(
+                        f"{path}: bad cancels schema: line {reader.line_num} has "
+                        f"{len(row)} columns, the header {width}"
+                    )
+                if row[prof] == "1":
+                    samples.setdefault((row[inst], row[side]), []).append(float(row[norm]))
     except OSError as exc:
         raise InputDataError(f"{path}: {exc}") from exc
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise InputDataError(f"{path}: bad cancels schema: {exc!r}") from exc
     return samples
 

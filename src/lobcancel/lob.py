@@ -18,8 +18,15 @@ from bisect import bisect_left, insort
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .orderflow import EventKind, OrderEvent, Side
+
+# Reading a member off its Enum class (Side.BUY) runs EnumType's Python-level
+# attribute hook on Python 3.11, ~0.15 us a lookup; the per-event paths
+# compare against these module names instead.
+_BUY = Side.BUY
+_CANCEL = EventKind.CANCEL
 
 
 class LobError(Exception):
@@ -69,25 +76,14 @@ class PriceLevel:
     queue: deque[RestingOrder]
 
 
-@dataclass(frozen=True, slots=True)
-class Trade:
+class Trade(NamedTuple):
     maker_id: int
     taker_id: int
     price_ticks: int
     size: int
 
 
-@dataclass(frozen=True, slots=True)
-class CancellationRecord:
-    """Book coordinates of one cancellation, measured at the instant it hits.
-
-    ``level_rank``/``queue_rank`` are 1-based (1 = best price level, 1 = front
-    of the queue) and include the cancelled order itself, so the fractional
-    coordinates span (0, 1] and the last order in a queue maps to 1. Besides
-    the side, the record holds integers only; the three ratio coordinates are
-    properties derived from them.
-    """
-
+class _CancellationFields(NamedTuple):
     cancel_index: int        # per-book counter, +1 for each cancellation
     side: Side
     level_rank: int          # rank of the order's price level under priority
@@ -97,15 +93,44 @@ class CancellationRecord:
     queue_rank: int          # FIFO position within the level
     cancelled_size: int
 
-    def __post_init__(self) -> None:
-        ok = (
-            1 <= self.level_rank <= self.side_levels
-            and 1 <= self.queue_rank <= self.level_orders
-            and self.level_orders <= self.side_orders
-            and self.cancelled_size > 0
-        )
-        if not ok:
-            raise ValueError(f"inconsistent cancellation record: {self}")
+
+class CancellationRecord(_CancellationFields):
+    """Book coordinates of one cancellation, measured at the instant it hits.
+
+    ``level_rank``/``queue_rank`` are 1-based (1 = best price level, 1 = front
+    of the queue) and include the cancelled order itself, so the fractional
+    coordinates span (0, 1] and the last order in a queue maps to 1. Besides
+    the side, the record holds integers only; the three ratio coordinates are
+    properties derived from them. An immutable tuple, checked on construction.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        cancel_index: int,
+        side: Side,
+        level_rank: int,
+        side_levels: int,
+        level_orders: int,
+        side_orders: int,
+        queue_rank: int,
+        cancelled_size: int,
+    ) -> "CancellationRecord":
+        fields = (cancel_index, side, level_rank, side_levels, level_orders, side_orders,
+                  queue_rank, cancelled_size)
+        if not (
+            1 <= level_rank <= side_levels
+            and 1 <= queue_rank <= level_orders <= side_orders
+            and cancelled_size > 0
+        ):
+            raise ValueError(f"inconsistent cancellation record: {tuple.__new__(cls, fields)}")
+        return tuple.__new__(cls, fields)
+
+    @classmethod
+    def _make(cls, iterable) -> "CancellationRecord":
+        # namedtuple's _make (and so _replace) would skip the check in __new__.
+        return cls(*iterable)
 
     @property
     def rel_level(self) -> float:
@@ -222,16 +247,17 @@ class LimitOrderBook:
         Raises DanglingCancel / CancelExceedsRemaining / DuplicateOrderId on
         bad input; the book is left unchanged in those cases.
         """
-        if event.kind is EventKind.CANCEL:
+        if event.kind is _CANCEL:
             return self._apply_cancel(event)
         return self._apply_submission(event)
 
     def _apply_submission(self, event: OrderEvent) -> ApplyOutcome:
         index = self.index
-        if event.order_id in index:
-            raise DuplicateOrderId(f"order {event.order_id} already resting")
+        order_id = event.order_id
+        if order_id in index:
+            raise DuplicateOrderId(f"order {order_id} already resting")
         side = event.side
-        own, opp = (self.buy, self.sell) if side is Side.BUY else (self.sell, self.buy)
+        own, opp = (self.buy, self.sell) if side is _BUY else (self.sell, self.buy)
         remaining = event.size
         price = event.price_ticks
         trades: list[Trade] = []
@@ -251,7 +277,7 @@ class LimitOrderBook:
                 maker.remaining_size -= take
                 remaining -= take
                 opp.total_size -= take
-                trades.append(Trade(maker.order_id, event.order_id, best, take))
+                trades.append(Trade(maker.order_id, order_id, best, take))
                 if maker.remaining_size == 0:
                     queue.popleft()
                     del index[maker.order_id]
@@ -262,13 +288,13 @@ class LimitOrderBook:
 
         rested = None
         if remaining > 0:
-            order = RestingOrder(event.order_id, side, price, remaining, event.seq)
+            order = RestingOrder(order_id, side, price, remaining, event.seq)
             own.add_order(order)
-            index[event.order_id] = order
-            rested = event.order_id
+            index[order_id] = order
+            rested = order_id
             if opp_keys and opp_keys[0] <= cross_key:
                 raise CrossedBookInvariantViolation(
-                    f"book crossed after resting {event.order_id} at {price}"
+                    f"book crossed after resting {order_id} at {price}"
                 )
         return ApplyOutcome(trades, None, rested)
 
@@ -281,7 +307,7 @@ class LimitOrderBook:
             raise CancelExceedsRemaining(
                 f"cancel {qty} > remaining {order.remaining_size} for order {order.order_id}"
             )
-        book_side = self.buy if order.side is Side.BUY else self.sell
+        book_side = self.buy if order.side is _BUY else self.sell
         keys = book_side.keys
         price = order.price_ticks
         queue = book_side.levels[price].queue
@@ -289,14 +315,8 @@ class LimitOrderBook:
         pos = queue.index(order) + 1
         self.cancel_count += 1
         record = CancellationRecord(
-            cancel_index=self.cancel_count,
-            side=order.side,
-            level_rank=rank,
-            side_levels=len(keys),
-            level_orders=len(queue),
-            side_orders=book_side.order_count,
-            queue_rank=pos,
-            cancelled_size=qty,
+            self.cancel_count, order.side, rank, len(keys), len(queue),
+            book_side.order_count, pos, qty,
         )
 
         order.remaining_size -= qty

@@ -183,35 +183,35 @@ def profiles_payload(run: ProfileRun, unit_bins: int = 50, log_bins: int = 60) -
 # -- cancels.csv ---------------------------------------------------------------
 
 
-def cancels_csv(observations: Iterable[CancelObservation]) -> str:
-    rows = [CANCELS_CSV_HEADER]
-    for obs in observations:
-        rec = obs.record
-        rows.append(
-            ",".join(
-                (
-                    obs.instrument,
-                    str(obs.seq),
-                    obs.timestamp.isoformat(timespec="milliseconds"),
-                    obs.phase.value,
-                    rec.side.value,
-                    str(rec.cancel_index),
-                    str(rec.level_rank),
-                    str(rec.side_levels),
-                    str(rec.level_orders),
-                    str(rec.side_orders),
-                    str(rec.queue_rank),
-                    format_float(rec.rel_level),
-                    format_float(rec.norm_level),
-                    format_float(rec.queue_frac),
-                    str(rec.cancelled_size),
-                    obs.order_class.value,
-                    "1" if obs.in_profile else "0",
-                    "1" if obs.in_ratio else "0",
-                )
+# Rows per write: the file is streamed, never held whole as one string.
+CANCELS_CSV_CHUNK_ROWS = 8192
+
+
+def cancels_csv(path: str | os.PathLike, observations: Iterable[CancelObservation]) -> None:
+    """Write one cancels.csv row per observation, in chunks of formatted rows.
+
+    The ratio columns are ``format_float``'s 17 significant digits, inlined:
+    a record's denominators are positive integers, so they are finite. Enum
+    values are read from ``_value_`` and isoformat takes its arguments by
+    position, as in ``OrderEvent.to_row``.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        rows = [CANCELS_CSV_HEADER]
+        for instrument, seq, timestamp, phase, rec, order_class, in_profile, in_ratio in observations:
+            (cancel_index, side, level_rank, side_levels, level_orders, side_orders,
+             queue_rank, cancelled_size) = rec
+            rows.append(
+                f"{instrument},{seq},{timestamp.isoformat('T', 'milliseconds')},"
+                f"{phase._value_},{side._value_},{cancel_index},{level_rank},{side_levels},"
+                f"{level_orders},{side_orders},{queue_rank},{rec.rel_level:.17g},"
+                f"{rec.norm_level:.17g},{rec.queue_frac:.17g},{cancelled_size},"
+                f"{order_class._value_},{'1' if in_profile else '0'},{'1' if in_ratio else '0'}"
             )
-        )
-    return "\n".join(rows) + "\n"
+            if len(rows) == CANCELS_CSV_CHUNK_ROWS:
+                fh.write("\n".join(rows) + "\n")
+                rows.clear()
+        if rows:
+            fh.write("\n".join(rows) + "\n")
 
 
 # -- fits.json -------------------------------------------------------------------

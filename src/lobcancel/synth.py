@@ -168,17 +168,14 @@ def generate_stream(config: GenConfig) -> list[OrderEvent]:
     max_side_orders = target_depth + target_depth // 2
     band = config.initial_levels
     cancel_cut = config.limit_share + config.marketable_share
+    # Members bound once: a lookup on the Enum class (Side.BUY) runs Python
+    # code on 3.11, and the loop below makes several per event.
+    buy, sell = Side.BUY, Side.SELL
+    limit, marketable, cancel = EventKind.LIMIT, EventKind.MARKETABLE, EventKind.CANCEL
 
     def emit(kind: EventKind, side: Side, price: int, size: int, order_id: int) -> None:
         ev = OrderEvent(
-            seq=len(events) + 1,
-            timestamp=clock.next(),
-            instrument=config.instrument,
-            order_id=order_id,
-            kind=kind,
-            side=side,
-            price_ticks=price,
-            size=size,
+            len(events) + 1, clock.next(), config.instrument, order_id, kind, side, price, size
         )
         events.append(ev)
         book.apply(ev)
@@ -190,7 +187,7 @@ def generate_stream(config: GenConfig) -> list[OrderEvent]:
         nonlocal next_id
         bid, ask = book.best_bid(), book.best_ask()
         offset = level_sampler.draw(band) - 1
-        if side is Side.BUY:
+        if side is buy:
             if offset == 0 and bid is not None and ask is not None and ask - bid > 1 and rng.random() < 0.5:
                 price = bid + 1
             else:
@@ -202,7 +199,7 @@ def generate_stream(config: GenConfig) -> list[OrderEvent]:
             else:
                 anchor = ask if ask is not None else (bid + 1 if bid is not None else config.mid_price_ticks)
                 price = anchor + offset
-        emit(EventKind.LIMIT, side, max(price, 1), rng.randrange(1, 11) * 100, next_id)
+        emit(limit, side, max(price, 1), rng.randrange(1, 11) * 100, next_id)
         next_id += 1
 
     # Seed phase: two ladders of stacked non-crossing limits. Depths are
@@ -213,17 +210,18 @@ def generate_stream(config: GenConfig) -> list[OrderEvent]:
     lo_depth = max(1, config.initial_queue // 2)
     hi_depth = config.initial_queue + config.initial_queue // 2
     for level in range(config.initial_levels):
-        for side, price in ((Side.BUY, mid - 1 - level), (Side.SELL, mid + 1 + level)):
+        for side, price in ((buy, mid - 1 - level), (sell, mid + 1 + level)):
             for _ in range(rng.randrange(lo_depth, hi_depth + 1)):
                 if len(events) >= config.n_events:
                     return events
-                emit(EventKind.LIMIT, side, price, rng.randrange(1, 11) * 100, next_id)
+                emit(limit, side, price, rng.randrange(1, 11) * 100, next_id)
                 next_id += 1
 
     while len(events) < config.n_events:
-        side = Side.BUY if rng.random() < 0.5 else Side.SELL
-        own = book.buy if side is Side.BUY else book.sell
-        opp = book.sell if side is Side.BUY else book.buy
+        if rng.random() < 0.5:
+            side, own, opp = buy, book.buy, book.sell
+        else:
+            side, own, opp = sell, book.sell, book.buy
         u = rng.random()
         # Depth guards: starved sides fall back to limits, overgrown sides to
         # cancels, keeping queue lengths near the configured depth. A zero
@@ -238,10 +236,10 @@ def generate_stream(config: GenConfig) -> list[OrderEvent]:
             rank = level_sampler.draw(len(own.keys))
             queue = own.levels[own.price_at(rank)].queue
             victim = queue[queue_sampler.draw(len(queue)) - 1]
-            emit(EventKind.CANCEL, side, victim.price_ticks, 0, victim.order_id)
+            emit(cancel, side, victim.price_ticks, 0, victim.order_id)
         elif config.limit_share <= u < cancel_cut and opp.order_count > min_side_orders:
             price = opp.best_price()
-            emit(EventKind.MARKETABLE, side, price, rng.randrange(1, 23) * 100, next_id)
+            emit(marketable, side, price, rng.randrange(1, 23) * 100, next_id)
             next_id += 1
         else:
             emit_limit(side)

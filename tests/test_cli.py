@@ -328,6 +328,35 @@ def test_fit_powerlaw_without_cancels_records_error(profile_dir, tmp_path):
     assert all("error" in e for e in payload["fits"])
 
 
+@pytest.mark.parametrize("width", [7, 19])
+def test_fit_cancels_row_of_wrong_width_is_schema_error(profile_dir, tmp_path, capsys, width):
+    # A short row once reached the reader with in_profile missing and was
+    # skipped without a word; a long one was read as if it were whole.
+    _, _, out = profile_dir
+    cancels = tmp_path / "cancels.csv"
+    rows = (out / "cancels.csv").read_text().splitlines()
+    row = rows[1].split(",")
+    bad = (row * 2)[:width]
+    cancels.write_text("\n".join([*rows, ",".join(bad)]) + "\n")
+    argv = ["fit", "--profiles", str(out / "profiles.json"), "--cancels", str(cancels),
+            "--out", str(tmp_path / "fits.json"), "--models", "powerlaw"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "bad cancels schema" in err and f"line {len(rows) + 1}" in err
+    assert not (tmp_path / "fits.json").exists()
+
+
+def test_fit_cancels_without_a_needed_column_is_schema_error(profile_dir, tmp_path, capsys):
+    _, _, out = profile_dir
+    cancels = tmp_path / "cancels.csv"
+    text = (out / "cancels.csv").read_text()
+    cancels.write_text(text.replace("norm_level", "norm_lvl", 1))
+    argv = ["fit", "--profiles", str(out / "profiles.json"), "--cancels", str(cancels),
+            "--out", str(tmp_path / "fits.json"), "--models", "powerlaw"]
+    assert run(argv) == 1
+    assert "bad cancels schema" in capsys.readouterr().err
+
+
 # -- simqueues and report --------------------------------------------------------------
 
 

@@ -2,6 +2,8 @@ import random
 from datetime import datetime, timedelta
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from lobcancel.lob import (
     CancelExceedsRemaining,
@@ -37,16 +39,20 @@ class BruteBook:
 
     After each successful cancel, ``last_cancel`` holds the cancelled order's
     coordinates, counted from scratch over the live orders before removal, in
-    the layout of ``cancel_coords``.
+    the layout of ``cancel_coords``, and ``cancels`` counts the successful
+    cancels so far. A submission whose id is still resting is refused.
     """
 
     def __init__(self):
         self.live = []  # {id, side, price, rem, arrival}
         self.last_cancel = None
+        self.cancels = 0
 
     def apply(self, ev):
         trades = []
         self.last_cancel = None
+        if ev.kind is not EventKind.CANCEL and any(o["id"] == ev.order_id for o in self.live):
+            return trades, "duplicate"
         if ev.kind is EventKind.CANCEL:
             found = [o for o in self.live if o["id"] == ev.order_id]
             if not found:
@@ -70,6 +76,7 @@ class BruteBook:
                 queue.index(order) + 1,
                 qty,
             )
+            self.cancels += 1
             order["rem"] -= qty
             if order["rem"] == 0:
                 self.live.remove(order)
@@ -172,6 +179,10 @@ def replay_both(events):
             with pytest.raises(CancelExceedsRemaining):
                 book.apply(ev)
             continue
+        if status == "duplicate":
+            with pytest.raises(DuplicateOrderId):
+                book.apply(ev)
+            continue
         outcome = book.apply(ev)
         got = [(t.maker_id, t.taker_id, t.price_ticks, t.size) for t in outcome.trades]
         assert got == want_trades, f"trade mismatch at seq {ev.seq}"
@@ -179,6 +190,7 @@ def replay_both(events):
             assert cancel_coords(outcome.cancellation) == brute.last_cancel, (
                 f"cancellation coordinates mismatch at seq {ev.seq}"
             )
+            assert outcome.cancellation.cancel_index == brute.cancels
         else:
             assert outcome.cancellation is None
         engine_trades.extend(got)
@@ -398,6 +410,29 @@ def test_oracle_equivalence_random_streams():
     for _ in range(60):
         events = random_stream(rng, rng.randrange(20, 200))
         replay_both(events)
+
+
+# Order ids come from a small pool, so submissions reuse ids that are still
+# resting (refused as duplicates) or already gone (accepted), and cancels hit
+# resting, filled, cancelled and never-seen ids. Sizes make cancels partial,
+# full (size 0) or larger than what remains.
+_submission = st.tuples(
+    st.sampled_from("LM"), st.sampled_from("BS"), st.integers(995, 1005),
+    st.integers(1, 40), st.integers(1, 12),
+)
+_cancel = st.tuples(
+    st.just("C"), st.sampled_from("BS"), st.just(0),
+    st.one_of(st.just(0), st.integers(1, 50)), st.integers(0, 13),
+)
+
+
+# No explain phase: on a failure it re-runs the shrunk stream for minutes.
+@settings(derandomize=True, max_examples=150, deadline=None,
+          phases=[Phase.explicit, Phase.generate, Phase.shrink])
+@given(st.lists(st.one_of(_submission, _submission, _cancel), min_size=20, max_size=80))
+def test_property_streams_match_brute_book(rows):
+    events = [make_event(seq, *row) for seq, row in enumerate(rows, start=1)]
+    replay_both(events)
 
 
 def test_conservation_after_every_event():
