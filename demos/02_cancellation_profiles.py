@@ -10,12 +10,11 @@ from lobcancel import (
     ExpProfileLaw,
     GenConfig,
     TruncLogNormalLaw,
-    accumulate_pdf,
     generate_stream,
     profile_events,
     ratio_report,
 )
-from lobcancel.profiles import BinSpec, CANCELLABLE_CLASSES
+from lobcancel.profiles import BinSpec, CANCELLABLE_CLASSES, count_pdf
 
 config = GenConfig(
     seed=7,
@@ -40,9 +39,10 @@ for name, acc in (("buy", profile.buy), ("sell", profile.sell)):
         shown = "n/a" if cr.ratio is None else f"{cr.ratio:.3f}"
         print(f"  {klass.value:<17} {cr.cancelled:>6} / {cr.orders:<6} ratio {shown}")
 
-# binned density of the relative price level, printed as a crude bar chart
+# binned density of the relative price level, printed as a crude bar chart;
+# the profile keeps a count per (level rank, levels) pair, binned here
 acc = profile.buy
-pdf = accumulate_pdf(acc.rel_levels, BinSpec("uniform", 25))
+pdf = count_pdf(acc.rel_level_counts, BinSpec("uniform", 25))
 print(f"\nbuy-side relative-level density ({pdf.count} cancels):")
 for center, dens in zip(pdf.centers(), pdf.density):
     print(f"  {center:4.2f} {'#' * int(round(dens * 12))}")

@@ -7,14 +7,17 @@ from .orderflow import (
     ParseResult,
     SessionPhase,
     Side,
+    iter_parse,
     parse_stream,
     phase_of,
     serialize_events,
     split_days,
+    stream_days,
 )
 from .lob import (
     ApplyOutcome,
     CancelExceedsRemaining,
+    CancelSideMismatch,
     CancellationRecord,
     CrossedBookInvariantViolation,
     DanglingCancel,

@@ -11,17 +11,28 @@ import csv
 import dataclasses
 import json
 import os
+import shutil
 import sys
+import tempfile
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from operator import attrgetter
+from itertools import chain
+from typing import Iterator
 
 import numpy as np
 
 from . import reportio
 from .lob import LobError, gc_paused
-from .orderflow import parse_stream, serialize_events
-from .profiles import POSITIVE_RAY, UNIT_INTERVAL, EmpiricalPdf, ProfileRun, replay_days
+from .orderflow import HEADER, DaysOutOfOrder, OrderEvent, ParseError, iter_parse, stream_days
+from .profiles import (
+    POSITIVE_RAY,
+    UNIT_INTERVAL,
+    DayResult,
+    EmpiricalPdf,
+    InstrumentProfile,
+    ProfileRun,
+    replay_day,
+)
 from .synth import (
     ConfigInvalid,
     ExpProfileLaw,
@@ -131,57 +142,128 @@ def _apply_config_file(args, argv: list[str]) -> None:
 # -- validate -------------------------------------------------------------------
 
 
-def _read_file(path: str) -> str:
+# Bytes per read of an input file.
+READ_BLOCK = 1 << 14
+
+
+def _read_lines(path: str) -> Iterator[str]:
+    """Lines of a UTF-8 file, read READ_BLOCK bytes at a time.
+
+    Each block is cut after its last newline byte, which is never part of a
+    multi-byte character and always ends a line, so the lines are those of
+    ``str.splitlines`` on the whole text, and a decoding error names its
+    byte offset within the file.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            offset, tail = 0, b""
+            while True:
+                block = fh.read(READ_BLOCK)
+                data = tail + block
+                cut = data.rfind(b"\n") + 1 if block else len(data)
+                try:
+                    text = data[:cut].decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise InputDataError(
+                        f"{path}: not valid UTF-8 at byte {offset + exc.start}: {exc.reason}"
+                    ) from exc
+                yield from text.splitlines()
+                if not block:
+                    return
+                offset, tail = offset + cut, data[cut:]
     except OSError as exc:
         raise InputDataError(f"{path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise InputDataError(f"{path}: not valid UTF-8 at byte {exc.start}: {exc.reason}") from exc
 
 
 def cmd_validate(args) -> int:
     total_errors = 0
     for path in args.inputs:
-        result = parse_stream(_read_file(path))
-        print(f"{path}: {len(result.events)} events, {len(result.errors)} errors")
-        for err in result.errors:
+        events = 0
+        errors = []
+        for item in iter_parse(_read_lines(path)):
+            if type(item) is ParseError:
+                errors.append(item)
+            else:
+                events += 1
+        print(f"{path}: {events} events, {len(errors)} errors")
+        for err in errors:
             print(f"  {path}:{err}")
-        total_errors += len(result.errors)
+        total_errors += len(errors)
     return 0 if total_errors == 0 else 1
 
 
 # -- profile --------------------------------------------------------------------
 
 
-def _profile_job(
-    paths: list[str], instrument: str | None
-) -> tuple[ProfileRun | None, int, list[list[str]]]:
-    """Read, parse and replay ``paths`` as one unit of profile work.
+def _replay_files(
+    paths: list[str], instrument: str | None, parts_dir: str, in_date_order: bool
+) -> tuple[dict[str, InstrumentProfile], dict[str, str], int, list[list[str]]]:
+    os.mkdir(parts_dir)
+    errors: list[list[str]] = []
+    failed = False
+    n_events = 0
 
-    Returns the run, the number of events replayed, and each path's parse
-    errors as ``path:error`` strings; a job with any parse error skips the
-    replay, since the command fails anyway. A pool worker runs this on its
-    own paths, so only file names and results cross the process boundary.
-    """
-    events = []
-    errors = []
-    with gc_paused():
+    def events() -> Iterator[OrderEvent]:
+        nonlocal failed, n_events
         for path in paths:
-            result = parse_stream(_read_file(path))
-            errors.append([f"{path}:{err}" for err in result.errors])
-            events.extend(result.events)
-    if any(errors):
-        return None, 0, errors
-    if instrument is not None:
-        events = [ev for ev in events if ev.instrument == instrument]
-    return replay_days(events), len(events), errors
+            path_errors: list[str] = []
+            errors.append(path_errors)
+            for item in iter_parse(_read_lines(path), in_date_order=in_date_order):
+                if type(item) is ParseError:
+                    path_errors.append(f"{path}:{item}")
+                    failed = True
+                elif not failed and (instrument is None or item.instrument == instrument):
+                    n_events += 1
+                    yield item
+
+    profiles: dict[str, InstrumentProfile] = {}
+    parts: dict[str, str] = {}
+    for day_events in stream_days(events(), in_date_order=in_date_order):
+        if not failed:  # once a row fails the command fails: parse on, replay no more
+            _add_day(replay_day(day_events), profiles, parts, parts_dir)
+    return profiles, parts, n_events, errors
+
+
+def _add_day(day: DayResult, profiles: dict[str, InstrumentProfile], parts: dict[str, str],
+             parts_dir: str) -> None:
+    """Count a replayed day into its instrument and append its cancels to the
+    instrument's part file; the day's result is dropped on return."""
+    code = day.instrument
+    profile = profiles.get(code)
+    if profile is None:
+        profile = profiles[code] = InstrumentProfile(code)
+        parts[code] = os.path.join(parts_dir, f"{len(parts)}.csv")
+    profile.add_day(day)
+    reportio.cancels_csv(parts[code], day.observations)
+
+
+def _profile_job(
+    paths: list[str], instrument: str | None, parts_dir: str
+) -> tuple[dict[str, InstrumentProfile], dict[str, str], int, list[list[str]]]:
+    """Parse and replay ``paths`` as one unit of profile work, a day at a time.
+
+    Returns the profile of each instrument, the header-less cancels.csv part
+    file of each (in the new directory ``parts_dir``), the number of events
+    replayed, and each path's parse errors as ``path:error`` strings. Files
+    are read lazily, and an instrument-day is replayed once a later date of
+    its instrument arrives, or at the end. An input that takes an instrument
+    back to an earlier date is run again from the start with every day held
+    to the end, so its days are grouped as a whole-input read groups them. A
+    pool worker runs this on its own paths, so only file names, counts and
+    part paths cross the process boundary.
+    """
+    with gc_paused():
+        try:
+            return _replay_files(paths, instrument, parts_dir, in_date_order=True)
+        except DaysOutOfOrder:
+            shutil.rmtree(parts_dir)
+            return _replay_files(paths, instrument, parts_dir, in_date_order=False)
 
 
 def _instrument_codes(path: str) -> set[str]:
     """Instrument column of every row, split into lines as parse_stream splits them."""
-    lines = _read_file(path).splitlines()[1:]
+    lines = _read_lines(path)
+    next(lines, None)
     return {parts[2] for parts in (line.split(",", 3) for line in lines) if len(parts) > 2}
 
 
@@ -206,38 +288,45 @@ def _disjoint_groups(paths: list[str]) -> list[list[str]]:
 
 
 def _run_profile_jobs(
-    paths: list[str], instrument: str | None, workers: int
-) -> tuple[ProfileRun, int]:
+    paths: list[str], instrument: str | None, workers: int, parts_dir: str
+) -> tuple[ProfileRun, list[str], int]:
+    """The run, its part files in instrument order, and the events replayed."""
     groups = _disjoint_groups(paths) if workers > 1 and len(paths) > 1 else [paths]
+    dirs = [os.path.join(parts_dir, str(i)) for i in range(len(groups))]
     if len(groups) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(groups))) as pool:
-            results = list(pool.map(_profile_job, groups, [instrument] * len(groups)))
+            results = list(pool.map(_profile_job, groups, [instrument] * len(groups), dirs))
     else:
-        results = [_profile_job(groups[0], instrument)]
+        results = [_profile_job(groups[0], instrument, dirs[0])]
     errors = {}
-    for group, (_, _, group_errors) in zip(groups, results):
+    for group, (_, _, _, group_errors) in zip(groups, results):
         errors.update(zip(group, group_errors))
     bad = [err for path in paths for err in errors[path]]
     if bad:
         raise InputDataError("\n".join(bad))
     per_instrument = {}
-    observations = []
-    for run, _, _ in results:  # groups share no instrument, so the codes are disjoint
-        per_instrument.update(run.per_instrument)
-        observations.extend(run.observations)
-    observations.sort(key=attrgetter("instrument"))  # stable: day order holds within a code
-    return ProfileRun(per_instrument, observations), sum(n for _, n, _ in results)
+    parts = {}
+    for profiles, job_parts, _, _ in results:  # groups share no instrument
+        per_instrument.update(profiles)
+        parts.update(job_parts)
+    return (ProfileRun(per_instrument), [parts[code] for code in sorted(parts)],
+            sum(n for _, _, n, _ in results))
 
 
 def cmd_profile(args) -> int:
-    run, n_events = _run_profile_jobs(args.inputs, args.instrument, args.workers)
-    if not n_events:
-        raise UsageError("empty input: no events to profile")
-    os.makedirs(args.out, exist_ok=True)
-    payload = reportio.profiles_payload(run, unit_bins=args.bins, log_bins=args.log_bins)
-    reportio.write_text(os.path.join(args.out, "profiles.json"), reportio.render_json(payload))
-    reportio.cancels_csv(os.path.join(args.out, "cancels.csv"), run.observations)
-    n_cancels = sum(1 for o in run.observations if o.in_profile)
+    with tempfile.TemporaryDirectory(prefix="lobcancel-parts-") as parts_dir:
+        run, parts, n_events = _run_profile_jobs(
+            args.inputs, args.instrument, args.workers, parts_dir
+        )
+        if not n_events:
+            raise UsageError("empty input: no events to profile")
+        os.makedirs(args.out, exist_ok=True)
+        payload = reportio.profiles_payload(run, unit_bins=args.bins, log_bins=args.log_bins)
+        reportio.write_text(os.path.join(args.out, "profiles.json"), reportio.render_json(payload))
+        reportio.join_cancels_csv(os.path.join(args.out, "cancels.csv"), parts)
+    n_cancels = sum(
+        len(p.buy.norm_levels) + len(p.sell.norm_levels) for p in run.per_instrument.values()
+    )
     print(
         f"profiled {n_events} events, {len(run.per_instrument)} instrument(s), "
         f"{n_cancels} in-profile cancellations -> {args.out}"
@@ -455,7 +544,7 @@ def cmd_gen(args) -> int:
         initial_queue=args.queue_depth,
     )
     events = generate_stream(config)
-    reportio.write_text(args.out, serialize_events(events))
+    reportio.write_lines(args.out, chain((HEADER,), map(OrderEvent.to_row, events)))
     print(f"wrote {len(events)} events -> {args.out}")
     return 0
 

@@ -45,6 +45,10 @@ class CancelExceedsRemaining(LobError):
     pass
 
 
+class CancelSideMismatch(LobError):
+    """Cancel named a resting order of the other side."""
+
+
 class DuplicateOrderId(LobError):
     pass
 
@@ -244,8 +248,9 @@ class LimitOrderBook:
     def apply(self, event: OrderEvent) -> ApplyOutcome:
         """Apply one event, returning trades, cancellation capture, and rest.
 
-        Raises DanglingCancel / CancelExceedsRemaining / DuplicateOrderId on
-        bad input; the book is left unchanged in those cases.
+        Raises DanglingCancel / CancelSideMismatch / CancelExceedsRemaining /
+        DuplicateOrderId on bad input; the book is left unchanged in those
+        cases.
         """
         if event.kind is _CANCEL:
             return self._apply_cancel(event)
@@ -302,6 +307,10 @@ class LimitOrderBook:
         order = self.index.get(event.order_id)
         if order is None:
             raise DanglingCancel(event.order_id)
+        if event.side is not order.side:
+            raise CancelSideMismatch(
+                f"cancel of {event.side.name} side names {order.side.name} order {order.order_id}"
+            )
         qty = event.size if event.size > 0 else order.remaining_size
         if qty > order.remaining_size:
             raise CancelExceedsRemaining(

@@ -11,9 +11,12 @@ ticks (one tick = 0.01 CNY for Shenzhen A shares). A cancel with size 0 means
 """
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field
 from datetime import date, datetime, time
 from enum import Enum
+from sys import intern
 from typing import IO, Iterable, Iterator, NamedTuple
 
 
@@ -42,13 +45,17 @@ class SessionPhase(Enum):
 CONTINUOUS_PHASES = frozenset({SessionPhase.CONTINUOUS_AM, SessionPhase.CONTINUOUS_PM})
 HELD_PHASES = frozenset({SessionPhase.OPENING_CALL, SessionPhase.COOL})
 
-# Half-open [start, end) phase boundaries, in time-of-day order.
-_PHASE_WINDOWS = (
-    (time(9, 15), time(9, 25), SessionPhase.OPENING_CALL),
-    (time(9, 25), time(9, 30), SessionPhase.COOL),
-    (time(9, 30), time(11, 30), SessionPhase.CONTINUOUS_AM),
-    (time(11, 30), time(13, 0), SessionPhase.LUNCH),
-    (time(13, 0), time(15, 0), SessionPhase.CONTINUOUS_PM),
+# Phase boundaries in time-of-day order; each phase runs half-open from one
+# boundary to the next, so bisect_right maps a time of day to its phase.
+_PHASE_BOUNDS = (time(9, 15), time(9, 25), time(9, 30), time(11, 30), time(13, 0), time(15, 0))
+_PHASES = (
+    SessionPhase.CLOSED,
+    SessionPhase.OPENING_CALL,
+    SessionPhase.COOL,
+    SessionPhase.CONTINUOUS_AM,
+    SessionPhase.LUNCH,
+    SessionPhase.CONTINUOUS_PM,
+    SessionPhase.CLOSED,
 )
 
 HEADER = "seq,timestamp,instrument,order_id,kind,side,price_ticks,size"
@@ -57,10 +64,7 @@ HEADER = "seq,timestamp,instrument,order_id,kind,side,price_ticks,size"
 def phase_of(ts: datetime | time) -> SessionPhase:
     """Map a timestamp to its session phase (total and pure)."""
     tod = ts.time() if isinstance(ts, datetime) else ts
-    for start, end, phase in _PHASE_WINDOWS:
-        if start <= tod < end:
-            return phase
-    return SessionPhase.CLOSED
+    return _PHASES[bisect_right(_PHASE_BOUNDS, tod)]
 
 
 class OrderEvent(NamedTuple):
@@ -93,7 +97,13 @@ BAD_ENUM = "bad_enum"
 BAD_VALUE = "bad_value"
 NON_MONOTONE_SEQ = "non_monotone_seq"
 NON_MONOTONE_TIME = "non_monotone_time"
+MIXED_UTC_OFFSET = "mixed_utc_offset"
 DUPLICATE_ORDER_ID = "duplicate_order_id"
+
+
+class DaysOutOfOrder(Exception):
+    """An instrument's trading day went back to an earlier date in a stream
+    read in date order (see ``iter_parse`` and ``stream_days``)."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,28 +143,37 @@ def _iter_lines(source: str | bytes | IO | Iterable[str]) -> Iterator[str]:
             yield line.rstrip("\r\n")
 
 
-def parse_stream(source: str | bytes | IO | Iterable[str]) -> ParseResult:
-    """Parse an order-flow CSV into events plus structured errors.
+def iter_parse(
+    source: str | bytes | IO | Iterable[str], *, in_date_order: bool = False
+) -> Iterator[OrderEvent | ParseError]:
+    """Parse an order-flow CSV lazily, yielding an OrderEvent or a ParseError per record.
 
-    Every record either yields an OrderEvent or a ParseError with its line
-    number; bad rows are skipped and parsing continues. Validation covers the
-    header, column count, field types, enum letters, strictly increasing seq,
-    non-decreasing timestamps per instrument-day, unique submission ids per
-    instrument-day, and positive size/price for submissions.
+    Every bad record yields a ParseError with its line number and is skipped;
+    parsing continues. Validation covers the header, column count, field
+    types, enum letters, strictly increasing seq, non-decreasing timestamps
+    per instrument-day (all naive or all with a UTC offset), unique
+    submission ids per instrument-day, and positive size/price for
+    submissions. Instrument codes are interned.
+
+    The checks keep per-instrument-day state. With ``in_date_order`` a day's
+    state is dropped once its instrument moves on to a later date, so the
+    state stays one day per instrument, and a row that takes its instrument
+    back to an earlier date raises DaysOutOfOrder; the records yielded up to
+    then are those of the default mode.
     """
-    result = ParseResult()
     lines = _iter_lines(source)
 
     header = next(lines, None)
     if header is None or header.strip() != HEADER:
         got = "" if header is None else header.strip()
-        result.errors.append(ParseError(1, BAD_HEADER, f"expected header {HEADER!r}, got {got!r}"))
-        return result
+        yield ParseError(1, BAD_HEADER, f"expected header {HEADER!r}, got {got!r}")
+        return
 
     cancel = EventKind.CANCEL  # bound once: a lookup on the Enum class runs Python code
     last_seq: int | None = None
     last_ts: dict[tuple[str, date], datetime] = {}
     seen_ids: dict[tuple[str, date], set[int]] = {}
+    current_day: dict[str, date] = {}  # in date order: each instrument's day
 
     for line_no, raw in enumerate(lines, start=2):
         line = raw.strip()
@@ -162,9 +181,7 @@ def parse_stream(source: str | bytes | IO | Iterable[str]) -> ParseResult:
             continue
         parts = line.split(",")
         if len(parts) != 8:
-            result.errors.append(
-                ParseError(line_no, MALFORMED_ROW, f"expected 8 columns, got {len(parts)}")
-            )
+            yield ParseError(line_no, MALFORMED_ROW, f"expected 8 columns, got {len(parts)}")
             continue
         s_seq, s_ts, instrument, s_oid, s_kind, s_side, s_price, s_size = parts
         try:
@@ -173,62 +190,89 @@ def parse_stream(source: str | bytes | IO | Iterable[str]) -> ParseResult:
             price_ticks = int(s_price)
             size = int(s_size)
         except ValueError:
-            result.errors.append(ParseError(line_no, MALFORMED_ROW, "non-integer numeric field"))
+            yield ParseError(line_no, MALFORMED_ROW, "non-integer numeric field")
             continue
         try:
             ts = datetime.fromisoformat(s_ts)
         except ValueError:
-            result.errors.append(ParseError(line_no, MALFORMED_ROW, f"bad timestamp {s_ts!r}"))
+            yield ParseError(line_no, MALFORMED_ROW, f"bad timestamp {s_ts!r}")
             continue
         kind = _KINDS.get(s_kind)
         if kind is None:
-            result.errors.append(ParseError(line_no, BAD_ENUM, f"unknown kind {s_kind!r}"))
+            yield ParseError(line_no, BAD_ENUM, f"unknown kind {s_kind!r}")
             continue
         side = _SIDES.get(s_side)
         if side is None:
-            result.errors.append(ParseError(line_no, BAD_ENUM, f"unknown side {s_side!r}"))
+            yield ParseError(line_no, BAD_ENUM, f"unknown side {s_side!r}")
             continue
 
         if last_seq is not None and seq <= last_seq:
-            result.errors.append(
-                ParseError(line_no, NON_MONOTONE_SEQ, f"seq {seq} not above previous {last_seq}")
-            )
+            yield ParseError(line_no, NON_MONOTONE_SEQ, f"seq {seq} not above previous {last_seq}")
             continue
 
         if kind is cancel:
             if size < 0 or price_ticks < 0:
-                result.errors.append(ParseError(line_no, BAD_VALUE, "negative size or price"))
+                yield ParseError(line_no, BAD_VALUE, "negative size or price")
                 continue
         else:
             if size <= 0 or price_ticks <= 0:
-                result.errors.append(
-                    ParseError(line_no, BAD_VALUE, "submissions need size > 0 and price_ticks > 0")
+                yield ParseError(
+                    line_no, BAD_VALUE, "submissions need size > 0 and price_ticks > 0"
                 )
                 continue
 
-        day_key = (instrument, ts.date())
+        instrument = intern(instrument)
+        day = ts.date()
+        day_key = (instrument, day)
         prev_ts = last_ts.get(day_key)
-        if prev_ts is not None and ts < prev_ts:
-            result.errors.append(
-                ParseError(line_no, NON_MONOTONE_TIME, f"timestamp {s_ts} before previous event")
-            )
-            continue
+        if prev_ts is None:
+            if in_date_order:
+                prev_day = current_day.get(instrument)
+                if prev_day is not None:
+                    if day < prev_day:
+                        raise DaysOutOfOrder(
+                            f"line {line_no}: {instrument} goes back from {prev_day} to {day}"
+                        )
+                    last_ts.pop((instrument, prev_day), None)
+                    seen_ids.pop((instrument, prev_day), None)
+                current_day[instrument] = day
+        else:
+            try:
+                earlier = ts < prev_ts
+            except TypeError:  # one of the two carries a UTC offset, the other not
+                yield ParseError(
+                    line_no, MIXED_UTC_OFFSET,
+                    f"timestamp {s_ts} mixes UTC-offset and naive timestamps in one "
+                    "instrument-day",
+                )
+                continue
+            if earlier:
+                yield ParseError(line_no, NON_MONOTONE_TIME, f"timestamp {s_ts} before previous event")
+                continue
 
         if kind is not cancel:
             ids = seen_ids.setdefault(day_key, set())
             if order_id in ids:
-                result.errors.append(
-                    ParseError(line_no, DUPLICATE_ORDER_ID, f"order_id {order_id} already submitted")
+                yield ParseError(
+                    line_no, DUPLICATE_ORDER_ID, f"order_id {order_id} already submitted"
                 )
                 continue
             ids.add(order_id)
 
         last_seq = seq
         last_ts[day_key] = ts
-        result.events.append(
-            OrderEvent(seq, ts, instrument, order_id, kind, side, price_ticks, size)
-        )
+        yield OrderEvent(seq, ts, instrument, order_id, kind, side, price_ticks, size)
 
+
+def parse_stream(source: str | bytes | IO | Iterable[str]) -> ParseResult:
+    """Parse an order-flow CSV into events plus structured errors (see iter_parse)."""
+    result = ParseResult()
+    events, errors = result.events.append, result.errors.append
+    for item in iter_parse(source):
+        if type(item) is ParseError:
+            errors(item)
+        else:
+            events(item)
     return result
 
 
@@ -245,3 +289,43 @@ def split_days(events: Iterable[OrderEvent]) -> dict[tuple[str, date], list[Orde
     for ev in events:
         days.setdefault((ev.instrument, ev.timestamp.date()), []).append(ev)
     return days
+
+
+def _drain(buffer: deque) -> Iterator[OrderEvent]:
+    """Yield and drop a buffer's events from the front."""
+    popleft = buffer.popleft
+    while buffer:
+        yield popleft()
+
+
+def stream_days(
+    events: Iterable[OrderEvent], *, in_date_order: bool = False
+) -> Iterator[Iterator[OrderEvent]]:
+    """Yield each instrument-day's events, in stream order, as a draining iterator.
+
+    By default every day is buffered to the end of the stream and the days
+    come out in (instrument, day) order, the grouping of ``split_days``.
+    With ``in_date_order`` an instrument-day is yielded as soon as a later
+    date of its instrument arrives, so one day per instrument is buffered;
+    an earlier date raises DaysOutOfOrder, and the days still buffered at
+    the end come out in (instrument, day) order. A day's buffer is out of
+    the stream's hands once yielded, so a day left undrained is dropped.
+    """
+    buffers: dict[tuple[str, date], deque] = {}
+    current_day: dict[str, date] = {}
+    for ev in events:
+        key = (ev.instrument, ev.timestamp.date())
+        buffer = buffers.get(key)
+        if buffer is None:
+            if in_date_order:
+                instrument, day = key
+                prev_day = current_day.get(instrument)
+                if prev_day is not None:
+                    if day < prev_day:
+                        raise DaysOutOfOrder(f"{instrument} goes back from {prev_day} to {day}")
+                    yield _drain(buffers.pop((instrument, prev_day)))
+                current_day[instrument] = day
+            buffer = buffers[key] = deque()
+        buffer.append(ev)
+    for key in sorted(buffers):
+        yield _drain(buffers.pop(key))

@@ -5,7 +5,7 @@ with an aggressiveness class, and collects three per-side cancellation
 coordinates: the relative price level on (0, 1], the normalized level on the
 positive reals (book-shape effect divided out), and the relative queue
 position on (0, 1]. Binned densities and per-class cancellation ratios are
-built from the accumulated samples.
+built from the accumulated counts.
 
 Only events stamped inside the continuous sessions feed the statistics.
 Opening-call and cool-period events are held and flushed into the book, in
@@ -14,16 +14,18 @@ tallied in diagnostics but excluded from profiles and ratios.
 """
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .lob import (
     CancelExceedsRemaining,
+    CancelSideMismatch,
     CancellationRecord,
     DanglingCancel,
     DuplicateOrderId,
@@ -37,7 +39,7 @@ from .orderflow import (
     SessionPhase,
     Side,
     phase_of,
-    split_days,
+    stream_days,
 )
 
 
@@ -108,7 +110,8 @@ def classify_submission(
 
 @dataclass(slots=True)
 class OrderLifecycle:
-    side: Side
+    """What the accounting needs of a resting order."""
+
     klass: AggressivenessClass
     in_scope: bool               # submitted during a continuous session
     cancelled_in_scope: bool = False
@@ -128,29 +131,68 @@ class CancelObservation(NamedTuple):
 
 
 @dataclass
+class SideAccumulator:
+    """Per-side counts; merge is associative.
+
+    The relative level and queue position of a cancel are ratios k/n of
+    book counts, so they are kept exactly, as counts per (k, n) pair, and
+    binned only when a density is built. The normalized level has no such
+    small lattice and is kept as one float per cancel.
+    """
+
+    side: Side
+    rel_level_counts: Counter = field(default_factory=Counter)   # (level_rank, side_levels)
+    queue_frac_counts: Counter = field(default_factory=Counter)  # (queue_rank, level_orders)
+    norm_levels: array = field(default_factory=lambda: array("d"))
+    orders_by_class: Counter = field(default_factory=Counter)
+    cancelled_by_class: Counter = field(default_factory=Counter)
+    orders_total: int = 0
+    cancelled_orders: int = 0
+    cancel_events: int = 0
+
+    def merge(self, other: "SideAccumulator") -> None:
+        self.rel_level_counts.update(other.rel_level_counts)
+        self.queue_frac_counts.update(other.queue_frac_counts)
+        self.norm_levels.extend(other.norm_levels)
+        self.orders_by_class.update(other.orders_by_class)
+        self.cancelled_by_class.update(other.cancelled_by_class)
+        self.orders_total += other.orders_total
+        self.cancelled_orders += other.cancelled_orders
+        self.cancel_events += other.cancel_events
+
+
+@dataclass
 class DayResult:
     instrument: str
     book: LimitOrderBook
-    lifecycles: dict[int, OrderLifecycle]
+    lifecycles: dict[int, OrderLifecycle]   # orders still resting at the end
     observations: list[CancelObservation]
     diagnostics: Counter
+    buy: SideAccumulator
+    sell: SideAccumulator
     trades: list[Trade] | None = None
 
 
 @gc_paused()
 def replay_day(
-    events: list[OrderEvent], *, collect_trades: bool = False
+    events: Iterable[OrderEvent], *, collect_trades: bool = False
 ) -> DayResult:
     """Replay one instrument-day (events in stream order) through a fresh book.
 
-    Runs with the cyclic garbage collector paused (see ``lob.gc_paused``).
+    ``events`` is read once, front to back, so a draining iterator frees each
+    event once it has been applied. Counts go into the day's per-side
+    accumulators as the events are applied: a submission in a continuous
+    session counts toward its class, a cancel toward the densities and
+    ratios; only orders still resting keep a lifecycle. Runs with the cyclic
+    garbage collector paused (see ``lob.gc_paused``).
     """
     book = LimitOrderBook()
     lifecycles: dict[int, OrderLifecycle] = {}
     observations: list[CancelObservation] = []
     diagnostics: Counter = Counter()
+    buy_acc, sell_acc = SideAccumulator(Side.BUY), SideAccumulator(Side.SELL)
     trades: list[Trade] | None = [] if collect_trades else None
-    instrument = events[0].instrument if events else ""
+    instrument = ""
 
     held: list[OrderEvent] = []
     flushed = False
@@ -161,6 +203,7 @@ def replay_day(
     am, pm = SessionPhase.CONTINUOUS_AM, SessionPhase.CONTINUOUS_PM
     call, cool = SessionPhase.OPENING_CALL, SessionPhase.COOL
     cancel = EventKind.CANCEL
+    resting = book.index
 
     def apply_one(ev: OrderEvent, phase: SessionPhase) -> None:
         continuous = phase is am or phase is pm
@@ -170,21 +213,35 @@ def replay_day(
             except DanglingCancel:
                 diagnostics["dangling_cancels"] += 1
                 return
+            except CancelSideMismatch:
+                diagnostics["cancel_side_mismatch"] += 1
+                return
             except CancelExceedsRemaining:
                 diagnostics["cancel_exceeds_remaining"] += 1
                 return
-            life = lifecycles[ev.order_id]
+            rec = outcome.cancellation
+            order_id = ev.order_id
+            life = lifecycles[order_id] if order_id in resting else lifecycles.pop(order_id)
+            acc = buy_acc if rec.side is _BUY else sell_acc
             in_ratio = continuous and life.in_scope
             if in_ratio:
-                life.cancelled_in_scope = True
+                acc.cancel_events += 1
+                if not life.cancelled_in_scope:
+                    life.cancelled_in_scope = True
+                    acc.cancelled_orders += 1
+                    acc.cancelled_by_class[life.klass] += 1
+            elif not continuous:
+                diagnostics["cancels_outside_continuous"] += 1
             else:
-                if not continuous:
-                    diagnostics["cancels_outside_continuous"] += 1
-                elif not life.in_scope:
-                    diagnostics["cancels_of_precontinuous_orders"] += 1
+                diagnostics["cancels_of_precontinuous_orders"] += 1
+            if continuous:
+                _, _, level_rank, side_levels, level_orders, _, queue_rank, _ = rec
+                acc.rel_level_counts[level_rank, side_levels] += 1
+                acc.queue_frac_counts[queue_rank, level_orders] += 1
+                acc.norm_levels.append(rec.norm_level)
             observations.append(
                 CancelObservation(
-                    ev.instrument, ev.seq, ev.timestamp, phase, outcome.cancellation,
+                    ev.instrument, ev.seq, ev.timestamp, phase, rec,
                     life.klass, continuous, in_ratio,
                 )
             )
@@ -196,15 +253,27 @@ def replay_day(
             except DuplicateOrderId:
                 diagnostics["duplicate_order_ids"] += 1
                 return
-            traded = bool(outcome.trades)
-            if traded and trades is not None:
-                trades.extend(outcome.trades)
+            fills = outcome.trades
+            if fills:
+                if trades is not None:
+                    trades.extend(fills)
+                for fill in fills:  # makers filled in full leave the book
+                    if fill.maker_id not in resting:
+                        lifecycles.pop(fill.maker_id, None)
+            rested = outcome.rested is not None
             klass = classify_submission(
-                ev.side, ev.price_ticks, pre_bid, pre_ask, traded, outcome.rested is not None
+                ev.side, ev.price_ticks, pre_bid, pre_ask, bool(fills), rested
             )
-            lifecycles[ev.order_id] = OrderLifecycle(ev.side, klass, continuous)
+            if continuous:
+                acc = buy_acc if ev.side is _BUY else sell_acc
+                acc.orders_total += 1
+                acc.orders_by_class[klass] += 1
+            if rested:
+                lifecycles[ev.order_id] = OrderLifecycle(klass, continuous)
 
     for ev in events:
+        if not instrument:
+            instrument = ev.instrument
         phase = phase_of(ev.timestamp)
         if not flushed:
             if phase is call or phase is cool:
@@ -219,53 +288,12 @@ def replay_day(
     for held_ev in held:  # no continuous event ever arrived
         apply_one(held_ev, phase_of(held_ev.timestamp))
 
-    return DayResult(instrument, book, lifecycles, observations, diagnostics, trades)
+    return DayResult(
+        instrument, book, lifecycles, observations, diagnostics, buy_acc, sell_acc, trades
+    )
 
 
 # -- accumulation ---------------------------------------------------------------
-
-
-@dataclass
-class SideAccumulator:
-    """Single-writer per-side sample and count store; merge is associative."""
-
-    side: Side
-    rel_levels: list[float] = field(default_factory=list)
-    norm_levels: list[float] = field(default_factory=list)
-    queue_fracs: list[float] = field(default_factory=list)
-    orders_by_class: Counter = field(default_factory=Counter)
-    cancelled_by_class: Counter = field(default_factory=Counter)
-    orders_total: int = 0
-    cancelled_orders: int = 0
-    cancel_events: int = 0
-
-    def add_observation(self, obs: CancelObservation) -> None:
-        if obs.in_profile:
-            rec = obs.record
-            self.rel_levels.append(rec.rel_level)
-            self.norm_levels.append(rec.norm_level)
-            self.queue_fracs.append(rec.queue_frac)
-        if obs.in_ratio:
-            self.cancel_events += 1
-
-    def add_lifecycle(self, life: OrderLifecycle) -> None:
-        if not life.in_scope:
-            return
-        self.orders_total += 1
-        self.orders_by_class[life.klass] += 1
-        if life.cancelled_in_scope:
-            self.cancelled_orders += 1
-            self.cancelled_by_class[life.klass] += 1
-
-    def merge(self, other: "SideAccumulator") -> None:
-        self.rel_levels.extend(other.rel_levels)
-        self.norm_levels.extend(other.norm_levels)
-        self.queue_fracs.extend(other.queue_fracs)
-        self.orders_by_class.update(other.orders_by_class)
-        self.cancelled_by_class.update(other.cancelled_by_class)
-        self.orders_total += other.orders_total
-        self.cancelled_orders += other.cancelled_orders
-        self.cancel_events += other.cancel_events
 
 
 @dataclass
@@ -276,16 +304,11 @@ class InstrumentProfile:
     diagnostics: Counter = field(default_factory=Counter)
     days: int = 0
 
-    def accumulator(self, side: Side) -> SideAccumulator:
-        return self.buy if side is _BUY else self.sell
-
     def add_day(self, day: DayResult) -> None:
         self.days += 1
         self.diagnostics.update(day.diagnostics)
-        for obs in day.observations:
-            self.accumulator(obs.record.side).add_observation(obs)
-        for life in day.lifecycles.values():
-            self.accumulator(life.side).add_lifecycle(life)
+        self.buy.merge(day.buy)
+        self.sell.merge(day.sell)
 
     def merge(self, other: "InstrumentProfile") -> None:
         self.buy.merge(other.buy)
@@ -297,7 +320,6 @@ class InstrumentProfile:
 @dataclass
 class ProfileRun:
     per_instrument: dict[str, InstrumentProfile]
-    observations: list[CancelObservation]
 
     def ensemble(self) -> InstrumentProfile:
         """Pooled accumulator over all instruments (raw-sample weighting)."""
@@ -307,28 +329,16 @@ class ProfileRun:
         return pooled
 
 
-def replay_days(events: list[OrderEvent]) -> ProfileRun:
-    """Replay every instrument-day in (instrument, day) order and pool the results.
-
-    The one replay driver: ``profile_events`` and the CLI's per-instrument
-    pool jobs both run it. The CLI calls it under this name so that a
-    per-layer trace still sees each ``replay_day`` entered from the CLI.
-    """
+def profile_events(events: Iterable[OrderEvent]) -> ProfileRun:
+    """Replay every instrument-day in (instrument, day) order and pool the results."""
     per_instrument: dict[str, InstrumentProfile] = {}
-    observations: list[CancelObservation] = []
-    for (instrument, _day), day_events in sorted(split_days(events).items()):
+    for day_events in stream_days(events):
         day = replay_day(day_events)
-        profile = per_instrument.get(instrument)
+        profile = per_instrument.get(day.instrument)
         if profile is None:
-            profile = per_instrument[instrument] = InstrumentProfile(instrument)
+            profile = per_instrument[day.instrument] = InstrumentProfile(day.instrument)
         profile.add_day(day)
-        observations.extend(day.observations)
-    return ProfileRun(per_instrument, observations)
-
-
-def profile_events(events: list[OrderEvent]) -> ProfileRun:
-    """Split events into instrument-days, replay each, accumulate profiles."""
-    return replay_days(events)
+    return ProfileRun(per_instrument)
 
 
 # -- ratio report ----------------------------------------------------------------
@@ -451,21 +461,27 @@ class EmpiricalPdf:
         }
 
 
-def pdf_from_edges(samples: np.ndarray, edges: np.ndarray, domain: str) -> EmpiricalPdf:
-    counts, _ = np.histogram(samples, bins=edges)
+def pdf_from_edges(
+    samples: np.ndarray, edges: np.ndarray, domain: str, weights: np.ndarray | None = None
+) -> EmpiricalPdf:
+    counts, _ = np.histogram(samples, bins=edges, weights=weights)
     n = int(counts.sum())
     widths = np.diff(edges)
     density = counts / (n * widths) if n else np.zeros_like(widths)
     return EmpiricalPdf(np.asarray(edges, float), density, n, domain)
 
 
-def accumulate_pdf(samples, spec: BinSpec) -> EmpiricalPdf:
+def accumulate_pdf(samples, spec: BinSpec, weights=None) -> EmpiricalPdf:
     """Bin samples into a normalized density per the given spec.
 
-    Raises EmptySample on no data and SampleOutsideDomain when a sample falls
-    outside (0, 1] for uniform bins or outside the positive reals (or an
-    explicit [lo, hi]) for log-uniform bins.
+    ``weights``, when given, holds a positive integer count per sample: the
+    density is that of each sample repeated so many times. Raises EmptySample
+    on no data and SampleOutsideDomain when a sample falls outside (0, 1]
+    for uniform bins or outside the positive reals (or an explicit [lo, hi])
+    for log-uniform bins.
     """
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.int64)
     xs = np.asarray(samples, dtype=float)
     if xs.size == 0:
         raise EmptySample("no samples to bin")
@@ -473,7 +489,7 @@ def accumulate_pdf(samples, spec: BinSpec) -> EmpiricalPdf:
         if np.any(xs <= 0.0) or np.any(xs > 1.0):
             raise SampleOutsideDomain("samples must lie in (0, 1]")
         edges = np.linspace(0.0, 1.0, spec.bins + 1)
-        return pdf_from_edges(xs, edges, UNIT_INTERVAL)
+        return pdf_from_edges(xs, edges, UNIT_INTERVAL, weights)
     if np.any(xs <= 0.0):
         raise SampleOutsideDomain("samples must be positive")
     lo = spec.lo if spec.lo is not None else float(xs.min())
@@ -487,4 +503,14 @@ def accumulate_pdf(samples, spec: BinSpec) -> EmpiricalPdf:
     edges = np.geomspace(lo, hi, spec.bins + 1)
     edges[0] = lo
     edges[-1] = hi
-    return pdf_from_edges(xs, edges, POSITIVE_RAY)
+    return pdf_from_edges(xs, edges, POSITIVE_RAY, weights)
+
+
+def count_pdf(counts: dict[tuple[int, int], int], spec: BinSpec) -> EmpiricalPdf:
+    """Density of the ratios k/n of a (k, n) count table, each weighted by its count.
+
+    Equal to ``accumulate_pdf`` of every ratio repeated by its count: the
+    ratios are the same floats, and a weighted histogram bins each one by
+    the same comparisons with the edges.
+    """
+    return accumulate_pdf([k / n for k, n in counts], spec, list(counts.values()))

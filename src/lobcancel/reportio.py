@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import os
+import shutil
 from typing import Iterable
 
 from .profiles import (
@@ -15,12 +16,12 @@ from .profiles import (
     AggressivenessClass,
     BinSpec,
     CancelObservation,
-    EmptySample,
     InstrumentProfile,
     PdfError,
     ProfileRun,
     SideAccumulator,
     accumulate_pdf,
+    count_pdf,
     ratio_report,
 )
 
@@ -117,6 +118,23 @@ def write_text(path: str | os.PathLike, text: str) -> None:
         fh.write(text)
 
 
+# Lines per write: a long file is streamed, never held whole as one string.
+CHUNK_LINES = 8192
+
+
+def write_lines(path: str | os.PathLike, lines: Iterable[str], *, append: bool = False) -> None:
+    """Write each line and a newline, CHUNK_LINES lines joined per write."""
+    with open(path, "a" if append else "w", encoding="utf-8", newline="\n") as fh:
+        chunk: list[str] = []
+        for line in lines:
+            chunk.append(line)
+            if len(chunk) == CHUNK_LINES:
+                fh.write("\n".join(chunk) + "\n")
+                chunk.clear()
+        if chunk:
+            fh.write("\n".join(chunk) + "\n")
+
+
 # -- profiles.json -----------------------------------------------------------
 
 
@@ -137,17 +155,19 @@ def _side_payload(acc: SideAccumulator, unit_bins: int, log_bins: int) -> dict:
         "ratio": ratios.ratio,
         "fully_filled_orders": acc.orders_by_class[AggressivenessClass.FULLY_FILLED],
         "class_ratios": class_ratios,
-        "pdf_rel_level": _safe_pdf(acc.rel_levels, BinSpec("uniform", unit_bins)),
-        "pdf_norm_level": _safe_pdf(acc.norm_levels, BinSpec("log_uniform", log_bins)),
-        "pdf_queue_frac": _safe_pdf(acc.queue_fracs, BinSpec("uniform", unit_bins)),
+        "pdf_rel_level": _safe_pdf(count_pdf, acc.rel_level_counts, BinSpec("uniform", unit_bins)),
+        "pdf_norm_level": _safe_pdf(accumulate_pdf, acc.norm_levels,
+                                    BinSpec("log_uniform", log_bins)),
+        "pdf_queue_frac": _safe_pdf(count_pdf, acc.queue_frac_counts,
+                                    BinSpec("uniform", unit_bins)),
     }
     return payload
 
 
-def _safe_pdf(samples: list[float], spec: BinSpec) -> dict | None:
+def _safe_pdf(build, data, spec: BinSpec) -> dict | None:
     try:
-        return accumulate_pdf(samples, spec).to_dict()
-    except (EmptySample, PdfError):
+        return build(data, spec).to_dict()
+    except PdfError:  # EmptySample included
         return None
 
 
@@ -183,35 +203,40 @@ def profiles_payload(run: ProfileRun, unit_bins: int = 50, log_bins: int = 60) -
 # -- cancels.csv ---------------------------------------------------------------
 
 
-# Rows per write: the file is streamed, never held whole as one string.
-CANCELS_CSV_CHUNK_ROWS = 8192
+def _cancel_rows(observations: Iterable[CancelObservation]) -> Iterable[str]:
+    # The ratio columns are format_float's 17 significant digits, inlined: a
+    # record's denominators are positive integers, so they are finite. Enum
+    # values are read from _value_ and isoformat takes its arguments by
+    # position, as in OrderEvent.to_row.
+    for instrument, seq, timestamp, phase, rec, order_class, in_profile, in_ratio in observations:
+        (cancel_index, side, level_rank, side_levels, level_orders, side_orders,
+         queue_rank, cancelled_size) = rec
+        yield (
+            f"{instrument},{seq},{timestamp.isoformat('T', 'milliseconds')},"
+            f"{phase._value_},{side._value_},{cancel_index},{level_rank},{side_levels},"
+            f"{level_orders},{side_orders},{queue_rank},{rec.rel_level:.17g},"
+            f"{rec.norm_level:.17g},{rec.queue_frac:.17g},{cancelled_size},"
+            f"{order_class._value_},{'1' if in_profile else '0'},{'1' if in_ratio else '0'}"
+        )
 
 
 def cancels_csv(path: str | os.PathLike, observations: Iterable[CancelObservation]) -> None:
-    """Write one cancels.csv row per observation, in chunks of formatted rows.
+    """Append one cancels.csv row per observation to ``path``, without the header.
 
-    The ratio columns are ``format_float``'s 17 significant digits, inlined:
-    a record's denominators are positive integers, so they are finite. Enum
-    values are read from ``_value_`` and isoformat takes its arguments by
-    position, as in ``OrderEvent.to_row``.
+    ``profile`` writes each replayed day's rows to its instrument's part
+    file this way, and ``join_cancels_csv`` puts the header in front of the
+    parts.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        rows = [CANCELS_CSV_HEADER]
-        for instrument, seq, timestamp, phase, rec, order_class, in_profile, in_ratio in observations:
-            (cancel_index, side, level_rank, side_levels, level_orders, side_orders,
-             queue_rank, cancelled_size) = rec
-            rows.append(
-                f"{instrument},{seq},{timestamp.isoformat('T', 'milliseconds')},"
-                f"{phase._value_},{side._value_},{cancel_index},{level_rank},{side_levels},"
-                f"{level_orders},{side_orders},{queue_rank},{rec.rel_level:.17g},"
-                f"{rec.norm_level:.17g},{rec.queue_frac:.17g},{cancelled_size},"
-                f"{order_class._value_},{'1' if in_profile else '0'},{'1' if in_ratio else '0'}"
-            )
-            if len(rows) == CANCELS_CSV_CHUNK_ROWS:
-                fh.write("\n".join(rows) + "\n")
-                rows.clear()
-        if rows:
-            fh.write("\n".join(rows) + "\n")
+    write_lines(path, _cancel_rows(observations), append=True)
+
+
+def join_cancels_csv(path: str | os.PathLike, parts: Iterable[str | os.PathLike]) -> None:
+    """Write cancels.csv as the header followed by the bytes of each header-less part."""
+    with open(path, "wb") as out:
+        out.write(CANCELS_CSV_HEADER.encode("utf-8") + b"\n")
+        for part in parts:
+            with open(part, "rb") as fh:
+                shutil.copyfileobj(fh, out)
 
 
 # -- fits.json -------------------------------------------------------------------

@@ -20,6 +20,7 @@ from lobcancel.profiles import (
     BinSpec,
     InstrumentProfile,
     accumulate_pdf,
+    count_pdf,
     profile_events,
     ratio_report,
     replay_day,
@@ -195,12 +196,12 @@ def test_criterion_7_end_to_end_closure():
         initial_queue=64,
     )
     run = profile_events(generate_stream(cfg))
-    cancels = sum(1 for o in run.observations if o.in_profile)
     ensemble = run.ensemble()
+    cancels = len(ensemble.buy.norm_levels) + len(ensemble.sell.norm_levels)
     worst_mu = worst_sigma = worst_beta = 0.0
     for acc in (ensemble.buy, ensemble.sell):
-        ln = df.fit_lognormal_lsq(accumulate_pdf(acc.rel_levels, BinSpec("uniform", 50)))
-        ex = df.fit_exp_profile(accumulate_pdf(acc.queue_fracs, BinSpec("uniform", 50)))
+        ln = df.fit_lognormal_lsq(count_pdf(acc.rel_level_counts, BinSpec("uniform", 50)))
+        ex = df.fit_exp_profile(count_pdf(acc.queue_frac_counts, BinSpec("uniform", 50)))
         worst_mu = max(worst_mu, abs(ln.mu + 2.14))
         worst_sigma = max(worst_sigma, abs(ln.sigma - 1.11))
         worst_beta = max(worst_beta, abs(ex.beta + 25.0))

@@ -32,6 +32,22 @@ def test_validate_reports_bad_row(tmp_path, capsys):
     assert "line 3" in out and "bad_enum" in out
 
 
+def test_validate_mixed_offset_row_is_reported_not_raised(tmp_path, capsys):
+    path = tmp_path / "mixed.csv"
+    path.write_text(
+        "seq,timestamp,instrument,order_id,kind,side,price_ticks,size\n"
+        "1,2003-01-02T09:31:05.000,000001,42,L,B,1025,500\n"
+        "2,2003-01-02T09:31:06.000+08:00,000001,43,L,B,1024,500\n"
+    )
+    assert run(["validate", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "1 events, 1 errors" in out
+    assert "line 3: mixed_utc_offset" in out
+    assert run(["profile", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert "line 3: mixed_utc_offset" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_validate_missing_file(tmp_path, capsys):
     assert run(["validate", str(tmp_path / "nope.csv")]) == 1
     assert "error:" in capsys.readouterr().err

@@ -154,21 +154,24 @@ def test_profile_instrument_filter_with_workers(streams, tmp_path):
 
 
 @pytest.mark.parametrize("enabled", [True, False])
-def test_profile_job_parses_with_the_collector_paused(fixture_csv, monkeypatch, enabled):
+def test_profile_job_parses_with_the_collector_paused(fixture_csv, tmp_path, monkeypatch,
+                                                      enabled):
     seen = []
-    parse = cli.parse_stream
+    parse = cli.iter_parse
 
-    def spy(text):
+    def spy(lines, **kwargs):
         seen.append(gc.isenabled())
-        return parse(text)
+        return parse(lines, **kwargs)
 
-    monkeypatch.setattr(cli, "parse_stream", spy)
+    monkeypatch.setattr(cli, "iter_parse", spy)
     was_enabled = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
-        run, n_events, errors = cli._profile_job([str(fixture_csv)], None)
+        profiles, parts, n_events, errors = cli._profile_job(
+            [str(fixture_csv)], None, str(tmp_path / "parts")
+        )
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()
     assert seen == [False] and n_events == 28 and errors == [[]]
-    assert list(run.per_instrument) == ["000777"]
+    assert list(profiles) == ["000777"] and list(parts) == ["000777"]

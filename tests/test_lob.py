@@ -1,5 +1,6 @@
 import random
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from lobcancel.lob import (
     CancelExceedsRemaining,
+    CancelSideMismatch,
     CancellationRecord,
     DanglingCancel,
     DuplicateOrderId,
@@ -40,7 +42,8 @@ class BruteBook:
     After each successful cancel, ``last_cancel`` holds the cancelled order's
     coordinates, counted from scratch over the live orders before removal, in
     the layout of ``cancel_coords``, and ``cancels`` counts the successful
-    cancels so far. A submission whose id is still resting is refused.
+    cancels so far. A submission whose id is still resting is refused, and so
+    is a cancel whose side is not the side of the order it names.
     """
 
     def __init__(self):
@@ -58,6 +61,8 @@ class BruteBook:
             if not found:
                 return trades, "dangling"
             order = found[0]
+            if order["side"] is not ev.side:
+                return trades, "side_mismatch"
             qty = ev.size if ev.size > 0 else order["rem"]
             if qty > order["rem"]:
                 return trades, "exceeds"
@@ -139,24 +144,27 @@ def cancel_coords(record):
 
 
 def random_stream(rng, n_events, instrument="RND"):
-    """Random event soup including dangling and oversized cancels."""
+    """Random event soup including dangling, oversized and wrong-side cancels."""
     events = []
-    submitted = []  # (order_id, size)
+    submitted = []  # (order_id, side)
     mid = 1000
     for seq in range(1, n_events + 1):
         mid += rng.choice((-1, 0, 0, 1))
         roll = rng.random()
         if roll < 0.55 or not submitted:
             oid = 10_000 + seq
-            submitted.append((oid, 0))
+            kind, side = rng.choice("LM"), rng.choice("BS")
+            submitted.append((oid, side))
             events.append(
-                make_event(seq, rng.choice("LM"), rng.choice("BS"),
+                make_event(seq, kind, side,
                            mid + rng.randrange(-25, 26), rng.randrange(1, 400), oid, instrument)
             )
         else:
-            oid, _ = rng.choice(submitted)  # may be long gone: dangling path
+            oid, side = rng.choice(submitted)  # may be long gone: dangling path
             size = 0 if rng.random() < 0.7 else rng.randrange(1, 500)
-            events.append(make_event(seq, "C", rng.choice("BS"), 0, size, oid, instrument))
+            if rng.random() < 0.1:  # names the order with the other side
+                side = "S" if side == "B" else "B"
+            events.append(make_event(seq, "C", side, 0, size, oid, instrument))
     return events
 
 
@@ -177,6 +185,10 @@ def replay_both(events):
             continue
         if status == "exceeds":
             with pytest.raises(CancelExceedsRemaining):
+                book.apply(ev)
+            continue
+        if status == "side_mismatch":
+            with pytest.raises(CancelSideMismatch):
                 book.apply(ev)
             continue
         if status == "duplicate":
@@ -288,6 +300,19 @@ def test_cancel_exceeding_remaining_rejected():
     with pytest.raises(CancelExceedsRemaining):
         apply_rows(book, [("C", "B", 0, 150, 1)], start_seq=2)
     assert book.index[1].remaining_size == 100  # book unchanged
+
+
+def test_cancel_naming_the_other_side_rejected():
+    book = LimitOrderBook()
+    apply_rows(book, [("L", "B", 1000, 100, 1), ("L", "S", 1010, 50, 2)])
+    before = book.to_state_dict()
+    with pytest.raises(CancelSideMismatch):
+        apply_rows(book, [("C", "S", 999, 0, 1)], start_seq=3)
+    with pytest.raises(CancelSideMismatch):
+        apply_rows(book, [("C", "B", 0, 20, 2)], start_seq=4)
+    assert book.to_state_dict() == before  # book unchanged
+    assert book.cancel_count == 0
+    book.check_invariants()
 
 
 def test_cancel_record_positions_measured_before_removal():
@@ -446,7 +471,7 @@ def test_conservation_after_every_event():
     for ev in events:
         try:
             outcome = book.apply(ev)
-        except (DanglingCancel, CancelExceedsRemaining):
+        except (DanglingCancel, CancelExceedsRemaining, CancelSideMismatch):
             continue
         if ev.kind is EventKind.CANCEL:
             cancelled[side_of[ev.order_id]] += outcome.cancellation.cancelled_size
@@ -472,7 +497,7 @@ def test_no_crossed_book_at_rest_random_streams():
         for ev in events:
             try:
                 book.apply(ev)
-            except (DanglingCancel, CancelExceedsRemaining):
+            except (DanglingCancel, CancelExceedsRemaining, CancelSideMismatch):
                 continue
             bid, ask = book.best_bid(), book.best_ask()
             if bid is not None and ask is not None:
@@ -489,7 +514,7 @@ def test_determinism_same_events_same_book():
         for ev in events:
             try:
                 trades.extend(book.apply(ev).trades)
-            except (DanglingCancel, CancelExceedsRemaining):
+            except (DanglingCancel, CancelExceedsRemaining, CancelSideMismatch):
                 trades.append(("rejected", ev.seq))
         return trades, book.to_state_dict()
 
@@ -500,5 +525,7 @@ def test_golden_book_dump(fixture_events):
     book = LimitOrderBook()
     for ev in fixture_events:
         book.apply(ev)
-    golden = open("tests/data/fixture_book_golden.json", encoding="utf-8").read()
+    golden = (Path(__file__).parent / "data" / "fixture_book_golden.json").read_text(
+        encoding="utf-8"
+    )
     assert render_json(book.to_state_dict()) == golden

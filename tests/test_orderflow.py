@@ -1,5 +1,5 @@
 import random
-from datetime import date, datetime, time, timedelta
+from datetime import date, datetime, time, timedelta, timezone
 
 from lobcancel.orderflow import (
     BAD_ENUM,
@@ -7,6 +7,7 @@ from lobcancel.orderflow import (
     DUPLICATE_ORDER_ID,
     HEADER,
     MALFORMED_ROW,
+    MIXED_UTC_OFFSET,
     NON_MONOTONE_SEQ,
     NON_MONOTONE_TIME,
     EventKind,
@@ -198,3 +199,69 @@ def test_split_days_groups_and_preserves_order():
         assert all(ev.timestamp.date() == day for ev in chunk)
         seqs = [ev.seq for ev in chunk]
         assert seqs == sorted(seqs)
+
+
+# The window scan that phase_of replaced: half-open [start, end) windows.
+_OLD_WINDOWS = (
+    (time(9, 15), time(9, 25), SessionPhase.OPENING_CALL),
+    (time(9, 25), time(9, 30), SessionPhase.COOL),
+    (time(9, 30), time(11, 30), SessionPhase.CONTINUOUS_AM),
+    (time(11, 30), time(13, 0), SessionPhase.LUNCH),
+    (time(13, 0), time(15, 0), SessionPhase.CONTINUOUS_PM),
+)
+
+
+def _old_phase_of(tod: time) -> SessionPhase:
+    for start, end, phase in _OLD_WINDOWS:
+        if start <= tod < end:
+            return phase
+    return SessionPhase.CLOSED
+
+
+def test_phase_of_equals_the_window_scan_around_every_boundary():
+    day = date(2003, 1, 2)
+    offset = timezone(timedelta(hours=8))
+    bounds = {b for start, end, _ in _OLD_WINDOWS for b in (start, end)}
+    checked = 0
+    for bound in sorted(bounds) + [time(0, 0), time(23, 59, 59, 999000)]:
+        for step in (-1, 0, 1):
+            naive = datetime.combine(day, bound) + timedelta(milliseconds=step)
+            if naive.date() != day:
+                continue
+            want = _old_phase_of(naive.time())
+            assert phase_of(naive) is want
+            assert phase_of(naive.time()) is want
+            assert phase_of(naive.replace(tzinfo=offset)) is want
+            checked += 1
+    assert checked == 3 * len(bounds) + 4  # midnight -1 ms and 23:59:59.999 +1 ms are other days
+
+
+def test_mixed_offset_and_naive_timestamps_are_a_parse_error():
+    result = parse_stream(make_csv(
+        "1,2003-01-02T09:31:05.000,000001,1,L,B,1025,500",
+        "2,2003-01-02T09:31:06.000+08:00,000001,2,L,B,1024,500",
+        "3,2003-01-02T09:31:07.000,000001,3,L,B,1023,500",
+    ))
+    assert [ev.seq for ev in result.events] == [1, 3]
+    (err,) = result.errors
+    assert (err.line, err.code) == (3, MIXED_UTC_OFFSET)
+
+
+def test_timestamps_that_all_carry_an_offset_are_accepted():
+    result = parse_stream(make_csv(
+        "1,2003-01-02T09:31:05.000+08:00,000001,1,L,B,1025,500",
+        "2,2003-01-02T09:31:06.000+08:00,000001,2,L,B,1024,500",
+        "3,2003-01-02T09:31:04.000+08:00,000001,3,L,B,1023,500",
+    ))
+    assert [ev.seq for ev in result.events] == [1, 2]
+    assert [err.code for err in result.errors] == [NON_MONOTONE_TIME]
+    assert result.events[0].timestamp.utcoffset() == timedelta(hours=8)
+
+
+def test_instrument_codes_are_interned():
+    result = parse_stream(make_csv(
+        "1,2003-01-02T09:31:05.000,000001,1,L,B,1025,500",
+        "2,2003-01-02T09:31:06.000,000001,2,L,B,1024,500",
+    ))
+    first, second = result.events
+    assert first.instrument is second.instrument

@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+from collections import Counter
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -64,9 +65,28 @@ def test_classify_empty_same_side():
 
 
 def test_fixture_classes_match_hand_enumeration(fixture_events):
-    day = replay_day(fixture_events)
-    got = {oid: life.klass.value for oid, life in day.lifecycles.items()}
+    # Classes are counted at submission, so replaying one more submission
+    # raises the count of exactly its class by one.
+    got = {}
+    before = Counter()
+    for i, ev in enumerate(fixture_events):
+        if ev.kind is EventKind.CANCEL:
+            continue
+        day = replay_day(fixture_events[: i + 1])
+        after = day.buy.orders_by_class + day.sell.orders_by_class
+        (klass,) = (after - before).elements()
+        got[ev.order_id] = klass.value
+        before = after
     assert got == FIXTURE_CLASSES
+
+
+def test_lifecycles_hold_only_resting_orders(fixture_events):
+    for end in range(1, len(fixture_events) + 1):
+        day = replay_day(fixture_events[:end])
+        assert set(day.lifecycles) == set(day.book.index)
+    assert {oid: life.klass.value for oid, life in day.lifecycles.items()} == {
+        oid: FIXTURE_CLASSES[oid] for oid in day.book.index
+    }
 
 
 def test_fixture_trades_match_hand_enumeration(fixture_events):
@@ -162,9 +182,8 @@ def test_relative_queue_position_arithmetic():
 
 def test_record_domain_invariants_on_generated_stream():
     events = generate_stream(GenConfig(seed=4, n_events=4000, initial_levels=20, initial_queue=4))
-    run = profile_events(events)
     seen = 0
-    for obs in run.observations:
+    for obs in replay_day(events).observations:
         rec = obs.record
         assert 0.0 < rec.rel_level <= 1.0
         assert 0.0 < rec.queue_frac <= 1.0
@@ -217,7 +236,9 @@ def phased_events():
 def test_call_and_cool_events_held_then_flushed():
     day = replay_day(phased_events())
     assert day.diagnostics["held_events"] == 3
-    # the held submissions made it into the book before the 09:30 order
+    # the held submissions made it into the book before the 09:30 order;
+    # orders 1 and 3 still rest before their cancels at seq 5 and 6
+    day = replay_day(phased_events()[:4])
     assert day.lifecycles[3].klass is AC.INSIDE_SPREAD  # saw bid 1000 / ask 1010
     assert not day.lifecycles[1].in_scope
 
@@ -254,6 +275,43 @@ def test_all_held_stream_still_applies():
     day = replay_day(events)
     assert day.book.index[1].remaining_size == 60
     assert len(day.lifecycles) == 2
+
+
+def test_order_cancelled_in_parts_counts_once():
+    base = datetime(2003, 6, 2, 10, 0, 0)
+    events = [
+        OrderEvent(1, base, "Q", 1, EventKind.LIMIT, B, 1000, 100),
+        OrderEvent(2, base, "Q", 2, EventKind.LIMIT, B, 999, 100),
+        OrderEvent(3, base, "Q", 1, EventKind.CANCEL, B, 0, 30),
+        OrderEvent(4, base, "Q", 1, EventKind.CANCEL, B, 0, 30),
+        OrderEvent(5, base, "Q", 1, EventKind.CANCEL, B, 0, 0),
+    ]
+    day = replay_day(events)
+    rr = ratio_report(day.buy)
+    assert (rr.orders, rr.cancelled_orders, rr.cancel_events) == (2, 1, 3)
+    assert rr.by_class[AC.INSIDE_BOOK].cancelled == 1  # both books were empty
+    assert sum(day.buy.rel_level_counts.values()) == len(day.buy.norm_levels) == 3
+    assert set(day.lifecycles) == {2}
+
+
+def test_wrong_side_cancel_counted_not_applied():
+    base = datetime(2003, 6, 2, 10, 0, 0)
+    events = [
+        OrderEvent(1, base, "W", 1, EventKind.LIMIT, B, 1000, 100),
+        OrderEvent(2, base, "W", 1, EventKind.CANCEL, S, 999, 0),
+    ]
+    day = replay_day(events)
+    assert day.diagnostics["cancel_side_mismatch"] == 1
+    assert not day.observations and day.buy.cancel_events == 0
+    assert day.book.index[1].remaining_size == 100
+
+
+def test_replay_day_reads_any_iterable_once(fixture_events):
+    from_list = replay_day(fixture_events)
+    from_iterator = replay_day(iter(fixture_events))
+    assert from_iterator.observations == from_list.observations
+    assert from_iterator.instrument == from_list.instrument == "000777"
+    assert from_iterator.buy == from_list.buy and from_iterator.sell == from_list.sell
 
 
 def test_dangling_cancel_counted_not_raised():
@@ -348,7 +406,8 @@ def test_ensemble_pools_by_raw_sample_count():
     pooled = run.ensemble()
     assert pooled.buy.orders_total == 12
     assert pooled.buy.cancelled_orders == 5
-    assert len(pooled.buy.rel_levels) == 5  # raw samples concatenated, not reweighted
+    # raw samples concatenated, not reweighted
+    assert sum(pooled.buy.rel_level_counts.values()) == len(pooled.buy.norm_levels) == 5
     assert run.per_instrument["AAA"].buy.cancelled_orders == 2
     assert run.per_instrument["BBB"].buy.cancelled_orders == 3
 
