@@ -15,11 +15,8 @@ import shutil
 import sys
 import tempfile
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from itertools import chain
 from typing import Iterator
-
-import numpy as np
 
 from . import reportio
 from .lob import LobError, gc_paused
@@ -118,10 +115,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(args, argv: list[str]) -> None:
-    """Fill flags from the JSON config file unless passed on the command line."""
-    if not getattr(args, "config", None):
-        return
+def _with_config_flags(args, argv: list[str]) -> list[str]:
+    """``argv`` with the JSON config file's values put in as flags after the command.
+
+    argparse then converts and checks each value as it does a flag, and a
+    flag given on the command line comes later, so it wins in any spelling.
+    """
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             overrides = json.load(fh)
@@ -131,12 +130,16 @@ def _apply_config_file(args, argv: list[str]) -> None:
         raise UsageError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(overrides, dict):
         raise UsageError("config file must hold a JSON object of flag values")
+    flags = []
     for key, value in overrides.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr) or attr in ("command", "config", "inputs"):
             raise UsageError(f"config file sets unknown option {key!r}")
-        if f"--{key.replace('_', '-')}" not in argv:
-            setattr(args, attr, value)
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise UsageError(f"config file option {key!r} must be a string or a number")
+        flags.append(f"--{attr.replace('_', '-')}={value}")
+    at = argv.index(args.command) + 1
+    return [*argv[:at], *flags, *argv[at:]]
 
 
 # -- validate -------------------------------------------------------------------
@@ -294,6 +297,8 @@ def _run_profile_jobs(
     groups = _disjoint_groups(paths) if workers > 1 and len(paths) > 1 else [paths]
     dirs = [os.path.join(parts_dir, str(i)) for i in range(len(groups))]
     if len(groups) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a fan-out pays its import
+
         with ProcessPoolExecutor(max_workers=min(workers, len(groups))) as pool:
             results = list(pool.map(_profile_job, groups, [instrument] * len(groups), dirs))
     else:
@@ -353,6 +358,8 @@ def _load_json(path: str) -> dict:
 def _pdf_from_payload(payload: dict | None, where: str) -> EmpiricalPdf | None:
     if payload is None:
         return None
+    import numpy as np  # only `fit` reads densities back; the other commands start without numpy
+
     try:
         pdf = EmpiricalPdf(
             bin_edges=np.asarray(payload["edges"], float),
@@ -644,9 +651,11 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args, list(argv) if argv is not None else sys.argv[1:])
+        if args.config:
+            args = parser.parse_args(_with_config_flags(args, argv))
         return _COMMANDS[args.command](args)
     except InputDataError as exc:
         print(f"error: {exc}", file=sys.stderr)

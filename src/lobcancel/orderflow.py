@@ -153,7 +153,8 @@ def iter_parse(
     types, enum letters, strictly increasing seq, non-decreasing timestamps
     per instrument-day (all naive or all with a UTC offset), unique
     submission ids per instrument-day, and positive size/price for
-    submissions. Instrument codes are interned.
+    submissions. Instrument codes are interned, and equal prices and sizes
+    share one int object.
 
     The checks keep per-instrument-day state. With ``in_date_order`` a day's
     state is dropped once its instrument moves on to a later date, so the
@@ -170,6 +171,9 @@ def iter_parse(
         return
 
     cancel = EventKind.CANCEL  # bound once: a lookup on the Enum class runs Python code
+    # A day repeats few prices and sizes, so each distinct value is one shared
+    # int object, not a fresh one per buffered event.
+    share = {}.setdefault
     last_seq: int | None = None
     last_ts: dict[tuple[str, date], datetime] = {}
     seen_ids: dict[tuple[str, date], set[int]] = {}
@@ -261,7 +265,10 @@ def iter_parse(
 
         last_seq = seq
         last_ts[day_key] = ts
-        yield OrderEvent(seq, ts, instrument, order_id, kind, side, price_ticks, size)
+        yield OrderEvent(
+            seq, ts, instrument, order_id, kind, side,
+            share(price_ticks, price_ticks), share(size, size),
+        )
 
 
 def parse_stream(source: str | bytes | IO | Iterable[str]) -> ParseResult:

@@ -19,9 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
-from typing import Iterable, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .lob import (
     CancelExceedsRemaining,
@@ -41,6 +39,9 @@ from .orderflow import (
     phase_of,
     stream_days,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 # Reading a member off its Enum class (Side.BUY) runs EnumType's Python-level
@@ -208,6 +209,7 @@ def replay_day(
     def apply_one(ev: OrderEvent, phase: SessionPhase) -> None:
         continuous = phase is am or phase is pm
         if ev.kind is cancel:
+            order = resting.get(ev.order_id)
             try:
                 outcome = book.apply(ev)
             except DanglingCancel:
@@ -219,6 +221,9 @@ def replay_day(
             except CancelExceedsRemaining:
                 diagnostics["cancel_exceeds_remaining"] += 1
                 return
+            price = ev.price_ticks
+            if price and price != order.price_ticks:  # the order id decides: still applied
+                diagnostics["cancel_price_mismatch"] += 1
             rec = outcome.cancellation
             order_id = ev.order_id
             life = lifecycles[order_id] if order_id in resting else lifecycles.pop(order_id)
@@ -388,6 +393,10 @@ def ratio_report(acc: SideAccumulator) -> SideRatios:
 
 # -- empirical densities ----------------------------------------------------------
 
+# numpy is imported inside the functions that bin or measure a density, not at
+# the top: its import is about half of the CLI's start-up, and `gen`,
+# `validate` and `report` never build a density.
+
 
 class PdfError(ValueError):
     pass
@@ -438,18 +447,26 @@ class EmpiricalPdf:
     domain: str
 
     def widths(self) -> np.ndarray:
+        import numpy as np
+
         return np.diff(self.bin_edges)
 
     def centers(self) -> np.ndarray:
+        import numpy as np
+
         edges = self.bin_edges
         if self.domain == POSITIVE_RAY:
             return np.sqrt(edges[:-1] * edges[1:])
         return 0.5 * (edges[:-1] + edges[1:])
 
     def integral(self) -> float:
+        import numpy as np
+
         return float(np.sum(self.density * self.widths()))
 
     def nonempty_bins(self) -> int:
+        import numpy as np
+
         return int(np.count_nonzero(self.density))
 
     def to_dict(self) -> dict:
@@ -464,6 +481,8 @@ class EmpiricalPdf:
 def pdf_from_edges(
     samples: np.ndarray, edges: np.ndarray, domain: str, weights: np.ndarray | None = None
 ) -> EmpiricalPdf:
+    import numpy as np
+
     counts, _ = np.histogram(samples, bins=edges, weights=weights)
     n = int(counts.sum())
     widths = np.diff(edges)
@@ -480,6 +499,8 @@ def accumulate_pdf(samples, spec: BinSpec, weights=None) -> EmpiricalPdf:
     for uniform bins or outside the positive reals (or an explicit [lo, hi])
     for log-uniform bins.
     """
+    import numpy as np
+
     if weights is not None:
         weights = np.asarray(weights, dtype=np.int64)
     xs = np.asarray(samples, dtype=float)

@@ -18,12 +18,14 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .lob import LimitOrderBook, gc_paused
 from .orderflow import EventKind, OrderEvent, Side
 from .profiles import UNIT_BIN_SPEC, EmpiricalPdf, accumulate_pdf
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ConfigInvalid(ValueError):
@@ -271,6 +273,8 @@ class QueueSimResult:
 
     def prob_at(self, value: float) -> float:
         """Exact point mass at a relative position (0 when never observed)."""
+        import numpy as np
+
         idx = np.searchsorted(self.mass_values, value)
         if idx < self.mass_values.size and self.mass_values[idx] == value:
             return float(self.mass_probs[idx])
@@ -278,6 +282,8 @@ class QueueSimResult:
 
     def top_masses(self, k: int) -> list[tuple[float, float]]:
         """The k largest point masses as (value, probability), descending."""
+        import numpy as np
+
         order = np.argsort(self.mass_probs)[::-1][:k]
         return [(float(self.mass_values[i]), float(self.mass_probs[i])) for i in order]
 
@@ -288,8 +294,11 @@ def simulate_uniform_queues(config: QueueSimConfig) -> QueueSimResult:
     Queue lengths are uniform on [1, max_length] and the cancelled position is
     uniform within each queue. The relative position y/n then piles up on
     coarse rationals, which is the mechanical source of the peaks at
-    multiples of 0.1; the two largest masses sit at 1 and 1/2.
+    multiples of 0.1; the two largest masses sit at 1 and 1/2. numpy is
+    imported here, so that generating a stream does not load it.
     """
+    import numpy as np
+
     rng = np.random.default_rng(config.seed)
     lengths = rng.integers(1, config.max_length, size=config.n_queues, endpoint=True)
     positions = rng.integers(1, lengths, endpoint=True)

@@ -136,6 +136,42 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     assert run(["gen", "--out", str(tmp_path / "x.csv"), "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("flag", [["--events=80"], ["--event", "80"], ["--events", "80"]])
+def test_config_file_loses_to_a_flag_in_any_spelling(tmp_path, flag):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"events": 50, "levels": 5}))
+    out = tmp_path / "g.csv"
+    assert run(["gen", "--out", str(out), "--config", str(cfg), *flag]) == 0
+    assert len(out.read_text().splitlines()) == 81
+
+
+def test_config_file_values_are_converted_like_flags(tmp_path, fixture_csv):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"events": "50", "levels": "5"}))
+    out = tmp_path / "g.csv"
+    assert run(["gen", "--out", str(out), "--config", str(cfg)]) == 0
+    assert len(out.read_text().splitlines()) == 51
+    cfg.write_text(json.dumps({"workers": "2", "bins": "10"}))
+    assert run(["profile", str(fixture_csv), "--out", str(tmp_path / "p"),
+                "--config", str(cfg)]) == 0
+    payload = json.loads((tmp_path / "p" / "profiles.json").read_text())
+    assert len(payload["ensemble"]["sides"]["buy"]["pdf_rel_level"]["density"]) == 10
+
+
+@pytest.mark.parametrize("value", ["many", 2.5, True, None, [50]])
+def test_config_file_bad_value_exits_2(tmp_path, capsys, value):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"events": value}))
+    argv = ["gen", "--out", str(tmp_path / "x.csv"), "--config", str(cfg)]
+    try:
+        code = run(argv)
+    except SystemExit as exc:  # argparse rejects the value as it rejects a flag
+        code = exc.code
+    assert code == 2
+    assert "events" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 # -- profile ----------------------------------------------------------------------
 
 

@@ -1,7 +1,9 @@
 """CLI start-up cost and the `profile` fan-out over groups of input files.
 
-Only `fit` may load scipy, and `profile --workers 2` must write the bytes a
-single in-process job writes, whatever the grouping of instruments over files.
+Only `fit` may load scipy; `gen`, `validate` and `report` load neither scipy
+nor numpy, and only a `profile` fan-out loads the process pool.
+`profile --workers 2` must write the bytes a single in-process job writes,
+whatever the grouping of instruments over files.
 """
 import gc
 import json
@@ -50,9 +52,16 @@ def _profile_bytes(inputs, out, workers, *extra) -> dict[str, bytes]:
 # -- start-up --------------------------------------------------------------------
 
 
-def test_cli_start_and_gen_leave_scipy_unloaded(tmp_path):
+def _run_fresh(code: str) -> None:
+    """Run ``code`` in a new interpreter that imports this checkout's lobcancel."""
     src = os.path.dirname(os.path.dirname(lobcancel.__file__))
-    code = (
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_start_and_gen_leave_scipy_unloaded(tmp_path):
+    _run_fresh(
         "import sys\n"
         "import lobcancel.cli\n"
         "assert 'scipy' not in sys.modules, 'import'\n"
@@ -60,9 +69,57 @@ def test_cli_start_and_gen_leave_scipy_unloaded(tmp_path):
         "'--events', '500']) == 0\n"
         "assert 'scipy' not in sys.modules, 'gen'\n"
     )
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+
+
+UNLOADED = (
+    "def unloaded(*names):\n"
+    "    return not any(name in sys.modules for name in names)\n"
+)
+
+
+def test_cli_start_gen_validate_report_leave_numpy_unloaded(fixture_csv, tmp_path):
+    profiles = tmp_path / "artifacts" / "profiles.json"
+    assert main(["profile", str(fixture_csv), "--out", str(profiles.parent)]) == 0
+    fits = tmp_path / "fits.json"
+    fits.write_text(json.dumps({"kind": "fits", "fits": [
+        {"instrument": "000777", "side": "buy", "model": "exp",
+         "params": {"beta": -25.0, "norm": 0.96, "rms": 0.01, "at_bound": False}},
+    ]}))
+    gen_out = str(tmp_path / "g.csv")
+    _run_fresh(
+        "import sys\n" + UNLOADED +
+        "from lobcancel.cli import main\n"
+        "assert unloaded('numpy', 'scipy'), 'import'\n"
+        f"assert main(['gen', '--out', {gen_out!r}, '--events', '500']) == 0\n"
+        "assert unloaded('numpy', 'scipy'), 'gen'\n"
+        f"assert main(['validate', {gen_out!r}, {str(fixture_csv)!r}]) == 0\n"
+        "assert unloaded('numpy', 'scipy'), 'validate'\n"
+        f"assert main(['report', '--profiles', {str(profiles)!r}, '--fits', {str(fits)!r}]) == 0\n"
+        "assert unloaded('numpy', 'scipy'), 'report'\n"
+    )
+
+
+def test_cli_start_and_one_input_profile_leave_the_pool_unloaded(fixture_csv, tmp_path):
+    out = str(tmp_path / "artifacts")
+    _run_fresh(
+        "import sys\n" + UNLOADED +
+        "from lobcancel.cli import main\n"
+        "assert unloaded('concurrent.futures.process'), 'import'\n"
+        f"assert main(['profile', {str(fixture_csv)!r}, '--out', {out!r}, '--workers', '2']) == 0\n"
+        "assert unloaded('concurrent.futures.process'), 'profile'\n"
+    )
+
+
+def test_package_import_leaves_numpy_unloaded_until_a_density_is_built():
+    _run_fresh(
+        "import sys\n" + UNLOADED +
+        "import lobcancel\n"
+        "assert unloaded('numpy', 'scipy'), 'import'\n"
+        "pdf = lobcancel.accumulate_pdf([0.25, 0.5, 0.5, 1.0], lobcancel.BinSpec('uniform', 4))\n"
+        "assert isinstance(pdf, lobcancel.EmpiricalPdf)\n"
+        "assert list(pdf.density) == [0.0, 1.0, 2.0, 1.0] and pdf.integral() == 1.0\n"
+        "assert 'numpy' in sys.modules\n"
+    )
 
 
 PREVIOUS_DISTFIT_EXPORTS = (

@@ -306,6 +306,22 @@ def test_wrong_side_cancel_counted_not_applied():
     assert day.book.index[1].remaining_size == 100
 
 
+def test_cancel_price_mismatch_counted_and_applied(fixture_events):
+    assert "cancel_price_mismatch" not in replay_day(fixture_events).diagnostics
+    last = fixture_events[-1]
+
+    def cancel(offset, order_id, side, price):
+        return last._replace(seq=last.seq + offset,
+                             timestamp=last.timestamp + timedelta(seconds=offset),
+                             order_id=order_id, side=side, price_ticks=price)
+
+    # 107 rests as a sell at 1021, 108 as a buy at 979; price 0 names no price
+    day = replay_day(fixture_events + [cancel(1, 107, S, 1025), cancel(2, 108, B, 0)])
+    assert day.diagnostics["cancel_price_mismatch"] == 1
+    assert 107 not in day.book.index and 108 not in day.book.index
+    assert len(day.observations) == len(FIXTURE_CANCEL_RECORDS) + 2
+
+
 def test_replay_day_reads_any_iterable_once(fixture_events):
     from_list = replay_day(fixture_events)
     from_iterator = replay_day(iter(fixture_events))
