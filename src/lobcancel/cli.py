@@ -19,9 +19,10 @@ from itertools import chain
 from typing import Iterator
 
 from . import reportio
-from .lob import LobError, gc_paused
+from .lob import LobError, gc_paused, norm_level
 from .orderflow import HEADER, DaysOutOfOrder, OrderEvent, ParseError, iter_parse, stream_days
 from .profiles import (
+    DEFAULT_UNIT_BINS,
     POSITIVE_RAY,
     UNIT_INTERVAL,
     DayResult,
@@ -54,6 +55,21 @@ ALL_MODELS = ("lognormal", "powerlaw", "exp", "gamma")
 DEFAULT_MODELS = "lognormal,powerlaw,exp"
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer >= ``low``, else a usage error (exit 2)."""
+
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return convert
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lobcancel",
@@ -75,9 +91,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", nargs="+", help="order-flow CSV files")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--instrument", default=None, help="only profile this instrument code")
-    p.add_argument("--bins", type=int, default=50, help="bins for the unit-interval densities")
-    p.add_argument("--log-bins", type=int, default=60, help="bins for the normalized-level density")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--bins", type=_int_at_least(1), default=DEFAULT_UNIT_BINS,
+                   help="bins for the unit-interval densities")
+    p.add_argument("--log-bins", type=_int_at_least(1), default=60,
+                   help="bins for the normalized-level density")
+    p.add_argument("--workers", type=_int_at_least(1), default=1,
                    help="process pool size; files that share an instrument go to one worker")
 
     p = sub.add_parser("fit", parents=[common],
@@ -87,12 +105,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output fits.json path")
     p.add_argument("--models", default=DEFAULT_MODELS, help=f"comma list from {ALL_MODELS}")
     p.add_argument("--repeats", type=int, default=1000, help="Monte Carlo goodness-of-fit repeats")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
 
     p = sub.add_parser("gen", parents=[common], help="generate a synthetic order-flow stream")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--events", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--instrument", default="SYN001")
     p.add_argument("--mix", default="0.6,0.2,0.2", help="limit,marketable,cancel shares")
     p.add_argument("--level-law", default="uniform", help="'uniform' or 'lognormal:MU,SIGMA'")
@@ -105,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output JSON path")
     p.add_argument("--queues", type=int, default=1_000_000)
     p.add_argument("--max-length", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
 
     p = sub.add_parser("report", parents=[common],
                        help="print a text summary of emitted artifacts")
@@ -381,10 +399,12 @@ def _pdf_from_payload(payload: dict | None, where: str) -> EmpiricalPdf | None:
 
 
 def _load_norm_level_samples(path: str) -> dict[tuple[str, str], list[float]]:
-    """Raw normalized-level samples per (instrument, side) from cancels.csv.
+    """``lob.norm_level`` of the book counts of cancels.csv, per (instrument, side).
 
-    Every row must have as many columns as the header; any other row is a
-    schema error.
+    Every row must have as many columns as the header, and an in-profile
+    row's counts must be integers with 1 <= level_rank <= side_levels and
+    1 <= level_orders <= side_orders, as in a ``CancellationRecord``; any
+    other row is a schema error.
     """
     samples: dict[tuple[str, str], list[float]] = {}
     try:
@@ -392,8 +412,9 @@ def _load_norm_level_samples(path: str) -> dict[tuple[str, str], list[float]]:
             reader = csv.reader(fh)
             header = next(reader, [])
             width = len(header)
-            inst, side, norm, prof = (
-                header.index(name) for name in ("instrument", "side", "norm_level", "in_profile")
+            inst, side, prof, col_rank, col_levels, col_at, col_on = (
+                header.index(name) for name in ("instrument", "side", "in_profile", "level_rank",
+                                                "side_levels", "level_orders", "side_orders")
             )
             for row in reader:
                 if len(row) != width:
@@ -402,7 +423,12 @@ def _load_norm_level_samples(path: str) -> dict[tuple[str, str], list[float]]:
                         f"{len(row)} columns, the header {width}"
                     )
                 if row[prof] == "1":
-                    samples.setdefault((row[inst], row[side]), []).append(float(row[norm]))
+                    rank, levels = int(row[col_rank]), int(row[col_levels])
+                    at_level, on_side = int(row[col_at]), int(row[col_on])
+                    if not (1 <= rank <= levels and 1 <= at_level <= on_side):
+                        raise ValueError(f"line {reader.line_num}: book counts out of range")
+                    xs = samples.setdefault((row[inst], row[side]), [])
+                    xs.append(norm_level(rank, levels, at_level, on_side))
     except OSError as exc:
         raise InputDataError(f"{path}: {exc}") from exc
     except ValueError as exc:
@@ -521,14 +547,20 @@ def _parse_law(text: str, which: str):
     text = text.strip().lower()
     if text == "uniform":
         return UniformLaw()
-    if text.startswith("lognormal:"):
-        parts = text.split(":", 1)[1].split(",")
-        if len(parts) != 2:
-            raise UsageError(f"{which}: expected lognormal:MU,SIGMA")
-        return TruncLogNormalLaw(float(parts[0]), float(parts[1]))
-    if text.startswith("exp:"):
-        return ExpProfileLaw(float(text.split(":", 1)[1]))
-    raise UsageError(f"{which}: unknown law {text!r}")
+    name, _, params = text.partition(":")
+    if name == "lognormal":
+        law, arity, form = TruncLogNormalLaw, 2, "lognormal:MU,SIGMA"
+    elif name == "exp":
+        law, arity, form = ExpProfileLaw, 1, "exp:BETA"
+    else:
+        raise UsageError(f"{which}: unknown law {text!r}")
+    try:
+        values = [float(v) for v in params.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != arity:
+        raise UsageError(f"{which}: expected {form}, got {text!r}")
+    return law(*values)
 
 
 def cmd_gen(args) -> int:

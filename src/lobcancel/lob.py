@@ -72,6 +72,7 @@ class RestingOrder:
     price_ticks: int
     remaining_size: int
     arrival_seq: int
+    tag: object = None  # the caller's per-order state; the book never reads it
 
 
 @dataclass(slots=True, eq=False)
@@ -85,6 +86,13 @@ class Trade(NamedTuple):
     taker_id: int
     price_ticks: int
     size: int
+
+
+def norm_level(level_rank: int, side_levels: int, level_orders: int, side_orders: int) -> float:
+    """Relative level divided by the level's share of the side's orders. Integer
+    products before the single division keep the flat-book identity (equal
+    queues => normalized level == level rank) exact."""
+    return (level_rank * side_orders) / (side_levels * level_orders)
 
 
 class _CancellationFields(NamedTuple):
@@ -143,12 +151,8 @@ class CancellationRecord(_CancellationFields):
 
     @property
     def norm_level(self) -> float:
-        """Relative level divided by the level's share of the side's orders.
-
-        Integer products before the single division keep the flat-book
-        identity (equal queues => normalized level == level rank) exact.
-        """
-        return (self.level_rank * self.side_orders) / (self.side_levels * self.level_orders)
+        """Relative level over the level's share of the side's orders (``lob.norm_level``)."""
+        return norm_level(self.level_rank, self.side_levels, self.level_orders, self.side_orders)
 
     @property
     def queue_frac(self) -> float:

@@ -111,7 +111,7 @@ def classify_submission(
 
 @dataclass(slots=True)
 class OrderLifecycle:
-    """What the accounting needs of a resting order."""
+    """What the accounting needs of a resting order; kept as its ``RestingOrder.tag``."""
 
     klass: AggressivenessClass
     in_scope: bool               # submitted during a continuous session
@@ -141,7 +141,6 @@ class SideAccumulator:
     small lattice and is kept as one float per cancel.
     """
 
-    side: Side
     rel_level_counts: Counter = field(default_factory=Counter)   # (level_rank, side_levels)
     queue_frac_counts: Counter = field(default_factory=Counter)  # (queue_rank, level_orders)
     norm_levels: array = field(default_factory=lambda: array("d"))
@@ -166,12 +165,16 @@ class SideAccumulator:
 class DayResult:
     instrument: str
     book: LimitOrderBook
-    lifecycles: dict[int, OrderLifecycle]   # orders still resting at the end
     observations: list[CancelObservation]
     diagnostics: Counter
     buy: SideAccumulator
     sell: SideAccumulator
     trades: list[Trade] | None = None
+
+    @property
+    def lifecycles(self) -> dict[int, OrderLifecycle]:
+        """Lifecycle of each order still resting at the end, by order id."""
+        return {order_id: order.tag for order_id, order in self.book.index.items()}
 
 
 @gc_paused()
@@ -184,14 +187,13 @@ def replay_day(
     event once it has been applied. Counts go into the day's per-side
     accumulators as the events are applied: a submission in a continuous
     session counts toward its class, a cancel toward the densities and
-    ratios; only orders still resting keep a lifecycle. Runs with the cyclic
-    garbage collector paused (see ``lob.gc_paused``).
+    ratios; an order's lifecycle is its resting order's ``tag``. Runs with the
+    cyclic garbage collector paused (see ``lob.gc_paused``).
     """
     book = LimitOrderBook()
-    lifecycles: dict[int, OrderLifecycle] = {}
     observations: list[CancelObservation] = []
     diagnostics: Counter = Counter()
-    buy_acc, sell_acc = SideAccumulator(Side.BUY), SideAccumulator(Side.SELL)
+    buy_acc, sell_acc = SideAccumulator(), SideAccumulator()
     trades: list[Trade] | None = [] if collect_trades else None
     instrument = ""
 
@@ -209,7 +211,7 @@ def replay_day(
     def apply_one(ev: OrderEvent, phase: SessionPhase) -> None:
         continuous = phase is am or phase is pm
         if ev.kind is cancel:
-            order = resting.get(ev.order_id)
+            order = resting.get(ev.order_id)  # a full cancel takes it out of the index
             try:
                 outcome = book.apply(ev)
             except DanglingCancel:
@@ -225,8 +227,7 @@ def replay_day(
             if price and price != order.price_ticks:  # the order id decides: still applied
                 diagnostics["cancel_price_mismatch"] += 1
             rec = outcome.cancellation
-            order_id = ev.order_id
-            life = lifecycles[order_id] if order_id in resting else lifecycles.pop(order_id)
+            life = order.tag
             acc = buy_acc if rec.side is _BUY else sell_acc
             in_ratio = continuous and life.in_scope
             if in_ratio:
@@ -259,12 +260,8 @@ def replay_day(
                 diagnostics["duplicate_order_ids"] += 1
                 return
             fills = outcome.trades
-            if fills:
-                if trades is not None:
-                    trades.extend(fills)
-                for fill in fills:  # makers filled in full leave the book
-                    if fill.maker_id not in resting:
-                        lifecycles.pop(fill.maker_id, None)
+            if fills and trades is not None:
+                trades.extend(fills)
             rested = outcome.rested is not None
             klass = classify_submission(
                 ev.side, ev.price_ticks, pre_bid, pre_ask, bool(fills), rested
@@ -274,7 +271,7 @@ def replay_day(
                 acc.orders_total += 1
                 acc.orders_by_class[klass] += 1
             if rested:
-                lifecycles[ev.order_id] = OrderLifecycle(klass, continuous)
+                resting[ev.order_id].tag = OrderLifecycle(klass, continuous)
 
     for ev in events:
         if not instrument:
@@ -293,9 +290,7 @@ def replay_day(
     for held_ev in held:  # no continuous event ever arrived
         apply_one(held_ev, phase_of(held_ev.timestamp))
 
-    return DayResult(
-        instrument, book, lifecycles, observations, diagnostics, buy_acc, sell_acc, trades
-    )
+    return DayResult(instrument, book, observations, diagnostics, buy_acc, sell_acc, trades)
 
 
 # -- accumulation ---------------------------------------------------------------
@@ -304,8 +299,8 @@ def replay_day(
 @dataclass
 class InstrumentProfile:
     instrument: str
-    buy: SideAccumulator = field(default_factory=lambda: SideAccumulator(Side.BUY))
-    sell: SideAccumulator = field(default_factory=lambda: SideAccumulator(Side.SELL))
+    buy: SideAccumulator = field(default_factory=SideAccumulator)
+    sell: SideAccumulator = field(default_factory=SideAccumulator)
     diagnostics: Counter = field(default_factory=Counter)
     days: int = 0
 
@@ -414,7 +409,6 @@ UNIT_INTERVAL = "unit_interval"
 POSITIVE_RAY = "positive_ray"
 
 DEFAULT_UNIT_BINS = 50
-DEFAULT_LOG_BINS = 60
 
 
 @dataclass(frozen=True)
@@ -434,7 +428,6 @@ class BinSpec:
 
 
 UNIT_BIN_SPEC = BinSpec("uniform", DEFAULT_UNIT_BINS)
-LOG_BIN_SPEC = BinSpec("log_uniform", DEFAULT_LOG_BINS)
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,7 @@ SCHEMA_VERSION = 1
 
 CANCELS_CSV_HEADER = (
     "instrument,seq,timestamp,phase,side,cancel_index,level_rank,side_levels,"
-    "level_orders,side_orders,queue_rank,rel_level,norm_level,queue_frac,"
-    "cancelled_size,order_class,in_profile,in_ratio"
+    "level_orders,side_orders,queue_rank,cancelled_size,order_class,in_profile,in_ratio"
 )
 
 
@@ -183,7 +182,7 @@ def _instrument_payload(profile: InstrumentProfile, unit_bins: int, log_bins: in
     }
 
 
-def profiles_payload(run: ProfileRun, unit_bins: int = 50, log_bins: int = 60) -> dict:
+def profiles_payload(run: ProfileRun, unit_bins: int, log_bins: int) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "profiles",
@@ -204,9 +203,7 @@ def profiles_payload(run: ProfileRun, unit_bins: int = 50, log_bins: int = 60) -
 
 
 def _cancel_rows(observations: Iterable[CancelObservation]) -> Iterable[str]:
-    # The ratio columns are format_float's 17 significant digits, inlined: a
-    # record's denominators are positive integers, so they are finite. Enum
-    # values are read from _value_ and isoformat takes its arguments by
+    # Enum values are read from _value_ and isoformat takes its arguments by
     # position, as in OrderEvent.to_row.
     for instrument, seq, timestamp, phase, rec, order_class, in_profile, in_ratio in observations:
         (cancel_index, side, level_rank, side_levels, level_orders, side_orders,
@@ -214,8 +211,7 @@ def _cancel_rows(observations: Iterable[CancelObservation]) -> Iterable[str]:
         yield (
             f"{instrument},{seq},{timestamp.isoformat('T', 'milliseconds')},"
             f"{phase._value_},{side._value_},{cancel_index},{level_rank},{side_levels},"
-            f"{level_orders},{side_orders},{queue_rank},{rec.rel_level:.17g},"
-            f"{rec.norm_level:.17g},{rec.queue_frac:.17g},{cancelled_size},"
+            f"{level_orders},{side_orders},{queue_rank},{cancelled_size},"
             f"{order_class._value_},{'1' if in_profile else '0'},{'1' if in_ratio else '0'}"
         )
 

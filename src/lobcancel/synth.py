@@ -42,10 +42,19 @@ class TruncLogNormalLaw:
     mu: float
     sigma: float
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.mu) and math.isfinite(self.sigma) and self.sigma > 0.0):
+            raise ConfigInvalid(f"log-normal law needs a finite mu and sigma > 0, got {self}")
+
 
 @dataclass(frozen=True)
 class ExpProfileLaw:
     beta: float
+
+    def __post_init__(self) -> None:
+        # 1 - exp(beta * y) is a density on (0, 1] only for beta < 0.
+        if not (math.isfinite(self.beta) and self.beta < 0.0):
+            raise ConfigInvalid(f"exponential law needs a finite beta < 0, got {self}")
 
 
 PositionLaw = UniformLaw | TruncLogNormalLaw | ExpProfileLaw

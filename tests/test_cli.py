@@ -10,6 +10,14 @@ def run(argv):
     return main(argv)
 
 
+def exit_code(argv):
+    """The exit code of a command, also when argparse rejects a flag value."""
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 # -- validate --------------------------------------------------------------------
 
 
@@ -115,6 +123,41 @@ def test_gen_bad_mix_exits_2(tmp_path):
     assert run(["gen", "--out", str(tmp_path / "x.csv"), "--mix", "0.5,0.5"]) == 2
     assert run(["gen", "--out", str(tmp_path / "x.csv"), "--mix", "0.9,0.9,0.9"]) == 2
     assert run(["gen", "--out", str(tmp_path / "x.csv"), "--queue-law", "zipf:2"]) == 2
+
+
+@pytest.mark.parametrize("flag,law", [
+    ("--level-law", "lognormal:a,b"),
+    ("--level-law", "lognormal:1"),
+    ("--level-law", "lognormal:0,0"),
+    ("--level-law", "lognormal:nan,1"),
+    ("--level-law", "lognormal:0,-1"),
+    ("--queue-law", "exp:x"),
+    ("--queue-law", "exp:0"),
+    ("--queue-law", "exp:5"),
+    ("--queue-law", "exp:-inf"),
+])
+def test_gen_bad_law_parameters_exit_2(tmp_path, capsys, flag, law):
+    out = tmp_path / "x.csv"
+    assert run(["gen", "--out", str(out), "--events", "100", flag, law]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "simqueues", "fit"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, command):
+    # fit's --profiles is missing, so reading it first would exit 1, not 2.
+    out = tmp_path / "out"
+    argv = {
+        "gen": ["gen", "--out", str(out), "--events", "100"],
+        "simqueues": ["simqueues", "--out", str(out), "--queues", "100"],
+        "fit": ["fit", "--profiles", str(tmp_path / "none.json"), "--out", str(out)],
+    }[command]
+    assert exit_code([*argv, "--seed", "-1"]) == 2
+    assert "--seed" in capsys.readouterr().err
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"seed": -1}))
+    assert exit_code([*argv, "--config", str(cfg)]) == 2
+    assert not out.exists()
 
 
 def test_config_file_fills_flags_and_cli_wins(tmp_path):
@@ -233,6 +276,19 @@ def test_profile_instrument_filter_empty_exits_2(profile_dir, tmp_path, capsys):
     )
     assert code == 2
     assert "empty input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--bins", "0"), ("--log-bins", "-3"), ("--workers", "0"), ("--workers", "-2"),
+    ("--bins", "ten"),
+])
+def test_profile_count_below_one_is_usage_error(tmp_path, capsys, flag, value):
+    # The input is missing, so reading it first would exit 1, not 2.
+    out = tmp_path / "o"
+    argv = ["profile", str(tmp_path / "none.csv"), "--out", str(out), flag, value]
+    assert exit_code(argv) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_profile_parse_errors_exit_1(tmp_path, capsys):
@@ -398,15 +454,81 @@ def test_fit_cancels_row_of_wrong_width_is_schema_error(profile_dir, tmp_path, c
     assert not (tmp_path / "fits.json").exists()
 
 
-def test_fit_cancels_without_a_needed_column_is_schema_error(profile_dir, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "column", ["level_rank", "side_levels", "level_orders", "side_orders", "in_profile"]
+)
+def test_fit_cancels_without_a_needed_column_is_schema_error(
+    profile_dir, tmp_path, capsys, column
+):
     _, _, out = profile_dir
     cancels = tmp_path / "cancels.csv"
-    text = (out / "cancels.csv").read_text()
-    cancels.write_text(text.replace("norm_level", "norm_lvl", 1))
+    header, *rows = (out / "cancels.csv").read_text().splitlines()
+    renamed = ",".join(name + "_x" if name == column else name for name in header.split(","))
+    cancels.write_text("\n".join([renamed, *rows]) + "\n")
     argv = ["fit", "--profiles", str(out / "profiles.json"), "--cancels", str(cancels),
             "--out", str(tmp_path / "fits.json"), "--models", "powerlaw"]
     assert run(argv) == 1
     assert "bad cancels schema" in capsys.readouterr().err
+
+
+CANCELS_COLUMNS = (
+    "instrument,seq,timestamp,phase,side,cancel_index,level_rank,side_levels,"
+    "level_orders,side_orders,queue_rank,cancelled_size,order_class,in_profile,in_ratio"
+)
+
+
+def test_cancels_csv_has_the_documented_integer_columns(profile_dir):
+    _, _, out = profile_dir
+    header, *rows = (out / "cancels.csv").read_text().splitlines()
+    assert header == CANCELS_COLUMNS
+    assert rows and all(len(row.split(",")) == 15 for row in rows)
+
+
+def test_fit_reads_the_older_layout_with_ratio_columns(profile_dir, tmp_path):
+    # Files written before the ratio columns were dropped carry them after
+    # queue_rank, as format_float text; fit derives the same samples.
+    _, _, out = profile_dir
+    header, *rows = (out / "cancels.csv").read_text().splitlines()
+    old = [header.replace("queue_rank,", "queue_rank,rel_level,norm_level,queue_frac,")]
+    for row in rows:
+        cells = row.split(",")
+        rank, levels, at_level, on_side, pos = map(int, cells[6:11])
+        ratios = (rank / levels, (rank * on_side) / (levels * at_level), pos / at_level)
+        old.append(",".join([*cells[:11], *(f"{x:.17g}" for x in ratios), *cells[11:]]))
+    old_cancels = tmp_path / "old.csv"
+    old_cancels.write_text("\n".join(old) + "\n")
+    fits = []
+    for cancels in (out / "cancels.csv", old_cancels):
+        fits.append(tmp_path / f"{cancels.stem}.fits.json")
+        assert run(["fit", "--profiles", str(out / "profiles.json"), "--cancels", str(cancels),
+                    "--out", str(fits[-1]), "--models", "lognormal,powerlaw,exp,gamma",
+                    "--repeats", "5", "--seed", "3"]) == 0
+    assert fits[0].read_bytes() == fits[1].read_bytes()
+    tails = [e for e in json.loads(fits[0].read_text())["fits"] if e["model"] == "powerlaw"]
+    assert tails and all("params" in e for e in tails)
+
+
+@pytest.mark.parametrize(
+    "column,value",
+    [("side_levels", "0"), ("level_orders", "0"), ("level_rank", "1.5"), ("side_orders", "x"),
+     ("side_orders", "-1"), ("level_rank", "-2"), ("level_rank", "999")],
+)
+def test_fit_cancels_bad_count_is_schema_error(profile_dir, tmp_path, capsys, column, value):
+    _, _, out = profile_dir
+    header, *rows = (out / "cancels.csv").read_text().splitlines()
+    names = header.split(",")
+    at = next(i for i, row in enumerate(rows) if row.split(",")[names.index("in_profile")] == "1")
+    cells = rows[at].split(",")
+    cells[names.index(column)] = value
+    rows[at] = ",".join(cells)
+    cancels = tmp_path / "cancels.csv"
+    cancels.write_text("\n".join([header, *rows]) + "\n")
+    argv = ["fit", "--profiles", str(out / "profiles.json"), "--cancels", str(cancels),
+            "--out", str(tmp_path / "fits.json"), "--models", "powerlaw"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "bad cancels schema" in err and "Traceback" not in err
+    assert not (tmp_path / "fits.json").exists()
 
 
 # -- simqueues and report --------------------------------------------------------------

@@ -1,8 +1,10 @@
 """The record types' contract and the bytes of a small seeded pipeline.
 
 The golden digests were taken from the dataclass-based records that the
-tuple records replaced; both files are pure-Python formatting, so they do
-not depend on the numpy version.
+tuple records replaced; the cancels.csv digest is that of the same file with
+its three ratio columns cut (`cut -d, -f1-11,15-`), which the integer-only
+layout writes. Both files are pure-Python formatting, so they do not depend
+on the numpy version.
 """
 import hashlib
 import pickle
@@ -21,7 +23,7 @@ GOLDEN_GEN = [
     "--mix", "0.5,0.1,0.4", "--levels", "20", "--queue-depth", "8",
 ]
 GOLDEN_CSV_SHA256 = "a25cfa2c5a3b7ff4d8191b105037e159be3215c249c9715a2fbea6892da6a335"
-GOLDEN_CANCELS_SHA256 = "b461417fcae3a1b19dee36194a7750a790b41bb03996b54d4760674abc06c51f"
+GOLDEN_CANCELS_SHA256 = "9c89be088439886643f1fcfe668d09725e65c5e3dffa67e647af333ad6d7ae03"
 
 
 def _sha256(path) -> str:

@@ -3,7 +3,9 @@
 The golden digests were taken from the whole-input profile path that the
 streaming path replaced, on inputs that stream out of date order: an
 instrument-day that comes back after a later date, and an instrument-day
-split across two files.
+split across two files. The cancels.csv digests are those of the same files
+with their three ratio columns cut (`cut -d, -f1-11,15-`), which the
+integer-only layout writes.
 """
 import hashlib
 import tempfile
@@ -69,11 +71,11 @@ def split_day_input(tmp_path) -> list[str]:
 GOLDEN = {
     "reappearing": (reappearing_day_input, {
         "profiles.json": "f1cd8ee212224c89a7b9b8ef3690d7f10c18e60188503573409a694611df6818",
-        "cancels.csv": "fafc262084259df4dcc956e83bfcda03ee02a7d96740ecb2f123ba7d5982a0c5",
+        "cancels.csv": "874872465b6e64b233fafaf6d7c0302786ad21ab6b4e770f8cc8c3a87490eb25",
     }),
     "split": (split_day_input, {
         "profiles.json": "7d062751fd0dda9f5b5efc8bf326c6ff3b07066759e7629cd2e542c38b2ddf4b",
-        "cancels.csv": "96a5d60ff0e117bbe309900a0708cff9267be831ed234b63d28874fc9958c4ba",
+        "cancels.csv": "4825a56f510ea3fcbc9ab0d831f84b0f19e875ab78c5fb76dd0a6fc0ca6d7c9e",
     }),
 }
 

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from lobcancel.synth import (
     QueueSimConfig,
     TruncLogNormalLaw,
     UniformLaw,
+    _RankSampler,
     generate_stream,
     simulate_uniform_queues,
 )
@@ -81,6 +84,26 @@ def test_config_validation():
         GenConfig(initial_levels=0)
     with pytest.raises(ConfigInvalid):
         GenConfig(initial_levels=50, mid_price_ticks=30)
+
+
+@pytest.mark.parametrize("law,params", [
+    (TruncLogNormalLaw, (0.0, 0.0)),
+    (TruncLogNormalLaw, (-2.0, -1.0)),
+    (TruncLogNormalLaw, (float("nan"), 1.0)),
+    (TruncLogNormalLaw, (0.0, float("inf"))),
+    (ExpProfileLaw, (0.0,)),
+    (ExpProfileLaw, (5.0,)),
+    (ExpProfileLaw, (float("-inf"),)),
+], ids=lambda v: v.__name__ if isinstance(v, type) else ",".join(map(str, v)))
+def test_law_parameters_are_checked(law, params):
+    with pytest.raises(ConfigInvalid):
+        law(*params)
+
+
+def test_underflowing_lognormal_law_draws_uniform_ranks():
+    # Every weight of this law underflows to 0 on a 10-rank grid.
+    sampler = _RankSampler(TruncLogNormalLaw(-50.0, 0.1), random.Random(1))
+    assert sampler._weights(10) == [float(k) for k in range(1, 11)]
 
 
 def test_injected_laws_shape_the_positions():
