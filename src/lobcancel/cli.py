@@ -374,6 +374,11 @@ def _load_json(path: str) -> dict:
 
 
 def _pdf_from_payload(payload: dict | None, where: str) -> EmpiricalPdf | None:
+    """The density ``profile`` wrote at ``where``, or None where it wrote null.
+
+    Edges must be finite and strictly increasing, densities finite and
+    >= 0, and the count an integer >= 1; anything else is a schema error.
+    """
     if payload is None:
         return None
     import numpy as np  # only `fit` reads densities back; the other commands start without numpy
@@ -382,20 +387,25 @@ def _pdf_from_payload(payload: dict | None, where: str) -> EmpiricalPdf | None:
         pdf = EmpiricalPdf(
             bin_edges=np.asarray(payload["edges"], float),
             density=np.asarray(payload["density"], float),
-            count=int(payload["count"]),
+            count=payload["count"],
             domain=str(payload["domain"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputDataError(f"schema error at {where}: {exc!r}") from exc
-    edges = pdf.bin_edges
-    if edges.ndim != 1 or pdf.density.shape != (edges.size - 1,):
-        raise InputDataError(
-            f"schema error at {where}: {pdf.density.size} density values "
-            f"for {edges.size} edges"
-        )
-    if pdf.domain not in (UNIT_INTERVAL, POSITIVE_RAY):
-        raise InputDataError(f"schema error at {where}: unknown domain {pdf.domain!r}")
-    return pdf
+    edges, density = pdf.bin_edges, pdf.density
+    if edges.ndim != 1 or density.shape != (edges.size - 1,):
+        problem = f"{density.size} density values for {edges.size} edges"
+    elif pdf.domain not in (UNIT_INTERVAL, POSITIVE_RAY):
+        problem = f"unknown domain {pdf.domain!r}"
+    elif not (np.isfinite(edges).all() and (np.diff(edges) > 0).all()):
+        problem = "edges must be finite and strictly increasing"
+    elif not ((density >= 0) & (density < np.inf)).all():
+        problem = "densities must be finite and >= 0"
+    elif type(pdf.count) is not int or pdf.count < 1:
+        problem = f"count must be an integer >= 1, got {pdf.count!r}"
+    else:
+        return pdf
+    raise InputDataError(f"schema error at {where}: {problem}")
 
 
 def _load_norm_level_samples(path: str) -> dict[tuple[str, str], list[float]]:
@@ -443,8 +453,7 @@ def _entry_seed(base_seed: int, instrument: str, side: str, model: str) -> int:
 # Body models: the profiles.json density each one fits, the error recorded
 # when that density is missing, and its distfit fitter. Fitters are looked up
 # on the module at call time, so a wrapper installed on distfit is honoured.
-# Only `_fit_entry` imports distfit, and with it scipy, so the other
-# subcommands start without paying for scipy's import.
+# Only `_fit_entry` imports distfit, so the other subcommands start without it.
 _BODY_MODELS = {
     "lognormal": ("pdf_rel_level", "no relative-level density", "fit_lognormal_lsq"),
     "gamma": ("pdf_rel_level", "no relative-level density", "fit_gamma_lsq"),
@@ -455,7 +464,7 @@ _BODY_MODELS = {
 def _fit_entry(
     instrument: str,
     side: str,
-    sides_payload: dict,
+    pdfs: dict[str, EmpiricalPdf | None],
     models: list[str],
     norm_samples: dict | None,
     repeats: int,
@@ -463,8 +472,6 @@ def _fit_entry(
 ) -> list[dict]:
     from . import distfit
 
-    where = f"$.sides.{side} of {instrument}"
-    side_data = sides_payload[side]
     code = "B" if side == "buy" else "S"
     out: list[dict] = []
     for model in models:
@@ -482,7 +489,7 @@ def _fit_entry(
                 entry["params"] = dataclasses.asdict(distfit.fit_powerlaw_tail(xs))
                 continue
             key, missing, fitter = _BODY_MODELS[model]
-            pdf = _pdf_from_payload(side_data.get(key), where)
+            pdf = pdfs[key]
             if pdf is None:
                 entry["error"] = missing
                 continue
@@ -520,7 +527,9 @@ def cmd_fit(args) -> int:
         cancels_path = args.cancels or os.path.join(os.path.dirname(args.profiles), "cancels.csv")
         norm_samples = _load_norm_level_samples(cancels_path) if os.path.exists(cancels_path) else None
 
-    entries: list[dict] = []
+    # Every density is read and checked before the first fit runs.
+    keys = {_BODY_MODELS[m][0] for m in models if m in _BODY_MODELS}
+    jobs = []
     for block in instruments + [ensemble]:
         try:
             instrument = block["instrument"]
@@ -528,11 +537,17 @@ def cmd_fit(args) -> int:
         except (KeyError, TypeError) as exc:
             raise InputDataError(f"schema error at $.instruments[].sides: {exc!r}") from exc
         for side in ("buy", "sell"):
-            if side not in sides:
-                raise InputDataError(f"schema error at $.sides.{side} of {instrument}: missing")
-            entries.extend(
-                _fit_entry(instrument, side, sides, models, norm_samples, args.repeats, args.seed)
-            )
+            where = f"$.sides.{side} of {instrument}"
+            side_data = sides.get(side) if isinstance(sides, dict) else None
+            if not isinstance(side_data, dict):
+                raise InputDataError(f"schema error at {where}: missing or not an object")
+            pdfs = {key: _pdf_from_payload(side_data.get(key), where) for key in keys}
+            jobs.append((instrument, side, pdfs))
+    entries: list[dict] = []
+    for instrument, side, pdfs in jobs:
+        entries.extend(
+            _fit_entry(instrument, side, pdfs, models, norm_samples, args.repeats, args.seed)
+        )
     config = {"models": models, "repeats": args.repeats, "seed": args.seed}
     reportio.write_text(args.out, reportio.render_json(reportio.fits_payload(entries, config)))
     failed = sum(1 for e in entries if "error" in e)

@@ -3,7 +3,8 @@
 Three model families, each with its own estimator:
 
 * log-normal restricted to (0, 1], fitted to a binned density by unweighted
-  least squares at bin centers, with a Monte Carlo goodness-of-fit p-value;
+  least squares at bin centers, with a parametric-bootstrap goodness-of-fit
+  p-value;
 * power-law right tail, threshold chosen by minimizing the Kolmogorov-Smirnov
   distance over candidate thresholds and the exponent set by closed-form
   maximum likelihood on the surviving tail;
@@ -14,18 +15,19 @@ A gamma alternative restricted to (0, 1] shares the least-squares machinery
 so the two body fits can be compared by their rms values.
 
 All fitters are pure functions of (data, config, seed); repeated runs with
-the same inputs return bit-identical results.
+the same inputs return bit-identical results. They need numpy only: the
+bounded Nelder-Mead and Brent searches take scipy 1.17's steps exactly, and
+the gamma CDF is in-house. Only ``sample_trunc_lognormal`` imports scipy.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
-from scipy import optimize
-from scipy.special import gammainc, gammaln, ndtri
 
-from .profiles import EmpiricalPdf, pdf_from_edges
+from .profiles import EmpiricalPdf, pdf_from_counts
 
 
 class FitError(Exception):
@@ -57,8 +59,9 @@ MIN_FIT_BINS = 10
 MIN_TAIL_SIZE = 50
 MAX_TAIL_CANDIDATES = 500
 _XATOL = 1e-7  # Nelder-Mead refinement tolerance in parameter space
+_NM_MAXFEV = 4000  # Nelder-Mead's limit on both iterations and evaluations
 _EXP_XATOL = 1e-6  # bounded Brent tolerance of the exponential profile's beta
-_SQRT_EPS = math.sqrt(2.2e-16)  # the relative step of scipy's bounded Brent
+_SQRT_EPS = math.sqrt(2.2e-16)  # the relative step of the bounded Brent search
 
 
 @dataclass(frozen=True)
@@ -113,15 +116,43 @@ def trunc_lognormal_pdf(x, mu: float, sigma: float) -> np.ndarray:
     return out
 
 
+def _gamma_p(a: float, x: float) -> float:
+    """Regularized lower incomplete gamma function P(a, x), for a, x > 0.
+
+    The power series below x = a + 1; above it, Lentz's continued fraction
+    for 1 - P (Numerical Recipes, 3rd ed., 6.2), whose denominators stay
+    above 3 there (checked for a in [1e-3, 1e3], x <= 1e4): no zero guard.
+    """
+    front = math.exp(a * math.log(x) - x - math.lgamma(a))
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        n = a  # the series' running denominator a + k
+        while abs(term) > abs(total) * 1e-17:
+            n += 1.0
+            term *= x / n
+            total += term
+        return total * front
+    b = x + 1.0 - a
+    c, d, h, i, delta = 1e300, 1.0 / b, 1.0 / b, 0, 0.0
+    while abs(delta - 1.0) > 2.2e-16:
+        i += 1
+        an, b = -i * (i - a), b + 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = d * c
+        h *= delta
+    return 1.0 - front * h
+
+
 def gamma_unit_mass(shape: float, scale: float) -> float:
-    return float(gammainc(shape, 1.0 / scale))
+    return _gamma_p(shape, 1.0 / scale)
 
 
 def trunc_gamma_pdf(x, shape: float, scale: float) -> np.ndarray:
     """Gamma density renormalized to integrate to one over (0, 1]."""
     x = np.asarray(x, float)
     mass = gamma_unit_mass(shape, scale)
-    log_pdf = (shape - 1.0) * np.log(x) - x / scale - gammaln(shape) - shape * math.log(scale)
+    log_pdf = (shape - 1.0) * np.log(x) - x / scale - math.lgamma(shape) - shape * math.log(scale)
     return np.exp(log_pdf) / mass
 
 
@@ -146,6 +177,8 @@ def exp_profile_pdf(y, beta: float) -> np.ndarray:
 
 def sample_trunc_lognormal(n: int, mu: float, sigma: float, rng) -> np.ndarray:
     """Inverse-CDF draws from the log-normal restricted to (0, 1]."""
+    from scipy.special import ndtri  # the fitters need no scipy; only this sampler does
+
     u = 1.0 - rng.random(n)  # (0, 1], so no draw maps to 0
     mass = lognormal_unit_mass(mu, sigma)
     return np.exp(mu + sigma * ndtri(u * mass))
@@ -181,6 +214,63 @@ def _at_bound(params, bounds, tol: float) -> bool:
     return any(x - lo <= tol or hi - x <= tol for x, (lo, hi) in zip(params, bounds))
 
 
+def _nelder_mead(fun, x0, bounds, xatol: float, fatol: float, maxfev: int):
+    """Bounded Nelder-Mead on Python floats, step for step as scipy 1.17's ``minimize``.
+
+    ``maxfev`` also bounds scipy's iterations, but the evaluations run out
+    first. Returns the best vertex, its value, and None or why it stopped.
+    """
+    lo, hi = zip(*bounds)
+    n, nfev = len(x0), 0
+
+    def clip(v):
+        return [min(max(x, l), h) for x, l, h in zip(v, lo, hi)]
+
+    def point(v) -> tuple[float, list]:  # (value, vertex): one evaluation
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise OptimizerDidNotConverge  # the evaluations ran out; caught below
+        nfev += 1
+        return fun(v), v
+
+    def move(xbar, cb: float, cw: float):  # cb * centroid + cw * worst vertex
+        return point(clip([cb * b + cw * w for b, w in zip(xbar, pts[-1][1])]))
+
+    x0 = clip(x0)
+    sim = [x0] + [[x if j != k else 1.05 * x if x != 0 else 0.00025 for j, x in enumerate(x0)]
+                  for k in range(n)]
+    # a vertex stepped past its upper bound is reflected back inside, then clipped
+    pts = [(math.inf, clip([2 * h - x if x > h else x for x, h in zip(v, hi)])) for v in sim]
+    try:
+        for k, (_, v) in enumerate(pts):
+            pts[k] = point(v)
+        pts.sort(key=itemgetter(0))  # stable: ties keep their order, as under numpy
+        while nfev < maxfev:
+            (fbest, best), rest = pts[0], pts[1:]
+            if (all(abs(x - b) <= xatol for _, v in rest for x, b in zip(v, best))
+                    and all(abs(fbest - fv) <= fatol for fv, _ in rest)):
+                return best, fbest, None
+            xbar = [sum(c) / n for c in zip(*(v for _, v in pts[:-1]))]
+            r = move(xbar, 2.0, -1.0)
+            if r[0] < fbest:
+                e = move(xbar, 3.0, -2.0)
+                pts[-1] = e if e[0] < r[0] else r
+            elif r[0] < pts[-2][0]:
+                pts[-1] = r
+            else:
+                outside = r[0] < pts[-1][0]
+                c = move(xbar, 1.5, -0.5) if outside else move(xbar, 0.5, 0.5)
+                if c[0] <= r[0] if outside else c[0] < pts[-1][0]:
+                    pts[-1] = c
+                else:  # shrink toward the best vertex
+                    for j in range(1, n + 1):
+                        pts[j] = point(clip([b + 0.5 * (x - b) for x, b in zip(pts[j][1], best)]))
+            pts.sort(key=itemgetter(0))
+    except OptimizerDidNotConverge:
+        pts.sort(key=itemgetter(0))
+    return pts[0][1], pts[0][0], "Maximum number of function evaluations has been exceeded."
+
+
 def _fit_truncated(
     pdf: EmpiricalPdf, density_fn, mass_fn, grid, bounds, start, name: str
 ) -> tuple[tuple[float, ...], float, bool]:
@@ -201,17 +291,11 @@ def _fit_truncated(
         return float(diff @ diff)
 
     x0 = start if start is not None else min(grid, key=sse)
-    res = optimize.minimize(
-        sse,
-        np.asarray(x0, float),
-        method="Nelder-Mead",
-        bounds=bounds,
-        options={"xatol": _XATOL, "fatol": 1e-12, "maxiter": 4000, "maxfev": 4000},
-    )
-    if not res.success:
-        raise OptimizerDidNotConverge(f"{name} fit did not converge: {res.message}")
-    params = tuple(float(v) for v in res.x)
-    return params, math.sqrt(res.fun / len(density)), _at_bound(params, bounds, _XATOL)
+    x, fun, failure = _nelder_mead(sse, [float(v) for v in x0], bounds, _XATOL, 1e-12, _NM_MAXFEV)
+    if failure:
+        raise OptimizerDidNotConverge(f"{name} fit did not converge: {failure}")
+    params = tuple(x)
+    return params, math.sqrt(fun / len(density)), _at_bound(params, bounds, _XATOL)
 
 
 # Start grids, scanned in this order (the first point of least SSE wins).
@@ -263,19 +347,65 @@ def fit_exp_profile(pdf: EmpiricalPdf) -> ExpProfileFit:
         diff = exp_profile_pdf(centers, beta) - density
         return float(diff @ diff)
 
-    res = optimize.minimize_scalar(
-        sse, bounds=BETA_BOUNDS, method="bounded", options={"xatol": _EXP_XATOL, "maxiter": 500}
-    )
-    if not res.success:
-        raise OptimizerDidNotConverge(f"exponential profile fit did not converge: {res.message}")
-    beta = float(res.x)
+    beta, fun, failure = _bounded_brent(sse, *BETA_BOUNDS, _EXP_XATOL, 500)
+    if failure:
+        raise OptimizerDidNotConverge(f"exponential profile fit did not converge: {failure}")
     # Bounded Brent stops once beta is within 2 * (sqrt(eps) * |beta| + xatol/3)
     # of both ends of its bracket: 3.6e-6 at beta = -100, 6.7e-7 at -0.01.
     tol = 2.0 * (_SQRT_EPS * abs(beta) + _EXP_XATOL / 3.0)
     return ExpProfileFit(
-        beta, exp_profile_norm(beta), math.sqrt(res.fun / len(density)),
+        beta, exp_profile_norm(beta), math.sqrt(fun / len(density)),
         _at_bound((beta,), (BETA_BOUNDS,), tol),
     )
+
+
+def _bounded_brent(fun, a: float, b: float, xatol: float, maxfev: int):
+    """Brent's minimization on [a, b], step for step as scipy 1.17's
+    ``minimize_scalar(method="bounded")``: golden-section steps, or parabolic
+    ones through the three best points ``xf``, ``nfc`` and ``fulc``. Returns
+    the best point, its value, and None or why it stopped.
+    """
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    xf = nfc = fulc = a + golden_mean * (b - a)
+    fx = fnfc = ffulc = fun(xf)
+    rat = e = 0.0
+    num, fu = 1, math.inf
+    xm, tol1 = 0.5 * (a + b), _SQRT_EPS * abs(xf) + xatol / 3.0
+    while abs(xf - xm) > 2.0 * tol1 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            p, q = (-p if q > 0.0 else p), abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden, rat = False, p / q
+                if xf + rat - a < 2.0 * tol1 or b - (xf + rat) < 2.0 * tol1:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        step = max(abs(rat), tol1)
+        x = xf + step if rat >= 0 else xf - step
+        fu = fun(x)
+        num += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm, tol1 = 0.5 * (a + b), _SQRT_EPS * abs(xf) + xatol / 3.0
+        if num >= maxfev:
+            break
+    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
+        return xf, fx, "NaN result encountered."
+    return xf, fx, "Maximum number of function calls reached." if num >= maxfev else None
 
 
 # -- power-law tail -----------------------------------------------------------
@@ -350,26 +480,40 @@ def fit_powerlaw_tail(
 # -- Monte Carlo goodness of fit ------------------------------------------------
 
 
+def _trunc_lognormal_bin_masses(edges, mu: float, sigma: float) -> list[float]:
+    """Probability of each bin of ``edges`` under the log-normal restricted to (0, 1].
+
+    Differences of the normal CDF at the standardized log edges, taken on
+    the upper tail above the median so that no far-tail mass cancels to 0.
+    """
+    s = sigma * math.sqrt(2.0)
+    zs = [(math.log(min(e, 1.0)) - mu) / s if e > 0.0 else -math.inf for e in edges.tolist()]
+    unit = math.erfc(mu / s)  # twice the mass on (0, 1], as each difference below
+    return [(math.erfc(za) - math.erfc(zb) if za >= 0.0 else math.erfc(-zb) - math.erfc(-za))
+            / unit for za, zb in zip(zs, zs[1:])]
+
+
 def gof_pvalue_mc(
     pdf: EmpiricalPdf, fit: LogNormalFit, repeats: int = 1000, seed: int = 0
 ) -> float:
-    """Semi-parametric bootstrap p-value for a truncated log-normal fit.
+    """Parametric bootstrap p-value for a truncated log-normal fit.
 
-    Draws ``repeats`` synthetic samples of the empirical size from the fitted
-    model, rebins each on the same edges, refits, and returns the fraction of
-    synthetic rms values at or above the empirical rms. Each repeat uses its
-    own derived seed, so parallel and serial evaluation orders agree.
+    Each of ``repeats`` synthetic densities, refitted, bins one multinomial
+    draw of the empirical count over the fitted bin masses: a model sample of
+    that size, binned. The p-value is the fraction of synthetic rms values at
+    or above the empirical rms. Each repeat uses its own derived seed, so
+    parallel and serial evaluation orders agree.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     edges = np.asarray(pdf.bin_edges, float)
-    count = pdf.count
+    # numpy's last category takes what the bins leave of 1: the mass outside the edges
+    masses = _trunc_lognormal_bin_masses(edges, fit.mu, fit.sigma) + [0.0]
     start = (fit.mu, fit.sigma)
     hits = 0
     for rep in range(repeats):
         rng = np.random.default_rng([seed, rep])
-        draw = sample_trunc_lognormal(count, fit.mu, fit.sigma, rng)
-        synth = pdf_from_edges(draw, edges, pdf.domain)
+        synth = pdf_from_counts(rng.multinomial(pdf.count, masses)[:-1], edges, pdf.domain)
         try:
             refit = fit_lognormal_lsq(synth, start=start)
         except FitError:

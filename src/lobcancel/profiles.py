@@ -477,6 +477,13 @@ def pdf_from_edges(
     import numpy as np
 
     counts, _ = np.histogram(samples, bins=edges, weights=weights)
+    return pdf_from_counts(counts, edges, domain)
+
+
+def pdf_from_counts(counts: np.ndarray, edges: np.ndarray, domain: str) -> EmpiricalPdf:
+    """Density of the bin ``counts`` over ``edges``; all zeros when they sum to 0."""
+    import numpy as np
+
     n = int(counts.sum())
     widths = np.diff(edges)
     density = counts / (n * widths) if n else np.zeros_like(widths)

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -391,21 +392,60 @@ def _rename_domain(payload):
     payload["ensemble"]["sides"]["sell"]["pdf_rel_level"]["domain"] = "unit-interval"
 
 
+def _edit_last_density(field, change):
+    """Change ``field`` of the ensemble's sell-side level density, the last one `fit` meets."""
+    def edit(payload):
+        pdf = payload["ensemble"]["sides"]["sell"]["pdf_rel_level"]
+        pdf[field] = change(pdf[field])
+    return edit
+
+
+LAST = "$.sides.sell of __ensemble__"
+BAD_EDGES = f"{LAST}: edges must be finite and strictly increasing"
+BAD_DENSITY = f"{LAST}: densities must be finite and >= 0"
+
+
 @pytest.mark.parametrize(
     "edit, model, expected",
     [
         (_drop_last_bin, "exp", "$.sides.buy of SYNA: 49 density values for 51 edges"),
-        (_rename_domain, "gamma", "$.sides.sell of __ensemble__: unknown domain 'unit-interval'"),
+        (_rename_domain, "gamma", f"{LAST}: unknown domain 'unit-interval'"),
+        (_edit_last_density("edges", lambda e: e[::-1]), "lognormal", BAD_EDGES),
+        (_edit_last_density("edges", lambda e: [e[0], *e[:-1]]), "gamma", BAD_EDGES),
+        (_edit_last_density("edges", lambda e: [*e[:-1], float("nan")]), "lognormal", BAD_EDGES),
+        (_edit_last_density("density", lambda d: [math.inf, *d[1:]]), "lognormal", BAD_DENSITY),
+        (_edit_last_density("density", lambda d: [-0.5, *d[1:]]), "gamma", BAD_DENSITY),
+        (_edit_last_density("count", lambda c: -5), "lognormal",
+         f"{LAST}: count must be an integer >= 1, got -5"),
+        (_edit_last_density("count", lambda c: 0), "lognormal",
+         f"{LAST}: count must be an integer >= 1, got 0"),
+        (_edit_last_density("count", lambda c: 2.5), "gamma",
+         f"{LAST}: count must be an integer >= 1, got 2.5"),
+        (_edit_last_density("count", lambda c: True), "lognormal",
+         f"{LAST}: count must be an integer >= 1, got True"),
+        (lambda p: p["ensemble"]["sides"].update(sell=[1, 2]), "exp",
+         f"{LAST}: missing or not an object"),
     ],
-    ids=["density_length", "unknown_domain"],
+    ids=["density_length", "unknown_domain", "reversed_edges", "repeated_edge", "nan_edge",
+         "inf_density", "negative_density", "negative_count", "zero_count", "fractional_count",
+         "boolean_count", "side_not_an_object"],
 )
-def test_fit_malformed_density_is_schema_error(profile_dir, tmp_path, capsys, edit, model, expected):
+def test_fit_malformed_density_is_schema_error(
+    profile_dir, tmp_path, capsys, monkeypatch, edit, model, expected
+):
+    # every density is checked before the first fit runs, so a bad last one
+    # stops `fit` before any instrument has been fitted
+    from lobcancel import distfit
+
     _, _, out = profile_dir
     path = _profiles_with(out, tmp_path, edit)
+    fitted = []
+    for name in ("fit_lognormal_lsq", "fit_gamma_lsq", "fit_exp_profile"):
+        monkeypatch.setattr(distfit, name, lambda pdf, name=name: fitted.append(name))
     fits_path = tmp_path / "f.json"
     assert run(["fit", "--profiles", str(path), "--out", str(fits_path), "--models", model]) == 1
     assert f"schema error at {expected}" in capsys.readouterr().err
-    assert not fits_path.exists()
+    assert fitted == [] and not fits_path.exists()
 
 
 def test_fit_invalid_json_exits_1(tmp_path, capsys):

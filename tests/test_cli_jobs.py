@@ -1,7 +1,7 @@
 """CLI start-up cost and the `profile` fan-out over groups of input files.
 
-Only `fit` may load scipy; `gen`, `validate` and `report` load neither scipy
-nor numpy, and only a `profile` fan-out loads the process pool.
+No subcommand loads scipy, `fit` included; `gen`, `validate` and `report`
+load no numpy either, and only a `profile` fan-out loads the process pool.
 `profile --workers 2` must write the bytes a single in-process job writes,
 whatever the grouping of instruments over files.
 """
@@ -69,6 +69,30 @@ def test_cli_start_and_gen_leave_scipy_unloaded(tmp_path):
         "'--events', '500']) == 0\n"
         "assert 'scipy' not in sys.modules, 'gen'\n"
     )
+
+
+def test_fit_runs_all_four_models_without_scipy(streams, tmp_path):
+    out = tmp_path / "artifacts"
+    assert main(["profile", *map(str, streams.values()), "--out", str(out)]) == 0
+    fit = ("main(['fit', '--profiles', {profiles!r}, '--out', {fits!r}, "
+           "'--models', 'lognormal,powerlaw,exp,gamma', '--repeats', '5']) == 0")
+    # Unblocked, no scipy module may load; blocked, any import of scipy raises,
+    # and the run must still succeed and write the same bytes.
+    for blocked in (False, True):
+        fits = str(tmp_path / f"fits-{blocked}.json")
+        _run_fresh(
+            "import json, sys\n"
+            + ("sys.modules['scipy'] = None  # any import of scipy now fails\n" if blocked else "")
+            + "from lobcancel.cli import main\n"
+            f"assert {fit.format(profiles=str(out / 'profiles.json'), fits=fits)}\n"
+            "assert not [m for m in sys.modules if m.startswith('scipy.')], 'fit'\n"
+            "assert sys.modules.get('scipy') is None, 'fit'\n"
+            f"entries = json.load(open({fits!r}))['fits']\n"
+            "assert {e['model'] for e in entries if 'params' in e} == "
+            "{'lognormal', 'powerlaw', 'exp', 'gamma'}\n"
+        )
+    fits = [(tmp_path / f"fits-{blocked}.json").read_bytes() for blocked in (False, True)]
+    assert fits[0] == fits[1]
 
 
 UNLOADED = (

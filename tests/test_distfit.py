@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -309,3 +310,221 @@ def test_exp_profile_fitted_density_nonnegative():
     fit = df.fit_exp_profile(accumulate_pdf(ys, BinSpec("uniform", 50)))
     grid = np.linspace(1e-9, 1.0, 1001)
     assert np.all(df.exp_profile_pdf(grid, fit.beta) >= 0.0)
+
+
+# -- the in-house optimizers against scipy ---------------------------------------------
+#
+# `_nelder_mead`, `_bounded_brent` and `_gamma_p` replace scipy's bounded
+# Nelder-Mead, bounded Brent and `gammainc` inside `fit`; the optimizers must
+# take scipy's steps exactly, so the fits come out bit for bit the same.
+
+NM_OPTIONS = {"xatol": df._XATOL, "fatol": 1e-12, "maxiter": df._NM_MAXFEV,
+              "maxfev": df._NM_MAXFEV}
+
+
+def _sse(pdf, density_fn, mass_fn):
+    """The objective `_fit_truncated` minimizes, built from the public densities."""
+    centers, density = pdf.centers(), np.asarray(pdf.density, float)
+
+    def sse(params) -> float:
+        if not mass_fn(*params) > 1e-300:
+            return 1e300
+        diff = density_fn(centers, *params) - density
+        return float(diff @ diff)
+
+    return sse
+
+
+def _lognormal_pdf(n, mu, sigma, seed):
+    draws = df.sample_trunc_lognormal(n, mu, sigma, RNG(seed))
+    return accumulate_pdf(draws, BinSpec("uniform", 50))
+
+
+def _uniform_pdf():
+    return accumulate_pdf(1.0 - RNG(16).random(30_000), BinSpec("uniform", 50))
+
+
+def _scipy_nm(sse, x0, bounds, **options):
+    return optimize.minimize(sse, np.asarray(x0, float), method="Nelder-Mead", bounds=bounds,
+                             options={**NM_OPTIONS, **options})
+
+
+@pytest.mark.parametrize(
+    "make_pdf, start",
+    [
+        (lambda: _lognormal_pdf(5000, -2.14, 1.11, 1), None),
+        (lambda: _lognormal_pdf(300, -1.0, 0.4, 2), None),
+        (lambda: _lognormal_pdf(5000, -2.14, 1.11, 3), (df.MU_BOUNDS[1], df.SIGMA_BOUNDS[0])),
+        (lambda: _lognormal_pdf(5000, -2.14, 1.11, 4), (0.0, 1.0)),
+        (_uniform_pdf, None),
+        (lambda: _lognormal_pdf(5000, -2.14, 1.11, 5), (1.9, 0.06)),
+    ],
+    ids=["seeded", "small_count", "start_on_bounds", "zero_start", "uniform_pinned",
+         "underflow_start"],
+)
+def test_lognormal_fit_takes_scipys_nelder_mead_steps(make_pdf, start):
+    pdf = make_pdf()
+    sse = _sse(pdf, df.trunc_lognormal_pdf, df.lognormal_unit_mass)
+    bounds = [df.MU_BOUNDS, df.SIGMA_BOUNDS]
+    x0 = start if start is not None else min(df._LOGNORMAL_GRID, key=sse)
+    ref = _scipy_nm(sse, x0, bounds)
+    assert ref.success
+    fit = df.fit_lognormal_lsq(pdf, start=start)
+    assert (fit.mu, fit.sigma) == tuple(ref.x)
+    assert fit.rms == math.sqrt(ref.fun / len(pdf.density))
+    x, fun, failure = df._nelder_mead(sse, [float(v) for v in x0], bounds, df._XATOL, 1e-12,
+                                      df._NM_MAXFEV)
+    assert (x, fun, failure) == (list(ref.x), ref.fun, None)
+
+
+def test_the_nelder_mead_cases_reach_their_corners():
+    # the parametrized cases above cover what they say they cover
+    assert df.fit_lognormal_lsq(_uniform_pdf()).mu == df.MU_BOUNDS[1]
+    assert df.lognormal_unit_mass(1.9, 0.06) <= 1e-300
+
+
+@pytest.mark.parametrize("make_pdf", [lambda: _lognormal_pdf(5000, -2.14, 1.11, 6), _uniform_pdf],
+                         ids=["seeded", "uniform"])
+def test_gamma_fit_takes_scipys_nelder_mead_steps(make_pdf):
+    pdf = make_pdf()
+    sse = _sse(pdf, df.trunc_gamma_pdf, df.gamma_unit_mass)
+    bounds = [df.GAMMA_SHAPE_BOUNDS, df.GAMMA_SCALE_BOUNDS]
+    x0 = [float(v) for v in min(df._GAMMA_GRID, key=sse)]
+    ref = _scipy_nm(sse, x0, bounds)
+    assert ref.success
+    assert df._nelder_mead(sse, x0, bounds, df._XATOL, 1e-12, df._NM_MAXFEV) == (
+        list(ref.x), ref.fun, None)
+
+
+def test_nelder_mead_out_of_evaluations_matches_scipy(monkeypatch):
+    # every budget from inside the first simplex to well into the search, so
+    # the budget runs out at each kind of step, in the middle of shrinks too
+    pdf = _lognormal_pdf(5000, -2.14, 1.11, 7)
+    sse = _sse(pdf, df.trunc_lognormal_pdf, df.lognormal_unit_mass)
+    bounds = [df.MU_BOUNDS, df.SIGMA_BOUNDS]
+    for maxfev in range(2, 80):
+        ref = _scipy_nm(sse, (0.0, 1.0), bounds, maxiter=maxfev, maxfev=maxfev)
+        assert not ref.success
+        assert df._nelder_mead(sse, [0.0, 1.0], bounds, df._XATOL, 1e-12, maxfev) == (
+            list(ref.x), ref.fun, ref.message)
+    monkeypatch.setattr(df, "_NM_MAXFEV", 40)
+    with pytest.raises(df.OptimizerDidNotConverge) as info:
+        df.fit_lognormal_lsq(pdf, start=(0.0, 1.0))
+    assert str(info.value) == f"log-normal fit did not converge: {ref.message}"
+
+
+def _exp_sse(pdf):
+    centers, density = pdf.centers(), np.asarray(pdf.density, float)
+
+    def sse(beta) -> float:
+        diff = df.exp_profile_pdf(centers, beta) - density
+        return float(diff @ diff)
+
+    return sse
+
+
+@pytest.mark.parametrize(
+    "make_pdf, beta_end",
+    [
+        (lambda: accumulate_pdf(df.sample_exp_profile(20_000, -25.0, RNG(8)),
+                                BinSpec("uniform", 50)), None),
+        (_uniform_pdf, df.BETA_BOUNDS[0]),
+        (lambda: accumulate_pdf(np.cbrt(1.0 - RNG(19).random(50_000)), BinSpec("uniform", 50)),
+         df.BETA_BOUNDS[1]),
+    ],
+    ids=["seeded", "uniform_steep_end", "convex_shallow_end"],
+)
+def test_exp_fit_takes_scipys_bounded_brent_steps(make_pdf, beta_end):
+    pdf = make_pdf()
+    sse = _exp_sse(pdf)
+    ref = optimize.minimize_scalar(sse, bounds=df.BETA_BOUNDS, method="bounded",
+                                   options={"xatol": df._EXP_XATOL, "maxiter": 500})
+    assert ref.success
+    fit = df.fit_exp_profile(pdf)
+    assert fit.beta == ref.x and fit.rms == math.sqrt(ref.fun / len(pdf.density))
+    if beta_end is not None:
+        assert fit.beta == pytest.approx(beta_end, abs=1e-5) and fit.at_bound
+    for maxfev in (500, 3, 8):
+        ref = optimize.minimize_scalar(sse, bounds=df.BETA_BOUNDS, method="bounded",
+                                       options={"xatol": df._EXP_XATOL, "maxiter": maxfev})
+        got = df._bounded_brent(sse, *df.BETA_BOUNDS, df._EXP_XATOL, maxfev)
+        assert got == (ref.x, ref.fun, None if ref.success else ref.message)
+
+
+def test_gamma_p_matches_scipy_over_the_fit_box():
+    from scipy.special import gammainc
+
+    worst = 0.0
+    for a in np.geomspace(*df.GAMMA_SHAPE_BOUNDS, 60):
+        for scale in np.geomspace(*df.GAMMA_SCALE_BOUNDS, 60):
+            ref = gammainc(a, 1.0 / scale)
+            worst = max(worst, abs(df._gamma_p(float(a), float(1.0 / scale)) - ref) / ref)
+    assert worst < 1e-13
+
+
+# -- the bootstrap's bin masses -----------------------------------------------------
+
+
+@pytest.mark.parametrize("mu,sigma", [(-2.14, 1.11), (-6.0, 0.05), (2.0, 0.3), (-0.5, 4.0)])
+def test_bootstrap_bin_masses_are_the_truncated_lognormal_cdf_steps(mu, sigma):
+    edges = np.linspace(0.0, 1.0, 51)
+    masses = df._trunc_lognormal_bin_masses(edges, mu, sigma)
+    law = stats.lognorm(sigma, scale=math.exp(mu))
+    unit = law.cdf(1.0)
+    ref = np.diff(law.cdf(edges)) / unit
+    assert sum(masses) == pytest.approx(1.0, abs=1e-12)
+    assert all(m >= 0.0 for m in masses)
+    big = ref > 1e-300
+    assert np.allclose(np.asarray(masses)[big], ref[big], rtol=1e-9, atol=0.0)
+
+
+def test_bootstrap_bin_masses_keep_upper_tail_mass():
+    # at mu = -6, sigma = 0.5 the bins above 0.2 lie more than 8.8 sigma
+    # above the median: 1 - CDF differences would cancel to 0 there
+    masses = df._trunc_lognormal_bin_masses(np.linspace(0.0, 1.0, 51), -6.0, 0.5)
+    ref = stats.lognorm(0.5, scale=math.exp(-6.0)).sf
+    assert masses[10] > 0.0 and masses[10] == pytest.approx(ref(0.2) - ref(0.22), rel=1e-9)
+
+
+def test_bootstrap_drops_mass_outside_the_edges():
+    # edges that cover only (0, 0.5]: the draws beyond it leave the density
+    masses = df._trunc_lognormal_bin_masses(np.linspace(0.0, 0.5, 26), -2.14, 1.11)
+    law = stats.lognorm(1.11, scale=math.exp(-2.14))
+    assert sum(masses) == pytest.approx(law.cdf(0.5) / law.cdf(1.0), rel=1e-12)
+
+
+
+def _terraced_bowls(count: int):
+    """Seeded bowls over the log-normal box, rounded to steps of 0.2, with starts.
+
+    The rounding makes exact ties between trial points common, so the
+    comparisons that differ only on a tie (``<`` against ``<=``) are taken.
+    Called with x alone, a bowl is its section at y = 0.
+    """
+    rnd = random.Random(1)
+    for _ in range(count):
+        cx, cy = rnd.uniform(-6.0, 2.0), rnd.uniform(0.05, 4.0)
+        x0 = [rnd.uniform(-6.0, 2.0), rnd.uniform(0.05, 4.0)]
+
+        def bowl(x, y=0.0, cx=cx, cy=cy):
+            return round(((x - cx) ** 2 + 3 * (y - cy) ** 2) / 0.2) * 0.2
+
+        yield bowl, x0
+
+
+def test_nelder_mead_breaks_ties_as_scipy_does():
+    bounds = [df.MU_BOUNDS, df.SIGMA_BOUNDS]
+    for bowl, x0 in _terraced_bowls(100):
+        sse = lambda v, bowl=bowl: bowl(*v)
+        for maxfev in (df._NM_MAXFEV, 2, 9, 33):
+            ref = _scipy_nm(sse, x0, bounds, maxiter=maxfev, maxfev=maxfev)
+            assert df._nelder_mead(sse, x0, bounds, df._XATOL, 1e-12, maxfev) == (
+                list(ref.x), ref.fun, None if ref.success else ref.message)
+
+
+def test_bounded_brent_breaks_ties_as_scipy_does():
+    for bowl, _ in _terraced_bowls(100):
+        ref = optimize.minimize_scalar(bowl, bounds=df.MU_BOUNDS, method="bounded",
+                                       options={"xatol": df._EXP_XATOL, "maxiter": 500})
+        got = df._bounded_brent(bowl, *df.MU_BOUNDS, df._EXP_XATOL, 500)
+        assert got == (ref.x, ref.fun, None if ref.success else ref.message)
