@@ -5,7 +5,7 @@ produces and the book coordinates captured for every cancellation.
 """
 from pathlib import Path
 
-from lobcancel import parse_stream, replay_day
+from lobcancel import LimitOrderBook, parse_stream, replay_day
 from lobcancel.orderflow import split_days
 
 STREAM = Path(__file__).resolve().parents[1] / "tests" / "data" / "classification_fixture.csv"
@@ -16,11 +16,15 @@ print(f"parsed {len(result.events)} events, {len(result.errors)} errors")
 ((key, events),) = split_days(result.events).items()
 print(f"instrument {key[0]}, trading day {key[1]}")
 
-day = replay_day(events, collect_trades=True)
-
+# The stream is all continuous-session events, so a bare book applies them in
+# the order replay_day does; it shows the trades each submission makes.
+book = LimitOrderBook()
 print("\ntrades (maker, taker, price, size):")
-for t in day.trades:
-    print(f"  {t.maker_id} <- {t.taker_id}  @ {t.price_ticks} x {t.size}")
+for ev in events:
+    for t in book.apply(ev).trades:
+        print(f"  {t.maker_id} <- {t.taker_id}  @ {t.price_ticks} x {t.size}")
+
+day = replay_day(events)
 
 print("\ncancellations (1 = best level / front of queue):")
 print("  side  level_rank/levels  queue_rank/queue  rel_level  norm_level  queue_frac")

@@ -104,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cancels", default=None, help="cancels.csv (default: sibling of profiles)")
     p.add_argument("--out", required=True, help="output fits.json path")
     p.add_argument("--models", default=DEFAULT_MODELS, help=f"comma list from {ALL_MODELS}")
-    p.add_argument("--repeats", type=int, default=1000, help="Monte Carlo goodness-of-fit repeats")
+    p.add_argument("--repeats", type=_int_at_least(1), default=1000,
+                   help="Monte Carlo goodness-of-fit repeats")
     p.add_argument("--seed", type=_int_at_least(0), default=0)
 
     p = sub.add_parser("gen", parents=[common], help="generate a synthetic order-flow stream")
@@ -237,25 +238,22 @@ def _replay_files(
                     n_events += 1
                     yield item
 
-    profiles: dict[str, InstrumentProfile] = {}
+    run = ProfileRun()
     parts: dict[str, str] = {}
     for day_events in stream_days(events(), in_date_order=in_date_order):
         if not failed:  # once a row fails the command fails: parse on, replay no more
-            _add_day(replay_day(day_events), profiles, parts, parts_dir)
-    return profiles, parts, n_events, errors
+            _add_day(replay_day(day_events), run, parts, parts_dir)
+    return run.per_instrument, parts, n_events, errors
 
 
-def _add_day(day: DayResult, profiles: dict[str, InstrumentProfile], parts: dict[str, str],
-             parts_dir: str) -> None:
-    """Count a replayed day into its instrument and append its cancels to the
+def _add_day(day: DayResult, run: ProfileRun, parts: dict[str, str], parts_dir: str) -> None:
+    """Count a replayed day into the run and append its cancels to the
     instrument's part file; the day's result is dropped on return."""
-    code = day.instrument
-    profile = profiles.get(code)
-    if profile is None:
-        profile = profiles[code] = InstrumentProfile(code)
-        parts[code] = os.path.join(parts_dir, f"{len(parts)}.csv")
-    profile.add_day(day)
-    reportio.cancels_csv(parts[code], day.observations)
+    part = parts.get(day.instrument)
+    if part is None:
+        part = parts[day.instrument] = os.path.join(parts_dir, f"{len(parts)}.csv")
+    run.add_day(day)
+    reportio.cancels_csv(part, day.observations)
 
 
 def _profile_job(
@@ -511,8 +509,6 @@ def cmd_fit(args) -> int:
     unknown = [m for m in models if m not in ALL_MODELS]
     if unknown:
         raise UsageError(f"unknown models {unknown}; choose from {ALL_MODELS}")
-    if args.repeats < 1:
-        raise UsageError("--repeats must be >= 1")
     payload = _load_json(args.profiles)
     if payload.get("kind") != "profiles":
         raise InputDataError(f"schema error at $.kind in {args.profiles}: expected 'profiles'")

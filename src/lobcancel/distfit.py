@@ -58,6 +58,7 @@ GAMMA_SCALE_BOUNDS = (1e-3, 20.0)
 MIN_FIT_BINS = 10
 MIN_TAIL_SIZE = 50
 MAX_TAIL_CANDIDATES = 500
+EXP_SAMPLE_GRID = 4096  # points of sample_exp_profile's tabulated inverse CDF
 _XATOL = 1e-7  # Nelder-Mead refinement tolerance in parameter space
 _NM_MAXFEV = 4000  # Nelder-Mead's limit on both iterations and evaluations
 _EXP_XATOL = 1e-6  # bounded Brent tolerance of the exponential profile's beta
@@ -190,9 +191,9 @@ def sample_pareto(n: int, alpha: float, xmin: float, rng) -> np.ndarray:
     return xmin * u ** (-1.0 / (alpha - 1.0))
 
 
-def sample_exp_profile(n: int, beta: float, rng, grid: int = 4096) -> np.ndarray:
+def sample_exp_profile(n: int, beta: float, rng) -> np.ndarray:
     """Draws from (1 - e^(beta*y))/norm on (0, 1] via a tabulated inverse CDF."""
-    y = np.linspace(0.0, 1.0, grid + 1)
+    y = np.linspace(0.0, 1.0, EXP_SAMPLE_GRID + 1)
     cdf = (y - (np.exp(beta * y) - 1.0) / beta) / exp_profile_norm(beta)
     cdf[0] = 0.0
     cdf[-1] = 1.0
@@ -429,17 +430,12 @@ def pareto_ks(tail: np.ndarray, xmin: float, alpha: float) -> float:
     return float(np.max(np.abs(empirical - model)))
 
 
-def fit_powerlaw_tail(
-    samples,
-    *,
-    min_tail: int = MIN_TAIL_SIZE,
-    max_candidates: int = MAX_TAIL_CANDIDATES,
-) -> PowerLawFit:
+def fit_powerlaw_tail(samples) -> PowerLawFit:
     """Power-law tail fit with KS-scanned threshold and MLE exponent.
 
     Candidate thresholds are the unique sample values whose strict tail keeps
-    at least ``min_tail`` points; when more than ``max_candidates`` qualify
-    the scan is thinned evenly by rank (keeping both extremes) for speed. For
+    at least ``MIN_TAIL_SIZE`` points; when more than ``MAX_TAIL_CANDIDATES``
+    qualify the scan is thinned evenly by rank (keeping both extremes). For
     each candidate the exponent comes from the closed-form MLE over the tail
     and the candidate minimizing the KS distance wins.
     """
@@ -451,11 +447,12 @@ def fit_powerlaw_tail(
         raise ValueError("samples must be positive")
     uniq = np.unique(xs)
     tail_sizes = n - np.searchsorted(xs, uniq, side="right")
-    candidates = uniq[tail_sizes >= min_tail]
+    candidates = uniq[tail_sizes >= MIN_TAIL_SIZE]
     if candidates.size == 0:
-        raise TailTooSmall(f"no threshold leaves >= {min_tail} tail points")
-    if candidates.size > max_candidates:
-        keep = np.unique(np.round(np.linspace(0, candidates.size - 1, max_candidates)).astype(int))
+        raise TailTooSmall(f"no threshold leaves >= {MIN_TAIL_SIZE} tail points")
+    if candidates.size > MAX_TAIL_CANDIDATES:
+        keep = np.unique(np.round(
+            np.linspace(0, candidates.size - 1, MAX_TAIL_CANDIDATES)).astype(int))
         candidates = candidates[keep]
 
     log_xs = np.log(xs)

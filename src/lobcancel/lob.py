@@ -75,12 +75,6 @@ class RestingOrder:
     tag: object = None  # the caller's per-order state; the book never reads it
 
 
-@dataclass(slots=True, eq=False)
-class PriceLevel:
-    price_ticks: int
-    queue: deque[RestingOrder]
-
-
 class Trade(NamedTuple):
     maker_id: int
     taker_id: int
@@ -185,7 +179,7 @@ def gc_paused():
 
 
 class _BookSide:
-    """One ladder: levels keyed by price, plus the sorted priority-signed prices.
+    """One ladder: each price's FIFO queue, plus the sorted priority-signed prices.
 
     ``keys`` holds ``sign * price`` for every occupied level in ascending
     order, so ``keys[0]`` is the best price and ``keys[rank - 1]`` the level
@@ -197,7 +191,7 @@ class _BookSide:
     def __init__(self, side: Side):
         # Buy prices are negated so ascending keys run from the best price.
         self.sign = -1 if side is Side.BUY else 1
-        self.levels: dict[int, PriceLevel] = {}
+        self.levels: dict[int, deque[RestingOrder]] = {}
         self.keys: list[int] = []
         self.order_count = 0
         self.total_size = 0
@@ -219,12 +213,11 @@ class _BookSide:
         return [sign * key for key in self.keys]
 
     def add_order(self, order: RestingOrder) -> None:
-        level = self.levels.get(order.price_ticks)
-        if level is None:
-            level = PriceLevel(order.price_ticks, deque())
-            self.levels[order.price_ticks] = level
+        queue = self.levels.get(order.price_ticks)
+        if queue is None:
+            queue = self.levels[order.price_ticks] = deque()
             insort(self.keys, self.sign * order.price_ticks)
-        level.queue.append(order)
+        queue.append(order)
         self.order_count += 1
         self.total_size += order.remaining_size
 
@@ -277,7 +270,7 @@ class LimitOrderBook:
 
         while remaining > 0 and opp_keys and opp_keys[0] <= cross_key:
             best = opp.sign * opp_keys[0]
-            queue = opp.levels[best].queue
+            queue = opp.levels[best]
             while remaining > 0 and queue:
                 maker = queue[0]
                 take = maker.remaining_size
@@ -323,7 +316,7 @@ class LimitOrderBook:
         book_side = self.buy if order.side is _BUY else self.sell
         keys = book_side.keys
         price = order.price_ticks
-        queue = book_side.levels[price].queue
+        queue = book_side.levels[price]
         rank = book_side.rank(price)
         pos = queue.index(order) + 1
         self.cancel_count += 1
@@ -357,13 +350,13 @@ class LimitOrderBook:
         order = self.index.get(order_id)
         if order is None:
             raise UnknownOrder(f"order {order_id} not resting")
-        queue = self._side(order.side).levels[order.price_ticks].queue
+        queue = self._side(order.side).levels[order.price_ticks]
         return queue.index(order) + 1
 
     def snapshot_depth(self, side: Side) -> tuple[int, int, list[int]]:
         """(occupied levels, resting orders, per-level queue lengths) for a side."""
         book_side = self._side(side)
-        sizes = [len(book_side.levels[p].queue) for p in book_side.sorted_prices()]
+        sizes = [len(book_side.levels[p]) for p in book_side.sorted_prices()]
         return len(sizes), book_side.order_count, sizes
 
     # -- diagnostics ----------------------------------------------------------
@@ -376,7 +369,7 @@ class LimitOrderBook:
                     "price_ticks": price,
                     "queue": [
                         {"order_id": o.order_id, "remaining_size": o.remaining_size}
-                        for o in side.levels[price].queue
+                        for o in side.levels[price]
                     ],
                 }
                 for price in side.sorted_prices()
@@ -393,11 +386,11 @@ class LimitOrderBook:
         for side_obj, side in ((self.buy, Side.BUY), (self.sell, Side.SELL)):
             count = 0
             total = 0
-            for price, level in side_obj.levels.items():
-                assert level.queue, f"empty level {price} retained"
-                arrivals = [o.arrival_seq for o in level.queue]
+            for price, queue in side_obj.levels.items():
+                assert queue, f"empty level {price} retained"
+                arrivals = [o.arrival_seq for o in queue]
                 assert arrivals == sorted(arrivals), "queue not in arrival order"
-                for order in level.queue:
+                for order in queue:
                     assert order.remaining_size > 0
                     assert order.price_ticks == price and order.side is side
                     assert self.index.get(order.order_id) is order, "index out of sync"

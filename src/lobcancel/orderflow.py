@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from datetime import date, datetime, time
 from enum import Enum
 from sys import intern
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 
 class Side(Enum):
@@ -43,7 +43,6 @@ class SessionPhase(Enum):
 
 
 CONTINUOUS_PHASES = frozenset({SessionPhase.CONTINUOUS_AM, SessionPhase.CONTINUOUS_PM})
-HELD_PHASES = frozenset({SessionPhase.OPENING_CALL, SessionPhase.COOL})
 
 # Phase boundaries in time-of-day order; each phase runs half-open from one
 # boundary to the next, so bisect_right maps a time of day to its phase.
@@ -133,20 +132,13 @@ _KINDS = {kind.value: kind for kind in EventKind}
 _SIDES = {side.value: side for side in Side}
 
 
-def _iter_lines(source: str | bytes | IO | Iterable[str]) -> Iterator[str]:
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
-    if isinstance(source, str):
-        yield from source.splitlines()
-    else:
-        for line in source:
-            yield line.rstrip("\r\n")
-
-
 def iter_parse(
-    source: str | bytes | IO | Iterable[str], *, in_date_order: bool = False
+    source: str | Iterable[str], *, in_date_order: bool = False
 ) -> Iterator[OrderEvent | ParseError]:
     """Parse an order-flow CSV lazily, yielding an OrderEvent or a ParseError per record.
+
+    ``source`` is the whole text, split with ``str.splitlines``, or any
+    iterable of lines, such as an open text file; each line is stripped.
 
     Every bad record yields a ParseError with its line number and is skipped;
     parsing continues. Validation covers the header, column count, field
@@ -162,7 +154,7 @@ def iter_parse(
     back to an earlier date raises DaysOutOfOrder; the records yielded up to
     then are those of the default mode.
     """
-    lines = _iter_lines(source)
+    lines = iter(source.splitlines() if isinstance(source, str) else source)
 
     header = next(lines, None)
     if header is None or header.strip() != HEADER:
@@ -271,7 +263,7 @@ def iter_parse(
         )
 
 
-def parse_stream(source: str | bytes | IO | Iterable[str]) -> ParseResult:
+def parse_stream(source: str | Iterable[str]) -> ParseResult:
     """Parse an order-flow CSV into events plus structured errors (see iter_parse)."""
     result = ParseResult()
     events, errors = result.events.append, result.errors.append

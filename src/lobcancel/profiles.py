@@ -28,7 +28,6 @@ from .lob import (
     DanglingCancel,
     DuplicateOrderId,
     LimitOrderBook,
-    Trade,
     gc_paused,
 )
 from .orderflow import (
@@ -146,9 +145,15 @@ class SideAccumulator:
     norm_levels: array = field(default_factory=lambda: array("d"))
     orders_by_class: Counter = field(default_factory=Counter)
     cancelled_by_class: Counter = field(default_factory=Counter)
-    orders_total: int = 0
-    cancelled_orders: int = 0
     cancel_events: int = 0
+
+    @property
+    def orders_total(self) -> int:
+        return self.orders_by_class.total()
+
+    @property
+    def cancelled_orders(self) -> int:
+        return self.cancelled_by_class.total()
 
     def merge(self, other: "SideAccumulator") -> None:
         self.rel_level_counts.update(other.rel_level_counts)
@@ -156,8 +161,6 @@ class SideAccumulator:
         self.norm_levels.extend(other.norm_levels)
         self.orders_by_class.update(other.orders_by_class)
         self.cancelled_by_class.update(other.cancelled_by_class)
-        self.orders_total += other.orders_total
-        self.cancelled_orders += other.cancelled_orders
         self.cancel_events += other.cancel_events
 
 
@@ -169,7 +172,6 @@ class DayResult:
     diagnostics: Counter
     buy: SideAccumulator
     sell: SideAccumulator
-    trades: list[Trade] | None = None
 
     @property
     def lifecycles(self) -> dict[int, OrderLifecycle]:
@@ -178,9 +180,7 @@ class DayResult:
 
 
 @gc_paused()
-def replay_day(
-    events: Iterable[OrderEvent], *, collect_trades: bool = False
-) -> DayResult:
+def replay_day(events: Iterable[OrderEvent]) -> DayResult:
     """Replay one instrument-day (events in stream order) through a fresh book.
 
     ``events`` is read once, front to back, so a draining iterator frees each
@@ -194,15 +194,15 @@ def replay_day(
     observations: list[CancelObservation] = []
     diagnostics: Counter = Counter()
     buy_acc, sell_acc = SideAccumulator(), SideAccumulator()
-    trades: list[Trade] | None = [] if collect_trades else None
     instrument = ""
 
     held: list[OrderEvent] = []
     flushed = False
 
     # Members bound once, and identity tests against the members of
-    # orderflow.CONTINUOUS_PHASES and HELD_PHASES: set membership would hash
-    # the phase through Enum.__hash__, which runs in Python.
+    # orderflow.CONTINUOUS_PHASES and the held opening-call and cool phases:
+    # set membership would hash the phase through Enum.__hash__, which runs
+    # in Python.
     am, pm = SessionPhase.CONTINUOUS_AM, SessionPhase.CONTINUOUS_PM
     call, cool = SessionPhase.OPENING_CALL, SessionPhase.COOL
     cancel = EventKind.CANCEL
@@ -234,7 +234,6 @@ def replay_day(
                 acc.cancel_events += 1
                 if not life.cancelled_in_scope:
                     life.cancelled_in_scope = True
-                    acc.cancelled_orders += 1
                     acc.cancelled_by_class[life.klass] += 1
             elif not continuous:
                 diagnostics["cancels_outside_continuous"] += 1
@@ -259,16 +258,12 @@ def replay_day(
             except DuplicateOrderId:
                 diagnostics["duplicate_order_ids"] += 1
                 return
-            fills = outcome.trades
-            if fills and trades is not None:
-                trades.extend(fills)
             rested = outcome.rested is not None
             klass = classify_submission(
-                ev.side, ev.price_ticks, pre_bid, pre_ask, bool(fills), rested
+                ev.side, ev.price_ticks, pre_bid, pre_ask, bool(outcome.trades), rested
             )
             if continuous:
                 acc = buy_acc if ev.side is _BUY else sell_acc
-                acc.orders_total += 1
                 acc.orders_by_class[klass] += 1
             if rested:
                 resting[ev.order_id].tag = OrderLifecycle(klass, continuous)
@@ -290,7 +285,7 @@ def replay_day(
     for held_ev in held:  # no continuous event ever arrived
         apply_one(held_ev, phase_of(held_ev.timestamp))
 
-    return DayResult(instrument, book, observations, diagnostics, buy_acc, sell_acc, trades)
+    return DayResult(instrument, book, observations, diagnostics, buy_acc, sell_acc)
 
 
 # -- accumulation ---------------------------------------------------------------
@@ -319,7 +314,14 @@ class InstrumentProfile:
 
 @dataclass
 class ProfileRun:
-    per_instrument: dict[str, InstrumentProfile]
+    per_instrument: dict[str, InstrumentProfile] = field(default_factory=dict)
+
+    def add_day(self, day: DayResult) -> None:
+        """Count a replayed day into its instrument's profile."""
+        profile = self.per_instrument.get(day.instrument)
+        if profile is None:
+            profile = self.per_instrument[day.instrument] = InstrumentProfile(day.instrument)
+        profile.add_day(day)
 
     def ensemble(self) -> InstrumentProfile:
         """Pooled accumulator over all instruments (raw-sample weighting)."""
@@ -331,14 +333,10 @@ class ProfileRun:
 
 def profile_events(events: Iterable[OrderEvent]) -> ProfileRun:
     """Replay every instrument-day in (instrument, day) order and pool the results."""
-    per_instrument: dict[str, InstrumentProfile] = {}
+    run = ProfileRun()
     for day_events in stream_days(events):
-        day = replay_day(day_events)
-        profile = per_instrument.get(day.instrument)
-        if profile is None:
-            profile = per_instrument[day.instrument] = InstrumentProfile(day.instrument)
-        profile.add_day(day)
-    return ProfileRun(per_instrument)
+        run.add_day(replay_day(day_events))
+    return run
 
 
 # -- ratio report ----------------------------------------------------------------
@@ -388,9 +386,10 @@ def ratio_report(acc: SideAccumulator) -> SideRatios:
 
 # -- empirical densities ----------------------------------------------------------
 
-# numpy is imported inside the functions that bin or measure a density, not at
-# the top: its import is about half of the CLI's start-up, and `gen`,
-# `validate` and `report` never build a density.
+# numpy is imported inside the functions that build a density, not at the
+# top: its import is about half of the CLI's start-up, and `gen`, `validate`
+# and `report` never build one. EmpiricalPdf measures its arrays with their
+# own operators.
 
 
 class PdfError(ValueError):
@@ -413,12 +412,11 @@ DEFAULT_UNIT_BINS = 50
 
 @dataclass(frozen=True)
 class BinSpec:
-    """Histogram layout: k uniform bins on (0, 1] or k log-uniform bins."""
+    """Histogram layout: k uniform bins on (0, 1] or k log-uniform bins
+    spanning the samples."""
 
     kind: str  # "uniform" | "log_uniform"
     bins: int
-    lo: float | None = None  # log_uniform only; defaults to sample min
-    hi: float | None = None  # log_uniform only; defaults to sample max
 
     def __post_init__(self) -> None:
         if self.kind not in ("uniform", "log_uniform"):
@@ -440,27 +438,20 @@ class EmpiricalPdf:
     domain: str
 
     def widths(self) -> np.ndarray:
-        import numpy as np
-
-        return np.diff(self.bin_edges)
+        edges = self.bin_edges
+        return edges[1:] - edges[:-1]
 
     def centers(self) -> np.ndarray:
-        import numpy as np
-
         edges = self.bin_edges
         if self.domain == POSITIVE_RAY:
-            return np.sqrt(edges[:-1] * edges[1:])
+            return (edges[:-1] * edges[1:]) ** 0.5
         return 0.5 * (edges[:-1] + edges[1:])
 
     def integral(self) -> float:
-        import numpy as np
-
-        return float(np.sum(self.density * self.widths()))
+        return float((self.density * self.widths()).sum())
 
     def nonempty_bins(self) -> int:
-        import numpy as np
-
-        return int(np.count_nonzero(self.density))
+        return int((self.density != 0).sum())
 
     def to_dict(self) -> dict:
         return {
@@ -469,15 +460,6 @@ class EmpiricalPdf:
             "count": self.count,
             "domain": self.domain,
         }
-
-
-def pdf_from_edges(
-    samples: np.ndarray, edges: np.ndarray, domain: str, weights: np.ndarray | None = None
-) -> EmpiricalPdf:
-    import numpy as np
-
-    counts, _ = np.histogram(samples, bins=edges, weights=weights)
-    return pdf_from_counts(counts, edges, domain)
 
 
 def pdf_from_counts(counts: np.ndarray, edges: np.ndarray, domain: str) -> EmpiricalPdf:
@@ -496,8 +478,7 @@ def accumulate_pdf(samples, spec: BinSpec, weights=None) -> EmpiricalPdf:
     ``weights``, when given, holds a positive integer count per sample: the
     density is that of each sample repeated so many times. Raises EmptySample
     on no data and SampleOutsideDomain when a sample falls outside (0, 1]
-    for uniform bins or outside the positive reals (or an explicit [lo, hi])
-    for log-uniform bins.
+    for uniform bins or outside the positive reals for log-uniform bins.
     """
     import numpy as np
 
@@ -509,22 +490,18 @@ def accumulate_pdf(samples, spec: BinSpec, weights=None) -> EmpiricalPdf:
     if spec.kind == "uniform":
         if np.any(xs <= 0.0) or np.any(xs > 1.0):
             raise SampleOutsideDomain("samples must lie in (0, 1]")
-        edges = np.linspace(0.0, 1.0, spec.bins + 1)
-        return pdf_from_edges(xs, edges, UNIT_INTERVAL, weights)
-    if np.any(xs <= 0.0):
-        raise SampleOutsideDomain("samples must be positive")
-    lo = spec.lo if spec.lo is not None else float(xs.min())
-    hi = spec.hi if spec.hi is not None else float(xs.max())
-    if lo <= 0.0:
-        raise SampleOutsideDomain("log-uniform bins need a positive lower edge")
-    if not hi > lo:
-        raise PdfError("degenerate bin range: all samples identical")
-    if np.any(xs < lo) or np.any(xs > hi):
-        raise SampleOutsideDomain(f"samples outside [{lo}, {hi}]")
-    edges = np.geomspace(lo, hi, spec.bins + 1)
-    edges[0] = lo
-    edges[-1] = hi
-    return pdf_from_edges(xs, edges, POSITIVE_RAY, weights)
+        edges, domain = np.linspace(0.0, 1.0, spec.bins + 1), UNIT_INTERVAL
+    else:
+        if np.any(xs <= 0.0):
+            raise SampleOutsideDomain("samples must be positive")
+        lo, hi = float(xs.min()), float(xs.max())
+        if not hi > lo:
+            raise PdfError("degenerate bin range: all samples identical")
+        edges, domain = np.geomspace(lo, hi, spec.bins + 1), POSITIVE_RAY
+        edges[0] = lo
+        edges[-1] = hi
+    counts, _ = np.histogram(xs, bins=edges, weights=weights)
+    return pdf_from_counts(counts, edges, domain)
 
 
 def count_pdf(counts: dict[tuple[int, int], int], spec: BinSpec) -> EmpiricalPdf:

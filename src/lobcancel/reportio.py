@@ -1,11 +1,13 @@
 """Deterministic serialization of profile and fit results.
 
 Output artifacts must be byte-identical across runs with the same inputs and
-seed, so JSON is rendered by hand: keys sorted, floats printed with 17
-significant digits, no locale or hash-order dependence anywhere.
+seed, so JSON is rendered by hand: keys sorted, two-space indents, floats
+printed with 17 significant digits, no locale or hash-order dependence
+anywhere. Strings are quoted by the json module.
 """
 from __future__ import annotations
 
+import json
 import math
 import os
 import shutil
@@ -39,17 +41,17 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def render_json(obj, indent: int = 2) -> str:
+def render_json(obj) -> str:
     """Render JSON with sorted keys and fixed float formatting."""
     pieces: list[str] = []
-    _render(obj, pieces, 0, indent)
+    _render(obj, pieces, 0)
     pieces.append("\n")
     return "".join(pieces)
 
 
-def _render(obj, out: list[str], level: int, indent: int) -> None:
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
+def _render(obj, out: list[str], level: int) -> None:
+    pad = "  " * (level + 1)
+    close_pad = "  " * level
     if obj is None:
         out.append("null")
     elif obj is True:
@@ -57,7 +59,7 @@ def _render(obj, out: list[str], level: int, indent: int) -> None:
     elif obj is False:
         out.append("false")
     elif isinstance(obj, str):
-        out.append(_escape(obj))
+        out.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
@@ -72,9 +74,9 @@ def _render(obj, out: list[str], level: int, indent: int) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
             out.append(pad)
-            out.append(_escape(key))
+            out.append(json.dumps(key, ensure_ascii=False))
             out.append(": ")
-            _render(obj[key], out, level + 1, indent)
+            _render(obj[key], out, level + 1)
             out.append(",\n" if i < len(keys) - 1 else "\n")
         out.append(close_pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -84,32 +86,11 @@ def _render(obj, out: list[str], level: int, indent: int) -> None:
         out.append("[\n")
         for i, item in enumerate(obj):
             out.append(pad)
-            _render(item, out, level + 1, indent)
+            _render(item, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(close_pad + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
-
-
-def _escape(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
 
 
 def write_text(path: str | os.PathLike, text: str) -> None:
@@ -147,7 +128,7 @@ def _side_payload(acc: SideAccumulator, unit_bins: int, log_bins: int) -> dict:
             "cancelled": cr.cancelled,
             "ratio": cr.ratio,
         }
-    payload = {
+    return {
         "orders": ratios.orders,
         "cancelled_orders": ratios.cancelled_orders,
         "cancel_events": ratios.cancel_events,
@@ -160,7 +141,6 @@ def _side_payload(acc: SideAccumulator, unit_bins: int, log_bins: int) -> dict:
         "pdf_queue_frac": _safe_pdf(count_pdf, acc.queue_frac_counts,
                                     BinSpec("uniform", unit_bins)),
     }
-    return payload
 
 
 def _safe_pdf(build, data, spec: BinSpec) -> dict | None:

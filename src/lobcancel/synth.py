@@ -194,22 +194,17 @@ def generate_stream(config: GenConfig) -> list[OrderEvent]:
     def emit_limit(side: Side) -> None:
         # Placement depth follows the level law so per-level inflow balances
         # the law-shaped cancellation outflow and queues keep their depth.
-        # Front placements step inside the spread when a gap is open.
+        # Front placements step inside the spread when a gap is open. ``away``
+        # steps from the side's best price toward its worse ones.
         nonlocal next_id
         bid, ask = book.best_bid(), book.best_ask()
+        own, opp, away = (bid, ask, -1) if side is buy else (ask, bid, 1)
         offset = level_sampler.draw(band) - 1
-        if side is buy:
-            if offset == 0 and bid is not None and ask is not None and ask - bid > 1 and rng.random() < 0.5:
-                price = bid + 1
-            else:
-                anchor = bid if bid is not None else (ask - 1 if ask is not None else config.mid_price_ticks)
-                price = anchor - offset
+        if offset == 0 and bid is not None and ask is not None and ask - bid > 1 and rng.random() < 0.5:
+            price = own - away
         else:
-            if offset == 0 and bid is not None and ask is not None and ask - bid > 1 and rng.random() < 0.5:
-                price = ask - 1
-            else:
-                anchor = ask if ask is not None else (bid + 1 if bid is not None else config.mid_price_ticks)
-                price = anchor + offset
+            anchor = own if own is not None else (opp + away if opp is not None else config.mid_price_ticks)
+            price = anchor + away * offset
         emit(limit, side, max(price, 1), rng.randrange(1, 11) * 100, next_id)
         next_id += 1
 
@@ -245,7 +240,7 @@ def generate_stream(config: GenConfig) -> list[OrderEvent]:
         )
         if want_cancel and own.order_count > min_side_orders:
             rank = level_sampler.draw(len(own.keys))
-            queue = own.levels[own.price_at(rank)].queue
+            queue = own.levels[own.price_at(rank)]
             victim = queue[queue_sampler.draw(len(queue)) - 1]
             emit(cancel, side, victim.price_ticks, 0, victim.order_id)
         elif config.limit_share <= u < cancel_cut and opp.order_count > min_side_orders:
@@ -275,7 +270,6 @@ class QueueSimConfig:
 
 @dataclass
 class QueueSimResult:
-    n_queues: int
     mass_values: np.ndarray  # distinct relative positions, ascending
     mass_probs: np.ndarray   # occurrence probability of each value
     pdf: EmpiricalPdf        # the same draws, binned on the standard grid
@@ -314,7 +308,6 @@ def simulate_uniform_queues(config: QueueSimConfig) -> QueueSimResult:
     rel = positions / lengths
     values, counts = np.unique(rel, return_counts=True)
     return QueueSimResult(
-        n_queues=config.n_queues,
         mass_values=values,
         mass_probs=counts / config.n_queues,
         pdf=accumulate_pdf(rel, UNIT_BIN_SPEC),

@@ -262,9 +262,10 @@ def test_ks_matches_brute_force():
     assert abs(brute_low - got) <= 1.0 / m + 1e-12
 
 
-def test_powerlaw_candidate_thinning_keeps_extremes():
+def test_powerlaw_candidate_thinning_keeps_extremes(monkeypatch):
+    monkeypatch.setattr(df, "MAX_TAIL_CANDIDATES", 100)
     xs = df.sample_pareto(50_000, 2.5, 1.0, RNG(31))
-    fit = df.fit_powerlaw_tail(xs, max_candidates=100)
+    fit = df.fit_powerlaw_tail(xs)
     # pure power-law data: the scan must still reach the smallest thresholds
     assert fit.xmin < 1.5
     assert fit.tail_size > 10_000

@@ -482,9 +482,7 @@ def test_conservation_after_every_event():
             if outcome.rested is not None:
                 rested[ev.side] += ev.size - sum(t.size for t in outcome.trades)
         for side, attr in ((Side.BUY, book.buy), (Side.SELL, book.sell)):
-            total = sum(
-                o.remaining_size for lvl in attr.levels.values() for o in lvl.queue
-            )
+            total = sum(o.remaining_size for queue in attr.levels.values() for o in queue)
             assert total == rested[side] - filled[side] - cancelled[side]
         book.check_invariants()
 
