@@ -15,6 +15,7 @@ import shutil
 import sys
 import tempfile
 import zlib
+from contextlib import contextmanager
 from itertools import chain
 from typing import Iterator
 
@@ -145,7 +146,7 @@ def _with_config_flags(args, argv: list[str]) -> list[str]:
             overrides = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
         raise UsageError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(overrides, dict):
         raise UsageError("config file must hold a JSON object of flag values")
@@ -159,6 +160,15 @@ def _with_config_flags(args, argv: list[str]) -> list[str]:
         flags.append(f"--{attr.replace('_', '-')}={value}")
     at = argv.index(args.command) + 1
     return [*argv[:at], *flags, *argv[at:]]
+
+
+@contextmanager
+def _writing(path: str):
+    """Run a block that writes ``path``; an OSError in it is a usage error (exit 2)."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from exc
 
 
 # -- validate -------------------------------------------------------------------
@@ -341,10 +351,11 @@ def cmd_profile(args) -> int:
         )
         if not n_events:
             raise UsageError("empty input: no events to profile")
-        os.makedirs(args.out, exist_ok=True)
         payload = reportio.profiles_payload(run, unit_bins=args.bins, log_bins=args.log_bins)
-        reportio.write_text(os.path.join(args.out, "profiles.json"), reportio.render_json(payload))
-        reportio.join_cancels_csv(os.path.join(args.out, "cancels.csv"), parts)
+        with _writing(args.out):
+            os.makedirs(args.out, exist_ok=True)
+            reportio.write_text(os.path.join(args.out, "profiles.json"), reportio.render_json(payload))
+            reportio.join_cancels_csv(os.path.join(args.out, "cancels.csv"), parts)
     n_cancels = sum(
         len(p.buy.norm_levels) + len(p.sell.norm_levels) for p in run.per_instrument.values()
     )
@@ -364,11 +375,23 @@ def _load_json(path: str) -> dict:
             payload = json.load(fh)
     except OSError as exc:
         raise InputDataError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
         raise InputDataError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise InputDataError(f"schema error at $ in {path}: expected a JSON object")
     return payload
+
+
+def _profile_blocks(path: str) -> list:
+    """The instrument blocks of the profiles.json at ``path``, then its ensemble block."""
+    payload = _load_json(path)
+    if payload.get("kind") != "profiles":
+        raise InputDataError(f"schema error at $.kind in {path}: expected 'profiles'")
+    instruments, ensemble = payload.get("instruments"), payload.get("ensemble")
+    if not isinstance(instruments, list) or not isinstance(ensemble, dict):
+        raise InputDataError(f"schema error at $.instruments/$.ensemble in {path}: "
+                             "expected a list and an object")
+    return [*instruments, ensemble]
 
 
 def _pdf_from_payload(payload: dict | None, where: str) -> EmpiricalPdf | None:
@@ -417,7 +440,7 @@ def _load_norm_level_samples(path: str) -> dict[tuple[str, str], list[float]]:
     samples: dict[tuple[str, str], list[float]] = {}
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
+            reader = csv.reader(fh, quoting=csv.QUOTE_NONE)  # as `profile` wrote it
             header = next(reader, [])
             width = len(header)
             inst, side, prof, col_rank, col_levels, col_at, col_on = (
@@ -509,24 +532,17 @@ def cmd_fit(args) -> int:
     unknown = [m for m in models if m not in ALL_MODELS]
     if unknown:
         raise UsageError(f"unknown models {unknown}; choose from {ALL_MODELS}")
-    payload = _load_json(args.profiles)
-    if payload.get("kind") != "profiles":
-        raise InputDataError(f"schema error at $.kind in {args.profiles}: expected 'profiles'")
-    try:
-        instruments = list(payload["instruments"])
-        ensemble = payload["ensemble"]
-    except (KeyError, TypeError) as exc:
-        raise InputDataError(f"schema error at $.instruments/$.ensemble: {exc!r}") from exc
-
+    blocks = _profile_blocks(args.profiles)
     norm_samples = None
-    if "powerlaw" in models:
+    if "powerlaw" in models:  # an explicit --cancels must exist, the default sibling may not
         cancels_path = args.cancels or os.path.join(os.path.dirname(args.profiles), "cancels.csv")
-        norm_samples = _load_norm_level_samples(cancels_path) if os.path.exists(cancels_path) else None
+        if args.cancels or os.path.exists(cancels_path):
+            norm_samples = _load_norm_level_samples(cancels_path)
 
     # Every density is read and checked before the first fit runs.
     keys = {_BODY_MODELS[m][0] for m in models if m in _BODY_MODELS}
     jobs = []
-    for block in instruments + [ensemble]:
+    for block in blocks:
         try:
             instrument = block["instrument"]
             sides = block["sides"]
@@ -545,7 +561,8 @@ def cmd_fit(args) -> int:
             _fit_entry(instrument, side, pdfs, models, norm_samples, args.repeats, args.seed)
         )
     config = {"models": models, "repeats": args.repeats, "seed": args.seed}
-    reportio.write_text(args.out, reportio.render_json(reportio.fits_payload(entries, config)))
+    with _writing(args.out):
+        reportio.write_text(args.out, reportio.render_json(reportio.fits_payload(entries, config)))
     failed = sum(1 for e in entries if "error" in e)
     print(f"wrote {len(entries)} fit entries ({failed} failed) -> {args.out}")
     return 0
@@ -594,7 +611,8 @@ def cmd_gen(args) -> int:
         initial_queue=args.queue_depth,
     )
     events = generate_stream(config)
-    reportio.write_lines(args.out, chain((HEADER,), map(OrderEvent.to_row, events)))
+    with _writing(args.out):
+        reportio.write_lines(args.out, chain((HEADER,), map(OrderEvent.to_row, events)))
     print(f"wrote {len(events)} events -> {args.out}")
     return 0
 
@@ -620,7 +638,8 @@ def cmd_simqueues(args) -> int:
         "top_masses": [[v, p] for v, p in result.top_masses(10)],
         "pdf": result.pdf.to_dict(),
     }
-    reportio.write_text(args.out, reportio.render_json(payload))
+    with _writing(args.out):
+        reportio.write_text(args.out, reportio.render_json(payload))
     print(f"simulated {config.n_queues} queues -> {args.out}")
     return 0
 
@@ -633,16 +652,12 @@ def _fmt_ratio(r: float | None) -> str:
 
 
 def cmd_report(args) -> int:
-    payload = _load_json(args.profiles)
-    if payload.get("kind") != "profiles":
-        raise InputDataError(f"schema error at $.kind in {args.profiles}")
+    blocks = _profile_blocks(args.profiles)
     fits = _load_json(args.fits) if args.fits else None
     if fits is not None and fits.get("kind") != "fits":
         raise InputDataError(f"schema error at $.kind in {args.fits}: expected 'fits'")
     lines = ["instrument  side  orders  cancelled  r      r1     r2     r3     r4"]
-    for block in payload.get("instruments", []) + [payload.get("ensemble")]:
-        if not block:
-            continue
+    for block in blocks:
         for side in ("buy", "sell"):
             try:
                 data = block["sides"][side]

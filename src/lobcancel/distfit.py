@@ -451,8 +451,7 @@ def fit_powerlaw_tail(samples) -> PowerLawFit:
     if candidates.size == 0:
         raise TailTooSmall(f"no threshold leaves >= {MIN_TAIL_SIZE} tail points")
     if candidates.size > MAX_TAIL_CANDIDATES:
-        keep = np.unique(np.round(
-            np.linspace(0, candidates.size - 1, MAX_TAIL_CANDIDATES)).astype(int))
+        keep = np.unique(np.round(np.linspace(0, candidates.size - 1, MAX_TAIL_CANDIDATES)).astype(int))
         candidates = candidates[keep]
 
     log_xs = np.log(xs)

@@ -137,8 +137,8 @@ def iter_parse(
 ) -> Iterator[OrderEvent | ParseError]:
     """Parse an order-flow CSV lazily, yielding an OrderEvent or a ParseError per record.
 
-    ``source`` is the whole text, split with ``str.splitlines``, or any
-    iterable of lines, such as an open text file; each line is stripped.
+    ``source`` is the whole text, split with ``str.splitlines``, or an iterable
+    of lines such as an open text file; every line is stripped.
 
     Every bad record yields a ParseError with its line number and is skipped;
     parsing continues. Validation covers the header, column count, field

@@ -129,6 +129,9 @@ class GenConfig:
             raise ConfigInvalid(f"arrival mix must be non-negative and sum to 1, got {shares}")
         if self.n_events < 0:
             raise ConfigInvalid("n_events must be >= 0")
+        code = self.instrument  # one CSV field: not empty, no comma, no line break
+        if code.splitlines() != [code] or "," in code:
+            raise ConfigInvalid(f"instrument code must be one CSV field, got {code!r}")
         if self.initial_levels < 1 or self.initial_queue < 1:
             raise ConfigInvalid("initial book must have at least one level and one order")
         if self.mid_price_ticks <= self.initial_levels:

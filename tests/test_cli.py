@@ -126,6 +126,14 @@ def test_gen_bad_mix_exits_2(tmp_path):
     assert run(["gen", "--out", str(tmp_path / "x.csv"), "--queue-law", "zipf:2"]) == 2
 
 
+@pytest.mark.parametrize("code", ["A,B", "", "A\nB", "A\rB"])
+def test_gen_instrument_code_that_is_not_one_csv_field_exits_2(tmp_path, capsys, code):
+    out = tmp_path / "x.csv"
+    assert run(["gen", "--out", str(out), "--events", "50", "--instrument", code]) == 2
+    assert "instrument code" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag,law", [
     ("--level-law", "lognormal:a,b"),
     ("--level-law", "lognormal:1"),
@@ -462,6 +470,74 @@ def test_json_artifact_that_is_not_an_object_exits_1(tmp_path, capsys):
                  ["report", "--profiles", str(bad)]):
         assert run(argv) == 1
         assert "schema error at $ in" in capsys.readouterr().err
+
+
+NOT_UTF8 = b'{"kind": "profiles\xff"}'
+
+
+@pytest.mark.parametrize("argv,bad,code,message", [
+    ("fit --profiles {bad} --out {out}", NOT_UTF8, 1, "not valid JSON"),
+    ("report --profiles {bad}", NOT_UTF8, 1, "not valid JSON"),
+    ("report --profiles {good} --fits {bad}", NOT_UTF8, 1, "not valid JSON"),
+    ("gen --out {out} --config {bad}", NOT_UTF8, 2, "config file is not valid JSON"),
+    ("report --profiles {bad}", b'{"kind": "profiles", "instruments": {}, "ensemble": {}}',
+     1, "schema error at $.instruments/$.ensemble"),
+    ("fit --profiles {bad} --out {out}", b'{"kind": "profiles", "instruments": {}, "ensemble": {}}',
+     1, "schema error at $.instruments/$.ensemble"),
+    ("report --profiles {bad}", b'{"kind": "profiles", "instruments": [], "ensemble": [1]}',
+     1, "schema error at $.instruments/$.ensemble"),
+], ids=["fit-profiles-utf8", "report-profiles-utf8", "report-fits-utf8", "config-utf8",
+        "report-instruments-object", "fit-instruments-object", "report-ensemble-list"])
+def test_malformed_artifact_or_config_is_an_error_not_a_traceback(
+    tmp_path, capsys, argv, bad, code, message
+):
+    paths = {"bad": tmp_path / "bad", "good": tmp_path / "good.json", "out": tmp_path / "out"}
+    paths["bad"].write_bytes(bad)
+    paths["good"].write_text('{"kind": "profiles", "instruments": [], "ensemble": {}}')
+    assert run([token.format(**paths) for token in argv.split()]) == code
+    assert message in capsys.readouterr().err
+    assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize("command", ["profile", "fit", "gen", "simqueues"])
+def test_unwritable_output_is_a_usage_error(profile_dir, tmp_path, capsys, command):
+    _, streams, artifacts = profile_dir
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    missing = tmp_path / "missing" / "out"
+    out, argv = {
+        "profile": (taken, ["profile", str(streams[0]), "--out", str(taken)]),
+        "fit": (missing, ["fit", "--profiles", str(artifacts / "profiles.json"),
+                          "--out", str(missing), "--models", "exp"]),
+        "gen": (missing, ["gen", "--out", str(missing), "--events", "100"]),
+        "simqueues": (missing, ["simqueues", "--out", str(missing), "--queues", "100"]),
+    }[command]
+    assert run(argv) == 2
+    assert f"error: cannot write {out}: " in capsys.readouterr().err
+
+
+def test_fit_explicit_cancels_that_does_not_exist_exits_1(profile_dir, tmp_path, capsys):
+    _, _, out = profile_dir
+    missing = tmp_path / "no-cancels.csv"
+    fits_path = tmp_path / "fits.json"
+    assert run(["fit", "--profiles", str(out / "profiles.json"), "--cancels", str(missing),
+                "--out", str(fits_path), "--models", "powerlaw"]) == 1
+    assert str(missing) in capsys.readouterr().err
+    assert not fits_path.exists()
+
+
+def test_quoted_instrument_code_round_trips_gen_profile_fit(tmp_path):
+    flow, artifacts = tmp_path / "q.csv", tmp_path / "artifacts"
+    assert run(["gen", "--out", str(flow), "--events", "5000", "--seed", "2",
+                "--instrument", '"Q1']) == 0
+    assert run(["profile", str(flow), "--out", str(artifacts)]) == 0
+    fits_path = artifacts / "fits.json"
+    assert run(["fit", "--profiles", str(artifacts / "profiles.json"), "--out", str(fits_path),
+                "--models", "powerlaw"]) == 0
+    fits = json.loads(fits_path.read_text())["fits"]
+    assert [e["instrument"] for e in fits] == ['"Q1', '"Q1', "__ensemble__", "__ensemble__"]
+    assert all("params" in e for e in fits)
+    assert fits[0]["params"] == fits[2]["params"]  # one instrument: its tail is the ensemble's
 
 
 def test_fit_powerlaw_without_cancels_records_error(profile_dir, tmp_path):
