@@ -14,7 +14,7 @@ from lobcancel import (
     profile_events,
     ratio_report,
 )
-from lobcancel.profiles import BinSpec, CANCELLABLE_CLASSES, count_pdf
+from lobcancel.profiles import BinSpec, count_pdf
 
 config = GenConfig(
     seed=7,
@@ -33,11 +33,11 @@ print(f"diagnostics: {dict(profile.diagnostics) or 'none'}")
 
 for name, acc in (("buy", profile.buy), ("sell", profile.sell)):
     rr = ratio_report(acc)
-    print(f"\n{name} side: {rr.orders} orders, {rr.cancelled_orders} cancelled, r = {rr.ratio:.3f}")
-    for klass in CANCELLABLE_CLASSES:
-        cr = rr.by_class[klass]
-        shown = "n/a" if cr.ratio is None else f"{cr.ratio:.3f}"
-        print(f"  {klass.value:<17} {cr.cancelled:>6} / {cr.orders:<6} ratio {shown}")
+    print(f"\n{name} side: {rr['orders']} orders, {rr['cancelled_orders']} cancelled, "
+          f"r = {rr['ratio']:.3f}")
+    for klass, cr in rr["class_ratios"].items():
+        shown = "n/a" if cr["ratio"] is None else f"{cr['ratio']:.3f}"
+        print(f"  {klass:<17} {cr['cancelled']:>6} / {cr['orders']:<6} ratio {shown}")
 
 # binned density of the relative price level, printed as a crude bar chart;
 # the profile keeps a count per (level rank, levels) pair, binned here

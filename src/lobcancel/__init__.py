@@ -50,9 +50,9 @@ from .synth import (
 
 __version__ = "0.1.0"
 
-# The fitters need numpy (and `sample_trunc_lognormal` scipy), whose import
-# costs more than the rest of the package together; they are loaded on first
-# access (PEP 562), so `gen` and library users who never fit do not pay for it.
+# The fitters need numpy, whose import costs more than the rest of the
+# package together; they are loaded on first access (PEP 562), so `gen` and
+# library users who never fit do not pay for it.
 _DISTFIT_EXPORTS = frozenset({
     "ExpProfileFit",
     "GammaFit",

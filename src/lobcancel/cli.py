@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
 import json
 import os
 import shutil
@@ -160,6 +161,30 @@ def _with_config_flags(args, argv: list[str]) -> list[str]:
         flags.append(f"--{attr.replace('_', '-')}={value}")
     at = argv.index(args.command) + 1
     return [*argv[:at], *flags, *argv[at:]]
+
+
+def _check_out(path: str, *, directory: bool = False) -> None:
+    """Fail before any work on an output that cannot be written (exit 2).
+
+    A file goes into an existing directory and must not be one; a directory
+    is made with its missing parents, so it must be one if it exists, and
+    its nearest existing ancestor must be a directory. Nothing is created,
+    so a later error leaves nothing behind; `_writing` still reports what
+    only the write itself reveals.
+    """
+    target = os.path.abspath(path)
+    base = target if directory else os.path.dirname(target)
+    while directory and not os.path.exists(base):
+        base = os.path.dirname(base)
+    if os.path.exists(target) and os.path.isdir(target) != directory:
+        code = errno.EEXIST if directory else errno.EISDIR
+    elif not os.path.isdir(base):
+        code = errno.ENOTDIR if os.path.exists(base) else errno.ENOENT
+    elif not os.access(target if os.path.exists(target) else base, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise UsageError(f"cannot write {path}: {os.strerror(code)}")
 
 
 @contextmanager
@@ -345,6 +370,7 @@ def _run_profile_jobs(
 
 
 def cmd_profile(args) -> int:
+    _check_out(args.out, directory=True)
     with tempfile.TemporaryDirectory(prefix="lobcancel-parts-") as parts_dir:
         run, parts, n_events = _run_profile_jobs(
             args.inputs, args.instrument, args.workers, parts_dir
@@ -532,6 +558,7 @@ def cmd_fit(args) -> int:
     unknown = [m for m in models if m not in ALL_MODELS]
     if unknown:
         raise UsageError(f"unknown models {unknown}; choose from {ALL_MODELS}")
+    _check_out(args.out)
     blocks = _profile_blocks(args.profiles)
     norm_samples = None
     if "powerlaw" in models:  # an explicit --cancels must exist, the default sibling may not
@@ -610,6 +637,7 @@ def cmd_gen(args) -> int:
         initial_levels=args.levels,
         initial_queue=args.queue_depth,
     )
+    _check_out(args.out)
     events = generate_stream(config)
     with _writing(args.out):
         reportio.write_lines(args.out, chain((HEADER,), map(OrderEvent.to_row, events)))
@@ -622,6 +650,7 @@ def cmd_gen(args) -> int:
 
 def cmd_simqueues(args) -> int:
     config = QueueSimConfig(n_queues=args.queues, max_length=args.max_length, seed=args.seed)
+    _check_out(args.out)
     result = simulate_uniform_queues(config)
     payload = {
         "schema_version": reportio.SCHEMA_VERSION,

@@ -15,9 +15,10 @@ A gamma alternative restricted to (0, 1] shares the least-squares machinery
 so the two body fits can be compared by their rms values.
 
 All fitters are pure functions of (data, config, seed); repeated runs with
-the same inputs return bit-identical results. They need numpy only: the
-bounded Nelder-Mead and Brent searches take scipy 1.17's steps exactly, and
-the gamma CDF is in-house. Only ``sample_trunc_lognormal`` imports scipy.
+the same inputs return bit-identical results. The module needs numpy only:
+the bounded Nelder-Mead and Brent searches take scipy 1.17's steps exactly,
+the gamma CDF is in-house, and the log-normal sampler inverts the normal CDF
+with the standard library's ``statistics.NormalDist``.
 """
 from __future__ import annotations
 
@@ -178,11 +179,11 @@ def exp_profile_pdf(y, beta: float) -> np.ndarray:
 
 def sample_trunc_lognormal(n: int, mu: float, sigma: float, rng) -> np.ndarray:
     """Inverse-CDF draws from the log-normal restricted to (0, 1]."""
-    from scipy.special import ndtri  # the fitters need no scipy; only this sampler does
+    from statistics import NormalDist  # it loads fractions and decimal, which `fit` never needs
 
     u = 1.0 - rng.random(n)  # (0, 1], so no draw maps to 0
-    mass = lognormal_unit_mass(mu, sigma)
-    return np.exp(mu + sigma * ndtri(u * mass))
+    quantile = NormalDist(mu, sigma).inv_cdf  # Wichura's AS 241
+    return np.exp([quantile(p) for p in (u * lognormal_unit_mass(mu, sigma)).tolist()])
 
 
 def sample_pareto(n: int, alpha: float, xmin: float, rng) -> np.ndarray:

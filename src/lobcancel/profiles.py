@@ -342,46 +342,29 @@ def profile_events(events: Iterable[OrderEvent]) -> ProfileRun:
 # -- ratio report ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassRatio:
-    orders: int
-    cancelled: int
-
-    @property
-    def ratio(self) -> float | None:
-        return self.cancelled / self.orders if self.orders else None
-
-
-@dataclass(frozen=True)
-class SideRatios:
-    orders: int
-    cancelled_orders: int
-    cancel_events: int
-    by_class: dict[AggressivenessClass, ClassRatio]
-
-    @property
-    def ratio(self) -> float | None:
-        return self.cancelled_orders / self.orders if self.orders else None
-
-
-def ratio_report(acc: SideAccumulator) -> SideRatios:
+def ratio_report(acc: SideAccumulator) -> dict:
     """Cancellation ratios for one side: overall and per cancellable class.
 
     The overall denominator counts every effective submission in scope (all
     of them either rest or trade on arrival); class denominators restrict to
     the class. Fully filled orders appear only in the overall denominator:
-    they hold no resting quantity, so they cannot be cancelled.
+    they hold no resting quantity, so they cannot be cancelled. The result is
+    the side's profiles.json block without its densities; a ratio is None
+    where there are no orders.
     """
-    by_class = {
-        klass: ClassRatio(acc.orders_by_class[klass], acc.cancelled_by_class[klass])
-        for klass in CANCELLABLE_CLASSES
+    class_ratios = {}
+    for klass in CANCELLABLE_CLASSES:
+        n, c = acc.orders_by_class[klass], acc.cancelled_by_class[klass]
+        class_ratios[klass.value] = {"orders": n, "cancelled": c, "ratio": c / n if n else None}
+    n, c = acc.orders_total, acc.cancelled_orders
+    return {
+        "orders": n,
+        "cancelled_orders": c,
+        "cancel_events": acc.cancel_events,
+        "ratio": c / n if n else None,
+        "fully_filled_orders": acc.orders_by_class[AggressivenessClass.FULLY_FILLED],
+        "class_ratios": class_ratios,
     }
-    return SideRatios(
-        orders=acc.orders_total,
-        cancelled_orders=acc.cancelled_orders,
-        cancel_events=acc.cancel_events,
-        by_class=by_class,
-    )
 
 
 # -- empirical densities ----------------------------------------------------------

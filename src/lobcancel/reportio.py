@@ -14,8 +14,6 @@ import shutil
 from typing import Iterable
 
 from .profiles import (
-    CANCELLABLE_CLASSES,
-    AggressivenessClass,
     BinSpec,
     CancelObservation,
     InstrumentProfile,
@@ -119,22 +117,8 @@ def write_lines(path: str | os.PathLike, lines: Iterable[str], *, append: bool =
 
 
 def _side_payload(acc: SideAccumulator, unit_bins: int, log_bins: int) -> dict:
-    ratios = ratio_report(acc)
-    class_ratios = {}
-    for klass in CANCELLABLE_CLASSES:
-        cr = ratios.by_class[klass]
-        class_ratios[klass.value] = {
-            "orders": cr.orders,
-            "cancelled": cr.cancelled,
-            "ratio": cr.ratio,
-        }
     return {
-        "orders": ratios.orders,
-        "cancelled_orders": ratios.cancelled_orders,
-        "cancel_events": ratios.cancel_events,
-        "ratio": ratios.ratio,
-        "fully_filled_orders": acc.orders_by_class[AggressivenessClass.FULLY_FILLED],
-        "class_ratios": class_ratios,
+        **ratio_report(acc),
         "pdf_rel_level": _safe_pdf(count_pdf, acc.rel_level_counts, BinSpec("uniform", unit_bins)),
         "pdf_norm_level": _safe_pdf(accumulate_pdf, acc.norm_levels,
                                     BinSpec("log_uniform", log_bins)),

@@ -218,15 +218,15 @@ def test_criterion_8_classification_fixture():
     checks = []
     for acc in (profile.buy, profile.sell):
         rr = ratio_report(acc)
-        checks.append(rr.orders == 10 and rr.cancelled_orders == 4 and rr.ratio == 0.4)
+        checks.append(rr["orders"] == 10 and rr["cancelled_orders"] == 4 and rr["ratio"] == 0.4)
         for klass in (
             AggressivenessClass.PARTIALLY_FILLED,
             AggressivenessClass.INSIDE_SPREAD,
             AggressivenessClass.AT_BEST,
             AggressivenessClass.INSIDE_BOOK,
         ):
-            cr = rr.by_class[klass]
-            checks.append(cr.orders == 2 and cr.cancelled == 1 and cr.ratio == 0.5)
+            cr = rr["class_ratios"][klass.value]
+            checks.append(cr["orders"] == 2 and cr["cancelled"] == 1 and cr["ratio"] == 0.5)
         checks.append(acc.orders_by_class[AggressivenessClass.FULLY_FILLED] == 2)
     ok = all(checks)
     finish(8, "hand-enumerated 20-order fixture class counts and ratios",

@@ -1,9 +1,12 @@
+import errno
 import json
 import math
+import os
 import random
 
 import pytest
 
+from lobcancel import cli
 from lobcancel.cli import main
 
 
@@ -499,21 +502,52 @@ def test_malformed_artifact_or_config_is_an_error_not_a_traceback(
     assert not paths["out"].exists()
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("work started before --out was checked")
+
+
 @pytest.mark.parametrize("command", ["profile", "fit", "gen", "simqueues"])
-def test_unwritable_output_is_a_usage_error(profile_dir, tmp_path, capsys, command):
+def test_unwritable_output_is_a_usage_error(profile_dir, tmp_path, capsys, monkeypatch, command):
+    """A bad --out fails before any input is read or any work is done, and
+    leaves nothing behind."""
     _, streams, artifacts = profile_dir
-    taken = tmp_path / "taken"
-    taken.write_text("")
-    missing = tmp_path / "missing" / "out"
-    out, argv = {
-        "profile": (taken, ["profile", str(streams[0]), "--out", str(taken)]),
-        "fit": (missing, ["fit", "--profiles", str(artifacts / "profiles.json"),
-                          "--out", str(missing), "--models", "exp"]),
-        "gen": (missing, ["gen", "--out", str(missing), "--events", "100"]),
-        "simqueues": (missing, ["simqueues", "--out", str(missing), "--queues", "100"]),
+    for name in ("_read_lines", "_load_json", "replay_day", "generate_stream",
+                 "simulate_uniform_queues"):
+        monkeypatch.setattr(cli, name, _must_not_run)
+    (tmp_path / "taken").write_text("")
+    (tmp_path / "dir").mkdir()
+    # Each bad --out and the errno its write would raise.
+    bad_file = {"missing/out": errno.ENOENT, "taken/out": errno.ENOTDIR, "dir": errno.EISDIR}
+    argv, bad = {
+        "profile": (["profile", str(streams[0])],
+                    {"taken": errno.EEXIST, "taken/out": errno.ENOTDIR}),
+        "fit": (["fit", "--profiles", str(artifacts / "profiles.json"), "--models", "exp"],
+                bad_file),
+        "gen": (["gen", "--events", "100"], bad_file),
+        "simqueues": (["simqueues", "--queues", "100"], bad_file),
     }[command]
-    assert run(argv) == 2
-    assert f"error: cannot write {out}: " in capsys.readouterr().err
+    for name, code in bad.items():
+        out = tmp_path / name
+        assert run([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {out}: {os.strerror(code)}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "taken"]
+    assert not any((tmp_path / "dir").iterdir())
+
+
+def test_out_check_passes_what_can_be_written(tmp_path):
+    (tmp_path / "taken").write_text("")
+    cli._check_out(str(tmp_path / "taken"))  # an existing file is overwritten
+    cli._check_out(str(tmp_path / "new.json"))
+    cli._check_out(str(tmp_path), directory=True)
+    cli._check_out(str(tmp_path / "new" / "deeper"), directory=True)  # made with its parents
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+def test_out_check_refuses_what_the_user_may_not_write(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)  # a read-only directory
+    for directory in (False, True):
+        with pytest.raises(cli.UsageError, match=os.strerror(errno.EACCES)):
+            cli._check_out(str(tmp_path / "out"), directory=directory)
 
 
 def test_fit_explicit_cancels_that_does_not_exist_exits_1(profile_dir, tmp_path, capsys):

@@ -95,6 +95,30 @@ def test_fit_runs_all_four_models_without_scipy(streams, tmp_path):
     assert fits[0] == fits[1]
 
 
+def test_every_command_and_the_lognormal_sampler_run_with_scipy_blocked(tmp_path):
+    flow, out = str(tmp_path / "flow.csv"), tmp_path / "artifacts"
+    profiles, fits = str(out / "profiles.json"), str(out / "fits.json")
+    _run_fresh(
+        "import sys\n"
+        "sys.modules['scipy'] = None  # any import of scipy now fails\n"
+        "import numpy as np\n"
+        "from lobcancel import sample_trunc_lognormal\n"
+        "from lobcancel.cli import main\n"
+        f"assert main(['gen', '--out', {flow!r}, '--events', '2000', '--levels', '10', "
+        "'--queue-depth', '3', '--level-law', 'lognormal:-2.14,1.11']) == 0\n"
+        f"assert main(['validate', {flow!r}]) == 0\n"
+        f"assert main(['profile', {flow!r}, '--out', {str(out)!r}]) == 0\n"
+        f"assert main(['fit', '--profiles', {profiles!r}, '--out', {fits!r}, "
+        "'--models', 'lognormal,powerlaw,exp,gamma', '--repeats', '5']) == 0\n"
+        f"assert main(['report', '--profiles', {profiles!r}, '--fits', {fits!r}]) == 0\n"
+        f"assert main(['simqueues', '--out', {str(tmp_path / 'queues.json')!r}, "
+        "'--queues', '1000']) == 0\n"
+        "assert 'statistics' not in sys.modules  # only the sampler imports it\n"
+        "xs = sample_trunc_lognormal(1000, -2.14, 1.11, np.random.default_rng(1))\n"
+        "assert xs.shape == (1000,) and ((xs > 0) & (xs <= 1)).all()\n"
+    )
+
+
 UNLOADED = (
     "def unloaded(*names):\n"
     "    return not any(name in sys.modules for name in names)\n"

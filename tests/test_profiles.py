@@ -121,15 +121,15 @@ def test_fixture_ratios(fixture_events):
     profile.add_day(day)
     for acc in (profile.buy, profile.sell):
         rr = ratio_report(acc)
-        assert rr.orders == 10
-        assert rr.cancelled_orders == 4
-        assert rr.cancel_events == 4
-        assert rr.ratio == pytest.approx(0.4)
+        assert rr["orders"] == 10
+        assert rr["cancelled_orders"] == 4
+        assert rr["cancel_events"] == 4
+        assert rr["ratio"] == pytest.approx(0.4)
         for klass in (AC.PARTIALLY_FILLED, AC.INSIDE_SPREAD, AC.AT_BEST, AC.INSIDE_BOOK):
-            assert rr.by_class[klass].orders == 2
-            assert rr.by_class[klass].cancelled == 1
-            assert rr.by_class[klass].ratio == pytest.approx(0.5)
-        assert acc.orders_by_class[AC.FULLY_FILLED] == 2
+            assert rr["class_ratios"][klass.value]["orders"] == 2
+            assert rr["class_ratios"][klass.value]["cancelled"] == 1
+            assert rr["class_ratios"][klass.value]["ratio"] == pytest.approx(0.5)
+        assert acc.orders_by_class[AC.FULLY_FILLED] == rr["fully_filled_orders"] == 2
 
 
 def test_ratio_simple_arithmetic():
@@ -148,7 +148,7 @@ def test_ratio_simple_arithmetic():
     day = replay_day(events)
     profile = InstrumentProfile("X")
     profile.add_day(day)
-    assert ratio_report(profile.buy).ratio == pytest.approx(0.2)
+    assert ratio_report(profile.buy)["ratio"] == pytest.approx(0.2)
 
 
 # -- coordinate helpers -----------------------------------------------------------
@@ -267,10 +267,10 @@ def test_ratios_only_count_continuous_submissions():
     profile = InstrumentProfile("P")
     profile.add_day(day)
     rr = ratio_report(profile.buy)
-    assert rr.orders == 1  # only order 3
-    assert rr.cancelled_orders == 1
-    assert ratio_report(profile.sell).orders == 0
-    assert ratio_report(profile.sell).ratio is None
+    assert rr["orders"] == 1  # only order 3
+    assert rr["cancelled_orders"] == 1
+    assert ratio_report(profile.sell)["orders"] == 0
+    assert ratio_report(profile.sell)["ratio"] is None
 
 
 def test_all_held_stream_still_applies():
@@ -291,8 +291,8 @@ def test_order_cancelled_in_parts_counts_once():
     ]
     day = replay_day(events)
     rr = ratio_report(day.buy)
-    assert (rr.orders, rr.cancelled_orders, rr.cancel_events) == (2, 1, 3)
-    assert rr.by_class[AC.INSIDE_BOOK].cancelled == 1  # both books were empty
+    assert (rr["orders"], rr["cancelled_orders"], rr["cancel_events"]) == (2, 1, 3)
+    assert rr["class_ratios"][AC.INSIDE_BOOK.value]["cancelled"] == 1  # both books were empty
     assert sum(day.buy.rel_level_counts.values()) == len(day.buy.norm_levels) == 3
     assert set(day.lifecycles) == {2}
 
