@@ -12,7 +12,6 @@ from .orderflow import (
     phase_of,
     serialize_events,
     split_days,
-    stream_days,
 )
 from .lob import (
     ApplyOutcome,
@@ -29,6 +28,7 @@ from .profiles import (
     AggressivenessClass,
     BinSpec,
     CancelObservation,
+    DayReplay,
     EmpiricalPdf,
     InstrumentProfile,
     ProfileRun,
@@ -37,6 +37,7 @@ from .profiles import (
     profile_events,
     ratio_report,
     replay_day,
+    replay_days,
 )
 from .synth import (
     ExpProfileLaw,
@@ -45,6 +46,7 @@ from .synth import (
     TruncLogNormalLaw,
     UniformLaw,
     generate_stream,
+    iter_stream,
     simulate_uniform_queues,
 )
 

@@ -17,21 +17,23 @@ import sys
 import tempfile
 import zlib
 from contextlib import contextmanager
+from datetime import date
+from functools import partial
 from itertools import chain
 from typing import Iterator
 
 from . import reportio
 from .lob import LobError, gc_paused, norm_level
-from .orderflow import HEADER, DaysOutOfOrder, OrderEvent, ParseError, iter_parse, stream_days
+from .orderflow import HEADER, DaysOutOfOrder, OrderEvent, ParseError, iter_parse
 from .profiles import (
     DEFAULT_UNIT_BINS,
     POSITIVE_RAY,
     UNIT_INTERVAL,
-    DayResult,
+    DayReplay,
     EmpiricalPdf,
     InstrumentProfile,
     ProfileRun,
-    replay_day,
+    replay_days,
 )
 from .synth import (
     ConfigInvalid,
@@ -40,7 +42,7 @@ from .synth import (
     QueueSimConfig,
     TruncLogNormalLaw,
     UniformLaw,
-    generate_stream,
+    iter_stream,
     simulate_uniform_queues,
 )
 
@@ -254,7 +256,7 @@ def cmd_validate(args) -> int:
 
 def _replay_files(
     paths: list[str], instrument: str | None, parts_dir: str, in_date_order: bool
-) -> tuple[dict[str, InstrumentProfile], dict[str, str], int, list[list[str]]]:
+) -> tuple[dict[str, InstrumentProfile], dict[str, list[str]], int, list[list[str]]]:
     os.mkdir(parts_dir)
     errors: list[list[str]] = []
     failed = False
@@ -273,38 +275,40 @@ def _replay_files(
                     n_events += 1
                     yield item
 
+    day_parts: dict[tuple[str, date], str] = {}
+
+    def open_day(code: str, day: date) -> DayReplay:
+        part = day_parts[code, day] = os.path.join(parts_dir, f"{len(day_parts)}.csv")
+        return DayReplay(partial(reportio.cancels_csv, part), reportio.CHUNK_LINES)
+
     run = ProfileRun()
-    parts: dict[str, str] = {}
-    for day_events in stream_days(events(), in_date_order=in_date_order):
-        if not failed:  # once a row fails the command fails: parse on, replay no more
-            _add_day(replay_day(day_events), run, parts, parts_dir)
+    for day in replay_days(events(), in_date_order=in_date_order, open_day=open_day):
+        if not failed:  # once a row fails the command fails: parse on, count no more
+            run.add_day(day)
+        del day  # its book goes before the next day's fills
+    parts: dict[str, list[str]] = {}
+    for key in sorted(day_parts):
+        parts.setdefault(key[0], []).append(day_parts[key])
     return run.per_instrument, parts, n_events, errors
-
-
-def _add_day(day: DayResult, run: ProfileRun, parts: dict[str, str], parts_dir: str) -> None:
-    """Count a replayed day into the run and append its cancels to the
-    instrument's part file; the day's result is dropped on return."""
-    part = parts.get(day.instrument)
-    if part is None:
-        part = parts[day.instrument] = os.path.join(parts_dir, f"{len(parts)}.csv")
-    run.add_day(day)
-    reportio.cancels_csv(part, day.observations)
 
 
 def _profile_job(
     paths: list[str], instrument: str | None, parts_dir: str
-) -> tuple[dict[str, InstrumentProfile], dict[str, str], int, list[list[str]]]:
-    """Parse and replay ``paths`` as one unit of profile work, a day at a time.
+) -> tuple[dict[str, InstrumentProfile], dict[str, list[str]], int, list[list[str]]]:
+    """Parse and replay ``paths`` as one unit of profile work, row by row.
 
     Returns the profile of each instrument, the header-less cancels.csv part
-    file of each (in the new directory ``parts_dir``), the number of events
-    replayed, and each path's parse errors as ``path:error`` strings. Files
-    are read lazily, and an instrument-day is replayed once a later date of
+    files of each in day order (in the new directory ``parts_dir``), the
+    number of events replayed, and each path's parse errors as
+    ``path:error`` strings. Files are read lazily, and each parsed row goes
+    straight to its instrument-day's live replay (``profiles.replay_days``),
+    which appends its cancels to the day's part file every
+    ``reportio.CHUNK_LINES`` rows; a day is finished once a later date of
     its instrument arrives, or at the end. An input that takes an instrument
-    back to an earlier date is run again from the start with every day held
-    to the end, so its days are grouped as a whole-input read groups them. A
-    pool worker runs this on its own paths, so only file names, counts and
-    part paths cross the process boundary.
+    back to an earlier date is run again from the start with every day's
+    replay kept live to the end, so its days are grouped as a whole-input
+    read groups them. A pool worker runs this on its own paths, so only file
+    names, counts and part paths cross the process boundary.
     """
     with gc_paused():
         try:
@@ -344,7 +348,7 @@ def _disjoint_groups(paths: list[str]) -> list[list[str]]:
 def _run_profile_jobs(
     paths: list[str], instrument: str | None, workers: int, parts_dir: str
 ) -> tuple[ProfileRun, list[str], int]:
-    """The run, its part files in instrument order, and the events replayed."""
+    """The run, its part files in (instrument, day) order, and the events replayed."""
     groups = _disjoint_groups(paths) if workers > 1 and len(paths) > 1 else [paths]
     dirs = [os.path.join(parts_dir, str(i)) for i in range(len(groups))]
     if len(groups) > 1:
@@ -365,7 +369,7 @@ def _run_profile_jobs(
     for profiles, job_parts, _, _ in results:  # groups share no instrument
         per_instrument.update(profiles)
         parts.update(job_parts)
-    return (ProfileRun(per_instrument), [parts[code] for code in sorted(parts)],
+    return (ProfileRun(per_instrument), [part for code in sorted(parts) for part in parts[code]],
             sum(n for _, _, n, _ in results))
 
 
@@ -638,10 +642,10 @@ def cmd_gen(args) -> int:
         initial_queue=args.queue_depth,
     )
     _check_out(args.out)
-    events = generate_stream(config)
-    with _writing(args.out):
-        reportio.write_lines(args.out, chain((HEADER,), map(OrderEvent.to_row, events)))
-    print(f"wrote {len(events)} events -> {args.out}")
+    with gc_paused(), _writing(args.out):
+        rows = map(OrderEvent.to_row, iter_stream(config))
+        reportio.write_lines(args.out, chain((HEADER,), rows))
+    print(f"wrote {config.n_events} events -> {args.out}")
     return 0
 
 

@@ -11,8 +11,8 @@ ticks (one tick = 0.01 CNY for Shenzhen A shares). A cancel with size 0 means
 """
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections import deque
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import date, datetime, time
 from enum import Enum
@@ -102,7 +102,7 @@ DUPLICATE_ORDER_ID = "duplicate_order_id"
 
 class DaysOutOfOrder(Exception):
     """An instrument's trading day went back to an earlier date in a stream
-    read in date order (see ``iter_parse`` and ``stream_days``)."""
+    read in date order (see ``iter_parse`` and ``profiles.replay_days``)."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,7 +168,11 @@ def iter_parse(
     share = {}.setdefault
     last_seq: int | None = None
     last_ts: dict[tuple[str, date], datetime] = {}
-    seen_ids: dict[tuple[str, date], set[int]] = {}
+    # Submitted order ids per instrument-day. Those above every earlier id
+    # of the day, as a day's ids mostly are, go in ascending order into an
+    # array of 8 bytes each, searched by bisection; the others into a set,
+    # whose entries cost about 100 bytes each.
+    seen_ids: dict[tuple[str, date], tuple[array, set[int]]] = {}
     current_day: dict[str, date] = {}  # in date order: each instrument's day
 
     for line_no, raw in enumerate(lines, start=2):
@@ -247,13 +251,26 @@ def iter_parse(
                 continue
 
         if kind is not cancel:
-            ids = seen_ids.setdefault(day_key, set())
-            if order_id in ids:
+            ids = seen_ids.get(day_key)
+            if ids is None:
+                ids = seen_ids[day_key] = (array("q"), set())
+            rising, rest = ids
+            if rising and order_id <= rising[-1]:
+                seen = order_id in rest or rising[bisect_left(rising, order_id)] == order_id
+                if not seen:
+                    rest.add(order_id)
+            else:
+                seen = order_id in rest  # an id too large for the array may be there
+                if not seen:
+                    try:
+                        rising.append(order_id)
+                    except OverflowError:
+                        rest.add(order_id)
+            if seen:
                 yield ParseError(
                     line_no, DUPLICATE_ORDER_ID, f"order_id {order_id} already submitted"
                 )
                 continue
-            ids.add(order_id)
 
         last_seq = seq
         last_ts[day_key] = ts
@@ -288,43 +305,3 @@ def split_days(events: Iterable[OrderEvent]) -> dict[tuple[str, date], list[Orde
     for ev in events:
         days.setdefault((ev.instrument, ev.timestamp.date()), []).append(ev)
     return days
-
-
-def _drain(buffer: deque) -> Iterator[OrderEvent]:
-    """Yield and drop a buffer's events from the front."""
-    popleft = buffer.popleft
-    while buffer:
-        yield popleft()
-
-
-def stream_days(
-    events: Iterable[OrderEvent], *, in_date_order: bool = False
-) -> Iterator[Iterator[OrderEvent]]:
-    """Yield each instrument-day's events, in stream order, as a draining iterator.
-
-    By default every day is buffered to the end of the stream and the days
-    come out in (instrument, day) order, the grouping of ``split_days``.
-    With ``in_date_order`` an instrument-day is yielded as soon as a later
-    date of its instrument arrives, so one day per instrument is buffered;
-    an earlier date raises DaysOutOfOrder, and the days still buffered at
-    the end come out in (instrument, day) order. A day's buffer is out of
-    the stream's hands once yielded, so a day left undrained is dropped.
-    """
-    buffers: dict[tuple[str, date], deque] = {}
-    current_day: dict[str, date] = {}
-    for ev in events:
-        key = (ev.instrument, ev.timestamp.date())
-        buffer = buffers.get(key)
-        if buffer is None:
-            if in_date_order:
-                instrument, day = key
-                prev_day = current_day.get(instrument)
-                if prev_day is not None:
-                    if day < prev_day:
-                        raise DaysOutOfOrder(f"{instrument} goes back from {prev_day} to {day}")
-                    yield _drain(buffers.pop((instrument, prev_day)))
-                current_day[instrument] = day
-            buffer = buffers[key] = deque()
-        buffer.append(ev)
-    for key in sorted(buffers):
-        yield _drain(buffers.pop(key))

@@ -17,9 +17,9 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import date, datetime
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .lob import (
     CancelExceedsRemaining,
@@ -31,12 +31,12 @@ from .lob import (
     gc_paused,
 )
 from .orderflow import (
+    DaysOutOfOrder,
     EventKind,
     OrderEvent,
     SessionPhase,
     Side,
     phase_of,
-    stream_days,
 )
 
 if TYPE_CHECKING:
@@ -179,113 +179,200 @@ class DayResult:
         return {order_id: order.tag for order_id, order in self.book.index.items()}
 
 
+class DayReplay:
+    """One instrument-day replayed through a fresh book as its events arrive.
+
+    ``feed(ev)`` applies each event in stream order and ``finish()`` returns
+    the day's DayResult. Counts go into the day's per-side accumulators as
+    the events are applied: a submission in a continuous session counts
+    toward its class, a cancel toward the densities and ratios; an order's
+    lifecycle is its resting order's ``tag``. Opening-call and cool-period
+    events are held until the first continuous-session event, or to
+    ``finish()`` if none arrives.
+
+    With ``flush``, every ``chunk`` cancel observations are passed to
+    ``flush`` and dropped, and ``finish()`` passes the rest, so the result
+    holds none. The replay keeps the book, the held events and the counts,
+    not the day's events; a caller that wants the collector paused while it
+    feeds (see ``lob.gc_paused``) pauses it itself.
+    """
+
+    __slots__ = ("feed", "finish")
+
+    def __init__(
+        self, flush: Callable[[list[CancelObservation]], object] | None = None, chunk: int = 0
+    ):
+        book = LimitOrderBook()
+        observations: list[CancelObservation] = []
+        diagnostics: Counter = Counter()
+        buy_acc, sell_acc = SideAccumulator(), SideAccumulator()
+        instrument = ""
+        held: list[OrderEvent] | None = []  # None once the held events are released
+        if flush is None:
+            chunk = 0  # len(observations) is never 0 after an append
+
+        # Members bound once, and identity tests against the members of
+        # orderflow.CONTINUOUS_PHASES and the held opening-call and cool
+        # phases: set membership would hash the phase through Enum.__hash__,
+        # which runs in Python.
+        am, pm = SessionPhase.CONTINUOUS_AM, SessionPhase.CONTINUOUS_PM
+        call, cool = SessionPhase.OPENING_CALL, SessionPhase.COOL
+        cancel = EventKind.CANCEL
+        resting = book.index
+        apply = book.apply
+
+        # No closure here refers to itself or to one that refers back to it:
+        # such a cycle would keep each finished day alive while the
+        # collector is paused.
+        def apply_one(ev: OrderEvent, phase: SessionPhase) -> None:
+            continuous = phase is am or phase is pm
+            if ev.kind is cancel:
+                order = resting.get(ev.order_id)  # a full cancel takes it out of the index
+                try:
+                    outcome = apply(ev)
+                except DanglingCancel:
+                    diagnostics["dangling_cancels"] += 1
+                    return
+                except CancelSideMismatch:
+                    diagnostics["cancel_side_mismatch"] += 1
+                    return
+                except CancelExceedsRemaining:
+                    diagnostics["cancel_exceeds_remaining"] += 1
+                    return
+                price = ev.price_ticks
+                if price and price != order.price_ticks:  # the order id decides: still applied
+                    diagnostics["cancel_price_mismatch"] += 1
+                rec = outcome.cancellation
+                life = order.tag
+                acc = buy_acc if rec.side is _BUY else sell_acc
+                in_ratio = continuous and life.in_scope
+                if in_ratio:
+                    acc.cancel_events += 1
+                    if not life.cancelled_in_scope:
+                        life.cancelled_in_scope = True
+                        acc.cancelled_by_class[life.klass] += 1
+                elif not continuous:
+                    diagnostics["cancels_outside_continuous"] += 1
+                else:
+                    diagnostics["cancels_of_precontinuous_orders"] += 1
+                if continuous:
+                    _, _, level_rank, side_levels, level_orders, _, queue_rank, _ = rec
+                    acc.rel_level_counts[level_rank, side_levels] += 1
+                    acc.queue_frac_counts[queue_rank, level_orders] += 1
+                    acc.norm_levels.append(rec.norm_level)
+                observations.append(
+                    CancelObservation(
+                        ev.instrument, ev.seq, ev.timestamp, phase, rec,
+                        life.klass, continuous, in_ratio,
+                    )
+                )
+                if len(observations) == chunk:
+                    flush(observations)
+                    observations.clear()
+            else:
+                pre_bid = book.best_bid()
+                pre_ask = book.best_ask()
+                try:
+                    outcome = apply(ev)
+                except DuplicateOrderId:
+                    diagnostics["duplicate_order_ids"] += 1
+                    return
+                rested = outcome.rested is not None
+                klass = classify_submission(
+                    ev.side, ev.price_ticks, pre_bid, pre_ask, bool(outcome.trades), rested
+                )
+                if continuous:
+                    acc = buy_acc if ev.side is _BUY else sell_acc
+                    acc.orders_by_class[klass] += 1
+                if rested:
+                    resting[ev.order_id].tag = OrderLifecycle(klass, continuous)
+
+        def release() -> None:
+            """Apply the held events, in arrival order, each in its own phase."""
+            nonlocal held
+            pending, held = held, None
+            for held_ev in pending:
+                apply_one(held_ev, phase_of(held_ev.timestamp))
+
+        def feed(ev: OrderEvent) -> None:
+            nonlocal instrument
+            phase = phase_of(ev.timestamp)
+            if held is not None:
+                if not instrument:
+                    instrument = ev.instrument
+                if phase is call or phase is cool:
+                    held.append(ev)
+                    diagnostics["held_events"] += 1
+                    return
+                release()
+            apply_one(ev, phase)
+
+        def finish() -> DayResult:
+            if held is not None:  # no continuous event ever arrived
+                release()
+            if flush is not None:
+                flush(observations)
+                observations.clear()
+            return DayResult(instrument, book, observations, diagnostics, buy_acc, sell_acc)
+
+        self.feed = feed
+        self.finish = finish
+
+
 @gc_paused()
 def replay_day(events: Iterable[OrderEvent]) -> DayResult:
     """Replay one instrument-day (events in stream order) through a fresh book.
 
-    ``events`` is read once, front to back, so a draining iterator frees each
-    event once it has been applied. Counts go into the day's per-side
-    accumulators as the events are applied: a submission in a continuous
-    session counts toward its class, a cancel toward the densities and
-    ratios; an order's lifecycle is its resting order's ``tag``. Runs with the
+    ``events`` is read once, front to back, through a DayReplay, with the
     cyclic garbage collector paused (see ``lob.gc_paused``).
     """
-    book = LimitOrderBook()
-    observations: list[CancelObservation] = []
-    diagnostics: Counter = Counter()
-    buy_acc, sell_acc = SideAccumulator(), SideAccumulator()
-    instrument = ""
-
-    held: list[OrderEvent] = []
-    flushed = False
-
-    # Members bound once, and identity tests against the members of
-    # orderflow.CONTINUOUS_PHASES and the held opening-call and cool phases:
-    # set membership would hash the phase through Enum.__hash__, which runs
-    # in Python.
-    am, pm = SessionPhase.CONTINUOUS_AM, SessionPhase.CONTINUOUS_PM
-    call, cool = SessionPhase.OPENING_CALL, SessionPhase.COOL
-    cancel = EventKind.CANCEL
-    resting = book.index
-
-    def apply_one(ev: OrderEvent, phase: SessionPhase) -> None:
-        continuous = phase is am or phase is pm
-        if ev.kind is cancel:
-            order = resting.get(ev.order_id)  # a full cancel takes it out of the index
-            try:
-                outcome = book.apply(ev)
-            except DanglingCancel:
-                diagnostics["dangling_cancels"] += 1
-                return
-            except CancelSideMismatch:
-                diagnostics["cancel_side_mismatch"] += 1
-                return
-            except CancelExceedsRemaining:
-                diagnostics["cancel_exceeds_remaining"] += 1
-                return
-            price = ev.price_ticks
-            if price and price != order.price_ticks:  # the order id decides: still applied
-                diagnostics["cancel_price_mismatch"] += 1
-            rec = outcome.cancellation
-            life = order.tag
-            acc = buy_acc if rec.side is _BUY else sell_acc
-            in_ratio = continuous and life.in_scope
-            if in_ratio:
-                acc.cancel_events += 1
-                if not life.cancelled_in_scope:
-                    life.cancelled_in_scope = True
-                    acc.cancelled_by_class[life.klass] += 1
-            elif not continuous:
-                diagnostics["cancels_outside_continuous"] += 1
-            else:
-                diagnostics["cancels_of_precontinuous_orders"] += 1
-            if continuous:
-                _, _, level_rank, side_levels, level_orders, _, queue_rank, _ = rec
-                acc.rel_level_counts[level_rank, side_levels] += 1
-                acc.queue_frac_counts[queue_rank, level_orders] += 1
-                acc.norm_levels.append(rec.norm_level)
-            observations.append(
-                CancelObservation(
-                    ev.instrument, ev.seq, ev.timestamp, phase, rec,
-                    life.klass, continuous, in_ratio,
-                )
-            )
-        else:
-            pre_bid = book.best_bid()
-            pre_ask = book.best_ask()
-            try:
-                outcome = book.apply(ev)
-            except DuplicateOrderId:
-                diagnostics["duplicate_order_ids"] += 1
-                return
-            rested = outcome.rested is not None
-            klass = classify_submission(
-                ev.side, ev.price_ticks, pre_bid, pre_ask, bool(outcome.trades), rested
-            )
-            if continuous:
-                acc = buy_acc if ev.side is _BUY else sell_acc
-                acc.orders_by_class[klass] += 1
-            if rested:
-                resting[ev.order_id].tag = OrderLifecycle(klass, continuous)
-
+    replay = DayReplay()
+    feed = replay.feed
     for ev in events:
-        if not instrument:
-            instrument = ev.instrument
-        phase = phase_of(ev.timestamp)
-        if not flushed:
-            if phase is call or phase is cool:
-                held.append(ev)
-                diagnostics["held_events"] += 1
-                continue
-            for held_ev in held:
-                apply_one(held_ev, phase_of(held_ev.timestamp))
-            held.clear()
-            flushed = True
-        apply_one(ev, phase)
-    for held_ev in held:  # no continuous event ever arrived
-        apply_one(held_ev, phase_of(held_ev.timestamp))
+        feed(ev)
+    return replay.finish()
 
-    return DayResult(instrument, book, observations, diagnostics, buy_acc, sell_acc)
+
+def replay_days(
+    events: Iterable[OrderEvent],
+    *,
+    in_date_order: bool = False,
+    open_day: Callable[[str, date], DayReplay] = lambda instrument, day: DayReplay(),
+) -> Iterator[DayResult]:
+    """Feed each event to its instrument-day's live replay; yield each finished day.
+
+    ``open_day(instrument, day)`` makes the replay of a day when its first
+    event arrives. By default every day stays live to the end of the stream,
+    and the days are finished in (instrument, day) order. With
+    ``in_date_order`` an instrument's day is finished as soon as a later date
+    of that instrument arrives, so one day per instrument is live; an
+    earlier date raises DaysOutOfOrder, and the days still live at the end
+    are finished in (instrument, day) order.
+    """
+    live: dict[tuple[str, date], DayReplay] = {}
+    current_day: dict[str, date] = {}
+    key = feed = None  # the last event's day and its replay's feed
+    for ev in events:
+        ev_key = (ev.instrument, ev.timestamp.date())
+        if ev_key != key:
+            key = ev_key
+            replay = live.get(key)
+            if replay is None:
+                instrument, day = key
+                if in_date_order:
+                    prev_day = current_day.get(instrument)
+                    if prev_day is not None:
+                        if day < prev_day:
+                            raise DaysOutOfOrder(
+                                f"{instrument} goes back from {prev_day} to {day}"
+                            )
+                        yield live.pop((instrument, prev_day)).finish()
+                    current_day[instrument] = day
+                replay = live[key] = open_day(instrument, day)
+            feed = replay.feed
+        feed(ev)
+    for key in sorted(live):
+        yield live.pop(key).finish()
 
 
 # -- accumulation ---------------------------------------------------------------
@@ -331,11 +418,12 @@ class ProfileRun:
         return pooled
 
 
+@gc_paused()
 def profile_events(events: Iterable[OrderEvent]) -> ProfileRun:
-    """Replay every instrument-day in (instrument, day) order and pool the results."""
+    """Replay every instrument-day (see ``replay_days``) and pool the results."""
     run = ProfileRun()
-    for day_events in stream_days(events):
-        run.add_day(replay_day(day_events))
+    for day in replay_days(events):
+        run.add_day(day)
     return run
 
 

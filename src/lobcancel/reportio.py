@@ -97,7 +97,10 @@ def write_text(path: str | os.PathLike, text: str) -> None:
 
 
 # Lines per write: a long file is streamed, never held whole as one string.
-CHUNK_LINES = 8192
+# `profile` also writes a live instrument-day's cancels every CHUNK_LINES
+# cancels, so in a file of many instruments the rows held for writing stay
+# small next to the books.
+CHUNK_LINES = 1024
 
 
 def write_lines(path: str | os.PathLike, lines: Iterable[str], *, append: bool = False) -> None:
@@ -183,9 +186,9 @@ def _cancel_rows(observations: Iterable[CancelObservation]) -> Iterable[str]:
 def cancels_csv(path: str | os.PathLike, observations: Iterable[CancelObservation]) -> None:
     """Append one cancels.csv row per observation to ``path``, without the header.
 
-    ``profile`` writes each replayed day's rows to its instrument's part
-    file this way, and ``join_cancels_csv`` puts the header in front of the
-    parts.
+    ``profile`` writes each instrument-day's rows to the day's part file
+    this way, a chunk at a time as the day is replayed, and
+    ``join_cancels_csv`` puts the header in front of the parts.
     """
     write_lines(path, _cancel_rows(observations), append=True)
 

@@ -18,7 +18,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .lob import LimitOrderBook, gc_paused
 from .orderflow import EventKind, OrderEvent, Side
@@ -159,23 +159,22 @@ class _SessionClock:
         return self.base_pm + timedelta(milliseconds=ms - self.AM_MS)
 
 
-@gc_paused()
-def generate_stream(config: GenConfig) -> list[OrderEvent]:
-    """Emit a replayable event stream of exactly ``config.n_events`` events.
+def iter_stream(config: GenConfig) -> Iterator[OrderEvent]:
+    """Yield a replayable event stream of exactly ``config.n_events`` events.
 
     The stream opens with non-crossing limits building ``initial_levels``
     price levels of ``initial_queue`` orders per side, then mixes limits,
     marketables, and full cancels per the configured shares. Sides starved of
     resting orders fall back to limit submissions, which keeps the book deep
-    enough for the position laws to act on. Runs with the cyclic garbage
-    collector paused (see ``lob.gc_paused``).
+    enough for the position laws to act on. Each event is made as it is
+    asked for, so the generator holds its book replica, not the stream.
     """
     rng = random.Random(config.seed)
     book = LimitOrderBook()
     clock = _SessionClock(config.trading_day, config.n_events)
     level_sampler = _RankSampler(config.level_law, rng)
     queue_sampler = _RankSampler(config.queue_law, rng)
-    events: list[OrderEvent] = []
+    emitted = 0
     next_id = 1
     target_depth = config.initial_levels * config.initial_queue
     min_side_orders = max(1, target_depth // 4)
@@ -187,14 +186,16 @@ def generate_stream(config: GenConfig) -> list[OrderEvent]:
     buy, sell = Side.BUY, Side.SELL
     limit, marketable, cancel = EventKind.LIMIT, EventKind.MARKETABLE, EventKind.CANCEL
 
-    def emit(kind: EventKind, side: Side, price: int, size: int, order_id: int) -> None:
+    def emit(kind: EventKind, side: Side, price: int, size: int, order_id: int) -> OrderEvent:
+        nonlocal emitted
+        emitted += 1
         ev = OrderEvent(
-            len(events) + 1, clock.next(), config.instrument, order_id, kind, side, price, size
+            emitted, clock.next(), config.instrument, order_id, kind, side, price, size
         )
-        events.append(ev)
         book.apply(ev)
+        return ev
 
-    def emit_limit(side: Side) -> None:
+    def emit_limit(side: Side) -> OrderEvent:
         # Placement depth follows the level law so per-level inflow balances
         # the law-shaped cancellation outflow and queues keep their depth.
         # Front placements step inside the spread when a gap is open. ``away``
@@ -208,8 +209,9 @@ def generate_stream(config: GenConfig) -> list[OrderEvent]:
         else:
             anchor = own if own is not None else (opp + away if opp is not None else config.mid_price_ticks)
             price = anchor + away * offset
-        emit(limit, side, max(price, 1), rng.randrange(1, 11) * 100, next_id)
+        ev = emit(limit, side, max(price, 1), rng.randrange(1, 11) * 100, next_id)
         next_id += 1
+        return ev
 
     # Seed phase: two ladders of stacked non-crossing limits. Depths are
     # randomized around initial_queue so queue lengths mix from the start;
@@ -221,12 +223,12 @@ def generate_stream(config: GenConfig) -> list[OrderEvent]:
     for level in range(config.initial_levels):
         for side, price in ((buy, mid - 1 - level), (sell, mid + 1 + level)):
             for _ in range(rng.randrange(lo_depth, hi_depth + 1)):
-                if len(events) >= config.n_events:
-                    return events
-                emit(limit, side, price, rng.randrange(1, 11) * 100, next_id)
+                if emitted >= config.n_events:
+                    return
+                yield emit(limit, side, price, rng.randrange(1, 11) * 100, next_id)
                 next_id += 1
 
-    while len(events) < config.n_events:
+    while emitted < config.n_events:
         if rng.random() < 0.5:
             side, own, opp = buy, book.buy, book.sell
         else:
@@ -245,14 +247,20 @@ def generate_stream(config: GenConfig) -> list[OrderEvent]:
             rank = level_sampler.draw(len(own.keys))
             queue = own.levels[own.price_at(rank)]
             victim = queue[queue_sampler.draw(len(queue)) - 1]
-            emit(cancel, side, victim.price_ticks, 0, victim.order_id)
+            yield emit(cancel, side, victim.price_ticks, 0, victim.order_id)
         elif config.limit_share <= u < cancel_cut and opp.order_count > min_side_orders:
             price = opp.best_price()
-            emit(marketable, side, price, rng.randrange(1, 23) * 100, next_id)
+            yield emit(marketable, side, price, rng.randrange(1, 23) * 100, next_id)
             next_id += 1
         else:
-            emit_limit(side)
-    return events
+            yield emit_limit(side)
+
+
+@gc_paused()
+def generate_stream(config: GenConfig) -> list[OrderEvent]:
+    """The whole ``iter_stream`` of ``config`` as a list, made with the
+    cyclic garbage collector paused (see ``lob.gc_paused``)."""
+    return list(iter_stream(config))
 
 
 # -- uniform-queue experiment ---------------------------------------------------

@@ -1,4 +1,5 @@
 """Shared fixtures: the hand-enumerated 20-order stream and small helpers."""
+import gc
 from datetime import datetime, timedelta
 
 import pytest
@@ -107,3 +108,15 @@ def fixture_csv(tmp_path):
     path = tmp_path / "fixture.csv"
     path.write_text(serialize_events(build_fixture_events()), encoding="utf-8")
     return path
+
+
+@pytest.fixture
+def collector_state():
+    """Set the collector on or off for one test, restoring the session's state."""
+    was_enabled = gc.isenabled()
+
+    def set_state(enabled):
+        (gc.enable if enabled else gc.disable)()
+
+    yield set_state
+    set_state(was_enabled)

@@ -100,6 +100,22 @@ def test_parse_duplicate_submission_id():
     assert [e.code for e in result.errors] == [DUPLICATE_ORDER_ID]
 
 
+def test_duplicate_ids_are_found_in_and_out_of_rising_order():
+    # Rising ids, ids below the run, ids past the 8-byte range and negative
+    # ids; each is refused when it comes back, in the same day only.
+    ids = [5, 9, 7, 2**63, 12, -3, 2**70, 10, 7, 2**63, 12, -3, 9, 2**70, 5, 13]
+    rows = [f"{i},2003-01-02T09:31:{i:02d}.000,000001,{oid},L,B,1025,100"
+            for i, oid in enumerate(ids, start=1)]
+    rows += [f"{i},2003-01-03T09:31:00.000,000001,{oid},L,B,1025,100"
+             for i, oid in enumerate((9, 2**63, 7), start=len(ids) + 1)]
+    result = parse_stream(make_csv(*rows))
+    refused = [int(e.message.split()[1]) for e in result.errors]
+    assert {e.code for e in result.errors} == {DUPLICATE_ORDER_ID}
+    assert refused == [7, 2**63, 12, -3, 9, 2**70, 5]
+    assert [ev.order_id for ev in result.events] == [5, 9, 7, 2**63, 12, -3, 2**70, 10, 13,
+                                                      9, 2**63, 7]
+
+
 def test_parse_rejects_nonpositive_submission_fields():
     result = parse_stream(
         make_csv(

@@ -17,6 +17,7 @@ from lobcancel.orderflow import EventKind, OrderEvent, SessionPhase, Side
 from lobcancel.profiles import (
     AggressivenessClass,
     BinSpec,
+    DayReplay,
     EmptySample,
     InstrumentProfile,
     PdfError,
@@ -333,6 +334,18 @@ def test_replay_day_reads_any_iterable_once(fixture_events):
     assert from_iterator.buy == from_list.buy and from_iterator.sell == from_list.sell
 
 
+def test_day_replay_hands_its_cancels_to_flush_in_chunks(fixture_events):
+    chunks = []
+    replay = DayReplay(lambda observations: chunks.append(list(observations)), chunk=3)
+    for ev in fixture_events:
+        replay.feed(ev)
+    day = replay.finish()
+    assert [len(c) for c in chunks] == [3, 3, 2] and day.observations == []
+    whole = replay_day(fixture_events)
+    assert [obs for c in chunks for obs in c] == whole.observations
+    assert (day.buy, day.sell, day.diagnostics) == (whole.buy, whole.sell, whole.diagnostics)
+
+
 def test_dangling_cancel_counted_not_raised():
     base = datetime(2003, 6, 2, 10, 0, 0)
     events = [OrderEvent(1, base, "D", 99, EventKind.CANCEL, B, 0, 0)]
@@ -444,18 +457,6 @@ def test_merge_is_order_independent():
 
 
 SMALL_GEN = GenConfig(seed=1, n_events=400, initial_levels=5, initial_queue=2)
-
-
-@pytest.fixture
-def collector_state():
-    """Set the collector on or off for one test, restoring the session's state."""
-    was_enabled = gc.isenabled()
-
-    def set_state(enabled):
-        (gc.enable if enabled else gc.disable)()
-
-    yield set_state
-    set_state(was_enabled)
 
 
 @pytest.mark.parametrize("enabled", [True, False])

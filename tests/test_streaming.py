@@ -7,7 +7,10 @@ split across two files. The cancels.csv digests are those of the same files
 with their three ratio columns cut (`cut -d, -f1-11,15-`), which the
 integer-only layout writes.
 """
+import errno
+import gc
 import hashlib
+import heapq
 import tempfile
 import tracemalloc
 from datetime import date, timedelta
@@ -15,7 +18,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from lobcancel import cli
+from lobcancel import cli, reportio
 from lobcancel.cli import main
 from lobcancel.orderflow import (
     DUPLICATE_ORDER_ID,
@@ -23,13 +26,21 @@ from lobcancel.orderflow import (
     NON_MONOTONE_SEQ,
     NON_MONOTONE_TIME,
     DaysOutOfOrder,
+    OrderEvent,
     ParseError,
     iter_parse,
     parse_stream,
     split_days,
-    stream_days,
 )
-from lobcancel.profiles import BinSpec, ProfileRun, accumulate_pdf, count_pdf, profile_events
+from lobcancel.profiles import (
+    BinSpec,
+    ProfileRun,
+    accumulate_pdf,
+    count_pdf,
+    profile_events,
+    replay_day,
+    replay_days,
+)
 from lobcancel.synth import GenConfig, generate_stream
 
 
@@ -165,7 +176,11 @@ def _events(rows_by_day) -> list:
     return result.events
 
 
-def test_stream_days_in_date_order_yields_each_day_once_complete():
+def _day_fields(day) -> tuple:
+    return day.instrument, day.observations, day.diagnostics, day.buy, day.sell
+
+
+def test_replay_days_in_date_order_finishes_each_day_once_complete():
     d1, d2 = date(2003, 3, 3), date(2003, 3, 4)
     a1, a2, b1 = (_day_rows(code, day, seed=5, n_events=40)
                   for code, day in (("A", d1), ("A", d2), ("B", d1)))
@@ -177,16 +192,15 @@ def test_stream_days_in_date_order_yields_each_day_once_complete():
             seen.append(ev)
             yield ev
 
-    days = []
-    for day in stream_days(feed(), in_date_order=True):
-        days.append((len(seen), list(day)))
-    # A's first day comes out when its second day starts; the rest at the end
+    days = [(len(seen), day) for day in replay_days(feed(), in_date_order=True)]
+    # A's first day is finished when its second day starts; the rest at the end
     assert [n for n, _ in days] == [81, 120, 120]
-    grouped = [day for _, day in days]
-    assert grouped == [split_days(events)[key] for key in (("A", d1), ("A", d2), ("B", d1))]
-    # read whole, the days come out in (instrument, day) order
-    assert [list(day) for day in stream_days(events)] == [
-        split_days(events)[key] for key in sorted(split_days(events))
+    by_day = split_days(events)
+    want = [_day_fields(replay_day(by_day[key])) for key in (("A", d1), ("A", d2), ("B", d1))]
+    assert [_day_fields(day) for _, day in days] == want
+    # kept live to the end, the days are finished in (instrument, day) order
+    assert [_day_fields(day) for day in replay_days(events)] == [
+        _day_fields(replay_day(by_day[key])) for key in sorted(by_day)
     ]
 
 
@@ -196,8 +210,7 @@ def test_an_earlier_date_raises_in_date_order_only():
     later = _day_rows("A", d2, seed=6, n_events=40)
     events = _events([rows[:20], later, rows[20:]])
     with pytest.raises(DaysOutOfOrder):
-        for day in stream_days(events, in_date_order=True):
-            list(day)
+        list(replay_days(events, in_date_order=True))
     text = "\n".join([HEADER, *(f"{i},{row}" for i, row in
                                 enumerate(rows[:20] + later + rows[20:], start=1))])
     with pytest.raises(DaysOutOfOrder):
@@ -246,3 +259,109 @@ def test_profile_memory_is_one_day_not_the_input(tmp_path, capsys):
     one_peak = _profile_peak([one], tmp_path / "o1")
     eight_peak = _profile_peak([eight], tmp_path / "o8")
     assert eight_peak <= 1.3 * one_peak, (one_peak, eight_peak)
+
+
+# -- exchange layout: one file per day, every instrument in it ----------------------
+
+
+EXCHANGE_CODES = ("EXA", "EXB", "EXC", "EXD")
+
+
+def _exchange_rows(n_events: int) -> list[str]:
+    """One trading day of four instruments, merged by timestamp, seq renumbered 1.."""
+    streams = [
+        generate_stream(GenConfig(seed=60 + i, n_events=n_events, instrument=code,
+                                  trading_day=date(2003, 3, 3), initial_levels=20,
+                                  initial_queue=4))
+        for i, code in enumerate(EXCHANGE_CODES)
+    ]
+    merged = heapq.merge(*streams, key=lambda ev: ev.timestamp)
+    return [ev._replace(seq=seq).to_row() for seq, ev in enumerate(merged, start=1)]
+
+
+def test_exchange_layout_file_profiles_as_its_per_instrument_split(tmp_path, capsys):
+    rows = _exchange_rows(10_000)
+    day_file = tmp_path / "day.csv"
+    day_file.write_text("\n".join([HEADER, *rows]) + "\n", encoding="utf-8")
+    split = []
+    for code in EXCHANGE_CODES:  # each row keeps its seq of the day file
+        path = tmp_path / f"{code}.csv"
+        path.write_text("\n".join([HEADER, *(r for r in rows if r.split(",", 3)[2] == code)])
+                        + "\n", encoding="utf-8")
+        split.append(str(path))
+    # One file is one group, so --workers 2 runs the day file as --workers 1 does.
+    assert main(["profile", str(day_file), "--out", str(tmp_path / "day")]) == 0
+    want = _digests(tmp_path / "day")
+    for workers in ("1", "2"):
+        out = tmp_path / f"split-w{workers}"
+        assert main(["profile", *split, "--out", str(out), "--workers", workers]) == 0
+        assert _digests(out) == want
+    capsys.readouterr()
+
+    # The day file is replayed as it is read: its four books and its
+    # duplicate-id sets are live at once, its events are not.
+    text = day_file.read_text(encoding="utf-8")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        events = parse_stream(text).events
+        events_size = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    del events, text
+    peak = _profile_peak([str(day_file)], tmp_path / "traced")
+    assert peak <= events_size / 2, (peak, events_size)
+
+
+# -- gen writes as it generates -------------------------------------------------------
+
+
+GEN_ARGS = ["--events", "50000", "--seed", "3", "--levels", "20", "--queue-depth", "6"]
+
+
+def test_gen_memory_is_the_book_not_the_stream(tmp_path, capsys):
+    config = GenConfig(seed=3, n_events=50_000, initial_levels=20, initial_queue=6)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        events = generate_stream(config)
+        stream_size = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    want = "\n".join([HEADER, *map(OrderEvent.to_row, events)]) + "\n"
+    del events
+    out = tmp_path / "gen.csv"
+    tracemalloc.start()
+    try:
+        assert main(["gen", "--out", str(out), *GEN_ARGS]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= stream_size / 2, (peak, stream_size)
+    assert out.read_text(encoding="utf-8") == want
+    assert capsys.readouterr().out == f"wrote 50000 events -> {out}\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_gen_writes_with_the_collector_paused_and_restores_it(tmp_path, monkeypatch, capsys,
+                                                              collector_state, enabled):
+    write_lines = reportio.write_lines
+    seen = []
+
+    def spy(path, lines, **kwargs):
+        seen.append(gc.isenabled())
+        write_lines(path, lines, **kwargs)
+
+    collector_state(enabled)
+    monkeypatch.setattr(reportio, "write_lines", spy)
+    assert main(["gen", "--out", str(tmp_path / "gen.csv"), "--events", "300"]) == 0
+    assert gc.isenabled() is enabled and seen == [False]
+
+    def fail_partway(path, lines, **kwargs):
+        next(iter(lines))
+        raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+    monkeypatch.setattr(reportio, "write_lines", fail_partway)
+    assert main(["gen", "--out", str(tmp_path / "gen.csv"), "--events", "300"]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert gc.isenabled() is enabled
