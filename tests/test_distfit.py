@@ -294,6 +294,110 @@ def test_powerlaw_candidate_thinning_keeps_extremes(monkeypatch):
     assert fit.tail_size > 10_000
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_powerlaw_rejects_non_finite_samples(bad):
+    xs = df.sample_pareto(500, 2.5, 1.0, RNG(32))
+    xs[17] = bad
+    with pytest.raises(ValueError, match="finite"):
+        df.fit_powerlaw_tail(xs)
+
+
+def _full_scan(samples) -> df.PowerLawFit:
+    """fit_powerlaw_tail without pruning: the full KS distance at every candidate."""
+    xs = np.sort(np.asarray(samples, dtype=float))
+    n = xs.size
+    uniq = np.unique(xs)
+    candidates = uniq[n - np.searchsorted(xs, uniq, side="right") >= df.MIN_TAIL_SIZE]
+    if candidates.size > df.MAX_TAIL_CANDIDATES:
+        keep = np.round(np.linspace(0, candidates.size - 1, df.MAX_TAIL_CANDIDATES))
+        candidates = candidates[np.unique(keep.astype(int))]
+    suffix_log = np.concatenate((np.cumsum(np.log(xs)[::-1])[::-1], [0.0]))
+    best = None
+    for xmin in candidates.tolist():
+        i = int(np.searchsorted(xs, xmin, side="right"))
+        m = n - i
+        alpha = float(1.0 + m / (suffix_log[i] - m * math.log(xmin)))
+        model = 1.0 - (xmin / xs[i:]) ** (alpha - 1.0)
+        ks = float(np.max(np.abs(np.arange(1, m + 1) / m - model)))
+        if best is None or ks < best.ks:  # ascending xmin: the smallest wins a tie
+            best = df.PowerLawFit(alpha, xmin, m, (alpha - 1.0) / math.sqrt(m), ks)
+    return best
+
+
+def _lattice_levels(n, rng):
+    """Normalized levels (k * S) / (L * q) of integer book counts, as `fit` derives them."""
+    side_levels = rng.integers(1, 60, n)
+    level_rank = rng.integers(1, side_levels + 1)
+    side_orders = rng.integers(side_levels, 40 * side_levels + 1)
+    level_orders = rng.integers(1, side_orders // side_levels + 1)
+    return (level_rank * side_orders) / (side_levels * level_orders)
+
+
+_TAIL_DRAWS = {
+    "pareto": lambda rng: df.sample_pareto(5_000, 2.3, 1.0, rng),
+    "lognormal_body_pareto_tail": lambda rng: np.concatenate(
+        (np.exp(rng.normal(0.0, 1.0, 4_000)), df.sample_pareto(800, 2.6, 3.0, rng))),
+    "integer_lattice": lambda rng: _lattice_levels(6_000, rng),
+    "rounded_ties": lambda rng: np.round(df.sample_pareto(4_000, 2.2, 1.0, rng), 1),
+    "n_100": lambda rng: df.sample_pareto(100, 2.5, 1.0, rng),
+}
+
+
+@pytest.mark.parametrize("setting", ["default", "candidates_100", "stride_1", "stride_above_n"])
+@pytest.mark.parametrize("draw", sorted(_TAIL_DRAWS))
+def test_pruned_scan_equals_full_scan(draw, setting, monkeypatch):
+    if setting == "candidates_100":
+        monkeypatch.setattr(df, "MAX_TAIL_CANDIDATES", 100)
+    elif setting == "stride_1":
+        monkeypatch.setattr(df, "_KS_STRIDE", 1)
+    elif setting == "stride_above_n":
+        monkeypatch.setattr(df, "_KS_STRIDE", 10**7)
+    for seed in range(3):
+        xs = _TAIL_DRAWS[draw](RNG(seed))
+        want = _full_scan(xs)
+        got = df.fit_powerlaw_tail(xs)
+        assert got == want
+        assert repr(got) == repr(want)  # the same float types too, as fits.json writes them
+
+
+def test_the_equivalence_draws_have_ties_and_thinning():
+    # the draws above reach what they are named for: tied values, and more
+    # candidates than the scan keeps
+    assert np.unique(_TAIL_DRAWS["rounded_ties"](RNG(0))).size < 1_000
+    lattice = _TAIL_DRAWS["integer_lattice"](RNG(0))
+    assert np.unique(lattice).size < lattice.size
+    assert np.unique(_TAIL_DRAWS["pareto"](RNG(0))).size > df.MAX_TAIL_CANDIDATES + df.MIN_TAIL_SIZE
+
+
+def test_pruned_scan_breaks_ties_toward_the_smallest_threshold(monkeypatch):
+    # every full distance ties and the bounds fall with xmin, so the scan
+    # visits the largest threshold first and must still return the smallest
+    def ks_distance(xs, i, xmin, alpha, stride=1):
+        return 0.5 if stride == 1 else 0.5 - 1e-3 * i / xs.size
+
+    monkeypatch.setattr(df, "_ks_distance", ks_distance)
+    xs = df.sample_pareto(2_000, 2.5, 1.0, RNG(34))
+    fit = df.fit_powerlaw_tail(xs)
+    assert (fit.xmin, fit.ks) == (float(np.min(xs)), 0.5)
+
+
+def test_pruned_scan_makes_few_full_ks_passes(monkeypatch):
+    full_passes = []
+    ks_distance = df._ks_distance
+
+    def counting(xs, i, xmin, alpha, stride=1):
+        if stride == 1:
+            full_passes.append(xmin)
+        return ks_distance(xs, i, xmin, alpha, stride)
+
+    monkeypatch.setattr(df, "_ks_distance", counting)
+    rng = RNG(33)
+    xs = np.concatenate((np.exp(rng.normal(0.0, 1.0, 90_000)), df.sample_pareto(10_000, 2.5, 3.0, rng)))
+    fit = df.fit_powerlaw_tail(xs)
+    assert fit.xmin in full_passes
+    assert 1 <= len(full_passes) <= 10  # of MAX_TAIL_CANDIDATES = 500 candidates
+
+
 # -- exponential queue profile -----------------------------------------------------
 
 
