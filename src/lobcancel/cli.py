@@ -24,7 +24,7 @@ from typing import Iterator
 
 from . import reportio
 from .lob import LobError, gc_paused, norm_level
-from .orderflow import HEADER, DaysOutOfOrder, OrderEvent, ParseError, iter_parse
+from .orderflow import HEADER, DayChecks, DaysOutOfOrder, OrderEvent, ParseError, iter_parse
 from .profiles import (
     DEFAULT_UNIT_BINS,
     POSITIVE_RAY,
@@ -235,19 +235,35 @@ def _read_lines(path: str) -> Iterator[str]:
 
 
 def cmd_validate(args) -> int:
-    total_errors = 0
-    for path in args.inputs:
-        events = 0
-        errors = []
-        for item in iter_parse(_read_lines(path)):
-            if type(item) is ParseError:
-                errors.append(item)
-            else:
-                events += 1
-        print(f"{path}: {events} events, {len(errors)} errors")
-        for err in errors:
-            print(f"  {path}:{err}")
-        total_errors += len(errors)
+    """Report each file's parse errors, checking an instrument-day split across files as one.
+
+    The checks keep one day per instrument, as `profile` does, until an
+    input takes an instrument back to an earlier date; the files are then
+    checked again from the start with every day kept, and the report goes on
+    from the file where that happened.
+    """
+    total_errors = reported = 0
+    for in_date_order in (True, False):
+        days = DayChecks()
+        try:
+            for i, path in enumerate(args.inputs):
+                events = 0
+                errors = []
+                for item in iter_parse(_read_lines(path), in_date_order=in_date_order, days=days):
+                    if type(item) is ParseError:
+                        errors.append(item)
+                    else:
+                        events += 1
+                if i < reported:
+                    continue
+                print(f"{path}: {events} events, {len(errors)} errors")
+                for err in errors:
+                    print(f"  {path}:{err}")
+                total_errors += len(errors)
+                reported += 1
+            break
+        except DaysOutOfOrder:
+            pass
     return 0 if total_errors == 0 else 1
 
 
@@ -264,10 +280,11 @@ def _replay_files(
 
     def events() -> Iterator[OrderEvent]:
         nonlocal failed, n_events
+        days = DayChecks()  # an instrument-day split across files is checked as one
         for path in paths:
             path_errors: list[str] = []
             errors.append(path_errors)
-            for item in iter_parse(_read_lines(path), in_date_order=in_date_order):
+            for item in iter_parse(_read_lines(path), in_date_order=in_date_order, days=days):
                 if type(item) is ParseError:
                     path_errors.append(f"{path}:{item}")
                     failed = True
@@ -300,15 +317,17 @@ def _profile_job(
     Returns the profile of each instrument, the header-less cancels.csv part
     files of each in day order (in the new directory ``parts_dir``), the
     number of events replayed, and each path's parse errors as
-    ``path:error`` strings. Files are read lazily, and each parsed row goes
-    straight to its instrument-day's live replay (``profiles.replay_days``),
-    which appends its cancels to the day's part file every
-    ``reportio.CHUNK_LINES`` rows; a day is finished once a later date of
-    its instrument arrives, or at the end. An input that takes an instrument
-    back to an earlier date is run again from the start with every day's
-    replay kept live to the end, so its days are grouped as a whole-input
-    read groups them. A pool worker runs this on its own paths, so only file
-    names, counts and part paths cross the process boundary.
+    ``path:error`` strings. The parse checks of an instrument-day span the
+    files, so a day split across two of them is checked as one day. Files
+    are read lazily, and each parsed row goes straight to its
+    instrument-day's live replay (``profiles.replay_days``), which appends
+    its cancels to the day's part file every ``reportio.CHUNK_LINES`` rows;
+    a day is finished once a later date of its instrument arrives, or at the
+    end. An input that takes an instrument back to an earlier date is run
+    again from the start, with fresh checks and every day's replay kept live
+    to the end, so its days are grouped as a whole-input read groups them. A
+    pool worker runs this on its own paths, so only file names, counts and
+    part paths cross the process boundary.
     """
     with gc_paused():
         try:
@@ -319,7 +338,7 @@ def _profile_job(
 
 
 def _instrument_codes(path: str) -> set[str]:
-    """Instrument column of every row, split into lines as parse_stream splits them."""
+    """Instrument column of every row, read into lines as `_read_lines` reads them."""
     lines = _read_lines(path)
     next(lines, None)
     return {parts[2] for parts in (line.split(",", 3) for line in lines) if len(parts) > 2}
@@ -562,6 +581,10 @@ def cmd_fit(args) -> int:
     unknown = [m for m in models if m not in ALL_MODELS]
     if unknown:
         raise UsageError(f"unknown models {unknown}; choose from {ALL_MODELS}")
+    if not models:
+        raise UsageError(f"--models names no model; choose from {ALL_MODELS}")
+    if len(set(models)) < len(models):
+        raise UsageError(f"--models names a model twice: {args.models!r}")
     _check_out(args.out)
     blocks = _profile_blocks(args.profiles)
     norm_samples = None
@@ -665,10 +688,10 @@ def cmd_simqueues(args) -> int:
             "seed": config.seed,
         },
         "point_masses": {
-            "value": [float(v) for v in result.mass_values],
-            "prob": [float(p) for p in result.mass_probs],
+            "value": result.mass_values.tolist(),
+            "prob": result.mass_probs.tolist(),
         },
-        "top_masses": [[v, p] for v, p in result.top_masses(10)],
+        "top_masses": result.top_masses(10),
         "pdf": result.pdf.to_dict(),
     }
     with _writing(args.out):

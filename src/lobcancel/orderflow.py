@@ -132,8 +132,27 @@ _KINDS = {kind.value: kind for kind in EventKind}
 _SIDES = {side.value: side for side in Side}
 
 
+@dataclass
+class DayChecks:
+    """The per-instrument-day state of ``iter_parse``'s checks.
+
+    Pass one to the ``iter_parse`` call of each file of an input, and the
+    checks treat an instrument-day split across the files as one day.
+    """
+
+    # Each live instrument-day's last timestamp.
+    last_ts: dict[tuple[str, date], datetime] = field(default_factory=dict)
+    # Submitted order ids per instrument-day. Those above every earlier id
+    # of the day, as a day's ids mostly are, go in ascending order into an
+    # array of 8 bytes each, searched by bisection; the others into a set,
+    # whose entries cost about 100 bytes each.
+    seen_ids: dict[tuple[str, date], tuple[array, set[int]]] = field(default_factory=dict)
+    # In date order: each instrument's day.
+    current_day: dict[str, date] = field(default_factory=dict)
+
+
 def iter_parse(
-    source: str | Iterable[str], *, in_date_order: bool = False
+    source: str | Iterable[str], *, in_date_order: bool = False, days: DayChecks | None = None
 ) -> Iterator[OrderEvent | ParseError]:
     """Parse an order-flow CSV lazily, yielding an OrderEvent or a ParseError per record.
 
@@ -148,11 +167,12 @@ def iter_parse(
     submissions. Instrument codes are interned, and equal prices and sizes
     share one int object.
 
-    The checks keep per-instrument-day state. With ``in_date_order`` a day's
-    state is dropped once its instrument moves on to a later date, so the
-    state stays one day per instrument, and a row that takes its instrument
-    back to an earlier date raises DaysOutOfOrder; the records yielded up to
-    then are those of the default mode.
+    The checks keep per-instrument-day state in ``days``, a fresh DayChecks
+    by default; seq and the header are checked per call. With
+    ``in_date_order`` a day's state is dropped once its instrument moves on
+    to a later date, so the state stays one day per instrument, and a row
+    that takes its instrument back to an earlier date raises DaysOutOfOrder;
+    the records yielded up to then are those of the default mode.
     """
     lines = iter(source.splitlines() if isinstance(source, str) else source)
 
@@ -167,13 +187,8 @@ def iter_parse(
     # int object, not a fresh one per buffered event.
     share = {}.setdefault
     last_seq: int | None = None
-    last_ts: dict[tuple[str, date], datetime] = {}
-    # Submitted order ids per instrument-day. Those above every earlier id
-    # of the day, as a day's ids mostly are, go in ascending order into an
-    # array of 8 bytes each, searched by bisection; the others into a set,
-    # whose entries cost about 100 bytes each.
-    seen_ids: dict[tuple[str, date], tuple[array, set[int]]] = {}
-    current_day: dict[str, date] = {}  # in date order: each instrument's day
+    days = DayChecks() if days is None else days
+    last_ts, seen_ids, current_day = days.last_ts, days.seen_ids, days.current_day
 
     for line_no, raw in enumerate(lines, start=2):
         line = raw.strip()

@@ -526,8 +526,8 @@ class EmpiricalPdf:
 
     def to_dict(self) -> dict:
         return {
-            "edges": [float(e) for e in self.bin_edges],
-            "density": [float(d) for d in self.density],
+            "edges": self.bin_edges.tolist(),
+            "density": self.density.tolist(),
             "count": self.count,
             "domain": self.domain,
         }

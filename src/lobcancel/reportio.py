@@ -1,14 +1,14 @@
 """Deterministic serialization of profile and fit results.
 
 Output artifacts must be byte-identical across runs with the same inputs and
-seed, so JSON is rendered by hand: keys sorted, two-space indents, floats
-printed with 17 significant digits, no locale or hash-order dependence
-anywhere. Strings are quoted by the json module.
+seed. JSON is written by the json module with keys sorted and two-space
+indents; a float prints as its shortest round-trip repr, so it reads back as
+the same double, and a NaN or infinity is refused. Nothing depends on the
+locale or on hash order.
 """
 from __future__ import annotations
 
 import json
-import math
 import os
 import shutil
 from typing import Iterable
@@ -33,62 +33,9 @@ CANCELS_CSV_HEADER = (
 )
 
 
-def format_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite float in output: {x}")
-    return f"{x:.17g}"
-
-
 def render_json(obj) -> str:
-    """Render JSON with sorted keys and fixed float formatting."""
-    pieces: list[str] = []
-    _render(obj, pieces, 0)
-    pieces.append("\n")
-    return "".join(pieces)
-
-
-def _render(obj, out: list[str], level: int) -> None:
-    pad = "  " * (level + 1)
-    close_pad = "  " * level
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=False))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(format_float(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        keys = sorted(obj)
-        for i, key in enumerate(keys):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            out.append(pad)
-            out.append(json.dumps(key, ensure_ascii=False))
-            out.append(": ")
-            _render(obj[key], out, level + 1)
-            out.append(",\n" if i < len(keys) - 1 else "\n")
-        out.append(close_pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, item in enumerate(obj):
-            out.append(pad)
-            _render(item, out, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(close_pad + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+    """Render JSON with sorted keys and two-space indents; a NaN or inf raises ValueError."""
+    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False) + "\n"
 
 
 def write_text(path: str | os.PathLike, text: str) -> None:
@@ -141,7 +88,7 @@ def _instrument_payload(profile: InstrumentProfile, unit_bins: int, log_bins: in
     return {
         "instrument": profile.instrument,
         "days": profile.days,
-        "diagnostics": {k: int(v) for k, v in sorted(profile.diagnostics.items())},
+        "diagnostics": dict(profile.diagnostics),
         "sides": {
             "buy": _side_payload(profile.buy, unit_bins, log_bins),
             "sell": _side_payload(profile.sell, unit_bins, log_bins),

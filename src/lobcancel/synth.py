@@ -81,10 +81,8 @@ class _RankSampler:
                 math.exp(-((math.log(k / n) - law.mu) ** 2) * inv_two_s2) / (k / n)
                 for k in range(1, n + 1)
             ]
-        elif isinstance(law, ExpProfileLaw):
+        else:  # ExpProfileLaw: draw returns before it gets here for a uniform law
             raw = [1.0 - math.exp(law.beta * k / n) for k in range(1, n + 1)]
-        else:
-            raw = [1.0] * n
         cum: list[float] = []
         total = 0.0
         for w in raw:

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from lobcancel import cli
+from lobcancel import cli, reportio
 from lobcancel.cli import main
 
 
@@ -91,7 +91,7 @@ def test_usage_error_exits_2():
 
 
 def test_internal_invariant_violation_exits_3(monkeypatch, capsys):
-    from lobcancel import cli
+    from lobcancel import cli, reportio
     from lobcancel.lob import CrossedBookInvariantViolation
 
     def boom(args):
@@ -378,6 +378,47 @@ def test_fit_unknown_model_exits_2(profile_dir, tmp_path):
     ) == 2
 
 
+@pytest.mark.parametrize("models, message", [
+    (",", "names no model"), ("", "names no model"), ("exp,exp", "names a model twice"),
+    ("lognormal, exp,lognormal", "names a model twice"),
+])
+def test_fit_models_naming_no_model_or_one_twice_exits_2(profile_dir, tmp_path, capsys,
+                                                          models, message):
+    _, _, out = profile_dir
+    fits = tmp_path / "f.json"
+    assert run(["fit", "--profiles", str(out / "profiles.json"), "--out", str(fits),
+                "--models", models]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --models") and message in err[0]
+    assert not fits.exists()
+
+
+def test_stream_without_cancels_through_profile_fit_report(tmp_path, capsys):
+    stream, out = tmp_path / "nocancel.csv", tmp_path / "artifacts"
+    assert run(["gen", "--out", str(stream), "--events", "2000", "--seed", "4",
+                "--levels", "10", "--queue-depth", "3", "--mix", "1,0,0"]) == 0
+    assert run(["profile", str(stream), "--out", str(out)]) == 0
+    sides = json.loads((out / "profiles.json").read_text())["ensemble"]["sides"]
+    for side in sides.values():
+        assert side["cancelled_orders"] == side["cancel_events"] == 0 and side["ratio"] == 0
+        assert side["pdf_rel_level"] is side["pdf_norm_level"] is side["pdf_queue_frac"] is None
+    fits = tmp_path / "fits.json"
+    assert run(["fit", "--profiles", str(out / "profiles.json"), "--out", str(fits),
+                "--models", "lognormal,powerlaw,exp", "--repeats", "5"]) == 0
+    entries = json.loads(fits.read_text())["fits"]
+    assert len(entries) == 12 and all(set(e) == {"instrument", "side", "model", "error"}
+                                      for e in entries)
+    errors = {e["model"]: e["error"] for e in entries}
+    assert errors == {"lognormal": "no relative-level density",
+                      "exp": "no queue-position density",
+                      "powerlaw": "TooFewSamples: need >= 100 samples, got 0"}
+    capsys.readouterr()
+    assert run(["report", "--profiles", str(out / "profiles.json"), "--fits", str(fits)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "  __ensemble__/sell/powerlaw: ERROR TooFewSamples: need >= 100 samples, got 0" in lines
+    assert sum(" ERROR " in line for line in lines) == 12
+
+
 def test_fit_corrupt_profiles_schema_error(tmp_path, capsys):
     bad = tmp_path / "profiles.json"
     bad.write_text('{"kind": "profiles", "instruments": [{"instrument": "X"}], "ensemble": {}}')
@@ -636,7 +677,7 @@ def test_cancels_csv_has_the_documented_integer_columns(profile_dir):
 
 def test_fit_reads_the_older_layout_with_ratio_columns(profile_dir, tmp_path):
     # Files written before the ratio columns were dropped carry them after
-    # queue_rank, as format_float text; fit derives the same samples.
+    # queue_rank, as text of 17 significant digits; fit derives the same samples.
     _, _, out = profile_dir
     header, *rows = (out / "cancels.csv").read_text().splitlines()
     old = [header.replace("queue_rank,", "queue_rank,rel_level,norm_level,queue_frac,")]
@@ -696,6 +737,27 @@ def test_simqueues_output(tmp_path):
 
 def test_simqueues_bad_config_exits_2(tmp_path):
     assert run(["simqueues", "--out", str(tmp_path / "q.json"), "--queues", "0"]) == 2
+
+
+# -- JSON artifacts ------------------------------------------------------------------
+
+
+def test_render_json_floats_read_back_as_the_same_floats(profile_dir):
+    text = reportio.render_json({"b": [1.0, 0.1, 1 / 3], "a": {"n": 1, "none": None}})
+    assert text == ('{\n  "a": {\n    "n": 1,\n    "none": null\n  },\n'
+                    '  "b": [\n    1.0,\n    0.1,\n    0.3333333333333333\n  ]\n}\n')
+    payload = json.loads(text)
+    assert type(payload["b"][0]) is float and payload["b"] == [1.0, 0.1, 1 / 3]
+    _, _, out = profile_dir
+    pdf = json.loads((out / "profiles.json").read_text())["ensemble"]["sides"]["buy"][
+        "pdf_queue_frac"]
+    assert pdf["edges"][-1] == 1.0 and all(type(e) is float for e in pdf["edges"])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_render_json_refuses_a_non_finite_float(bad):
+    with pytest.raises(ValueError):
+        reportio.render_json({"fits": [{"params": {"mu": bad}}]})
 
 
 def test_report_prints_summary(profile_dir, tmp_path, capsys):

@@ -250,6 +250,47 @@ def test_profile_parse_errors_same_with_workers(streams, tmp_path, bad, capsys):
     assert all("malformed_row" in line for line in lines)
 
 
+def _day_split_with_a_fault(streams, tmp_path, fault, between):
+    """SYNA's day split across files 0 and 2, file 2 opening with a row that
+    breaks the day only when read after file 0. File 1 holds SYNB's day, or
+    SYNA's next day, so that file 2 takes SYNA back to an earlier date."""
+    rows = _rows(streams["SYNA"])
+    first, second = rows[:1500], rows[1500:]
+    if fault == "reused_id":  # file 0's first submission again, at file 2's first time
+        cells = next(r for r in first if r.split(",")[4] != "C").split(",")
+        cells[1] = second[0].split(",")[1]
+    else:  # file 2's first row moved back to file 0's first time
+        cells = second.pop(0).split(",")
+        cells[1] = first[0].split(",")[1]
+    middle = str(streams["SYNB"])
+    if between == "next_day":
+        middle = _write(tmp_path / "next.csv", [
+            row.replace("2003-06-02", "2003-06-03").replace("SYNB", "SYNA")
+            for row in _rows(streams["SYNB"])])
+    return [_write(tmp_path / "a1.csv", first), middle,
+            _write(tmp_path / "a2.csv", [",".join(cells), *second])]
+
+
+@pytest.mark.parametrize("between", ["other_instrument", "next_day"])
+@pytest.mark.parametrize("fault, code", [("reused_id", "duplicate_order_id"),
+                                         ("backwards_time", "non_monotone_time")])
+def test_checks_of_a_day_span_its_files(streams, tmp_path, capsys, fault, code, between):
+    paths = _day_split_with_a_fault(streams, tmp_path, fault, between)
+    assert main(["validate", paths[2]]) == 0  # alone, the file is clean
+    capsys.readouterr()
+    assert main(["validate", *paths]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].endswith(" 0 errors") and out[1].endswith(" 0 errors")
+    assert out[2] == f"{paths[2]}: {len(_rows(tmp_path / 'a2.csv')) - 1} events, 1 errors"
+    assert out[3].startswith(f"  {paths[2]}:line 2: {code}: ") and len(out) == 4
+    for workers in (1, 2):
+        out_dir = tmp_path / f"w{workers}"
+        assert main(["profile", *paths, "--out", str(out_dir), "--workers", str(workers)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {paths[2]}:line 2: {code}: ")
+        assert not out_dir.exists()
+
+
 def test_profile_instrument_filter_with_workers(streams, tmp_path):
     paths = [str(streams[code]) for code in ("SYNA", "SYNB", "SYNC")]
     serial = _profile_bytes(paths, tmp_path / "w1", 1, "--instrument", "SYNB")

@@ -302,6 +302,14 @@ def test_powerlaw_rejects_non_finite_samples(bad):
         df.fit_powerlaw_tail(xs)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.5])
+def test_powerlaw_rejects_non_positive_samples(bad):
+    xs = df.sample_pareto(500, 2.5, 1.0, RNG(32))
+    xs[17] = bad
+    with pytest.raises(ValueError, match="positive"):
+        df.fit_powerlaw_tail(xs)
+
+
 def _full_scan(samples) -> df.PowerLawFit:
     """fit_powerlaw_tail without pruning: the full KS distance at every candidate."""
     xs = np.sort(np.asarray(samples, dtype=float))

@@ -310,6 +310,21 @@ def test_wrong_side_cancel_counted_not_applied():
     assert day.book.index[1].remaining_size == 100
 
 
+def test_cancel_above_the_remaining_size_counted_not_applied():
+    base = datetime(2003, 6, 2, 10, 0, 0)
+    events = [
+        OrderEvent(1, base, "X", 1, EventKind.LIMIT, B, 1000, 100),
+        OrderEvent(2, base, "X", 1, EventKind.CANCEL, B, 1000, 101),
+    ]
+    replay = DayReplay()
+    for ev in events:
+        replay.feed(ev)
+    day = replay.finish()
+    assert day.diagnostics == {"cancel_exceeds_remaining": 1}
+    assert not day.observations and day.buy.cancel_events == 0
+    assert day.book.index[1].remaining_size == 100
+
+
 def test_cancel_price_mismatch_counted_and_applied(fixture_events):
     assert "cancel_price_mismatch" not in replay_day(fixture_events).diagnostics
     last = fixture_events[-1]

@@ -5,7 +5,10 @@ streaming path replaced, on inputs that stream out of date order: an
 instrument-day that comes back after a later date, and an instrument-day
 split across two files. The cancels.csv digests are those of the same files
 with their three ratio columns cut (`cut -d, -f1-11,15-`), which the
-integer-only layout writes.
+integer-only layout writes. The profiles.json digests are those of the same
+files with each float printed as its shortest round-trip repr instead of 17
+significant digits: they load to equal values, and their text is equal once
+the numbers are masked.
 """
 import errno
 import gc
@@ -81,11 +84,11 @@ def split_day_input(tmp_path) -> list[str]:
 
 GOLDEN = {
     "reappearing": (reappearing_day_input, {
-        "profiles.json": "f1cd8ee212224c89a7b9b8ef3690d7f10c18e60188503573409a694611df6818",
+        "profiles.json": "f2e7fcd9595b0435cf2bd7e82c1abb804881a141034aab71f919b91f0eefd134",
         "cancels.csv": "874872465b6e64b233fafaf6d7c0302786ad21ab6b4e770f8cc8c3a87490eb25",
     }),
     "split": (split_day_input, {
-        "profiles.json": "7d062751fd0dda9f5b5efc8bf326c6ff3b07066759e7629cd2e542c38b2ddf4b",
+        "profiles.json": "be79f1f9e341d6c4fe88dcd82bc914c600ee0069036b964aab982a192905840a",
         "cancels.csv": "4825a56f510ea3fcbc9ab0d831f84b0f19e875ab78c5fb76dd0a6fc0ca6d7c9e",
     }),
 }
@@ -242,13 +245,17 @@ def _days_file(path, days) -> str:
     return _write(path, rows)
 
 
-def _profile_peak(paths, out) -> int:
+def _peak(argv) -> int:
     tracemalloc.start()
     try:
-        assert main(["profile", *paths, "--out", str(out)]) == 0
+        assert main(argv) == 0
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _profile_peak(paths, out) -> int:
+    return _peak(["profile", *paths, "--out", str(out)])
 
 
 def test_profile_memory_is_one_day_not_the_input(tmp_path, capsys):
@@ -258,6 +265,16 @@ def test_profile_memory_is_one_day_not_the_input(tmp_path, capsys):
     _profile_peak([one], tmp_path / "warm")  # one-time allocations out of the way
     one_peak = _profile_peak([one], tmp_path / "o1")
     eight_peak = _profile_peak([eight], tmp_path / "o8")
+    assert eight_peak <= 1.3 * one_peak, (one_peak, eight_peak)
+
+
+def test_validate_memory_is_one_day_not_the_input(tmp_path, capsys):
+    # The checks span the files, and still keep one day per instrument.
+    days = [date(2003, 3, 3) + timedelta(days=i) for i in range(8)]
+    files = [_days_file(tmp_path / f"day{i}.csv", [day]) for i, day in enumerate(days)]
+    _peak(["validate", files[0]])  # one-time allocations out of the way
+    one_peak = _peak(["validate", files[0]])
+    eight_peak = _peak(["validate", *files])
     assert eight_peak <= 1.3 * one_peak, (one_peak, eight_peak)
 
 
