@@ -208,10 +208,12 @@ READ_BLOCK = 1 << 14
 def _read_lines(path: str) -> Iterator[str]:
     """Lines of a UTF-8 file, read READ_BLOCK bytes at a time.
 
-    Each block is cut after its last newline byte, which is never part of a
-    multi-byte character and always ends a line, so the lines are those of
-    ``str.splitlines`` on the whole text, and a decoding error names its
-    byte offset within the file.
+    Each block is cut after its last ``\n``, or after a later ``\r`` that is
+    not its final byte (so a ``\r\n`` split across blocks stays one break).
+    Neither byte is ever part of a multi-byte character and each ends a line
+    there, so the lines are those of ``str.splitlines`` on the whole text,
+    the text held stays near a block for LF, CR and CRLF files alike, and a
+    decoding error names its byte offset within the file.
     """
     try:
         with open(path, "rb") as fh:
@@ -219,7 +221,7 @@ def _read_lines(path: str) -> Iterator[str]:
             while True:
                 block = fh.read(READ_BLOCK)
                 data = tail + block
-                cut = data.rfind(b"\n") + 1 if block else len(data)
+                cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, -1)) + 1 if block else len(data)
                 try:
                     text = data[:cut].decode("utf-8")
                 except UnicodeDecodeError as exc:
@@ -377,10 +379,11 @@ def _run_profile_jobs(
             results = list(pool.map(_profile_job, groups, [instrument] * len(groups), dirs))
     else:
         results = [_profile_job(groups[0], instrument, dirs[0])]
-    errors = {}
+    errors: dict[str, list[list[str]]] = {}  # a path given twice is in one group, twice
     for group, (_, _, _, group_errors) in zip(groups, results):
-        errors.update(zip(group, group_errors))
-    bad = [err for path in paths for err in errors[path]]
+        for path, path_errors in zip(group, group_errors):
+            errors.setdefault(path, []).append(path_errors)
+    bad = [err for path in paths for err in errors[path].pop(0)]  # in argument order
     if bad:
         raise InputDataError("\n".join(bad))
     per_instrument = {}

@@ -11,14 +11,15 @@ Three model families, each with its own estimator:
   strided lower bound on their distance, exactly, so it returns the full
   scan's fit after a few full-tail passes instead of one per candidate;
 * saturating-exponential queue profile (1 - e^(beta*y)) / norm on (0, 1],
-  fitted by bounded scalar least squares.
+  fitted by the same bounded least squares as the log-normal.
 
 A gamma alternative restricted to (0, 1] shares the least-squares machinery
-so the two body fits can be compared by their rms values.
+so the two body fits can be compared by their rms values. All three body
+laws run one path: a start-grid scan, then a bounded Nelder-Mead search.
 
 All fitters are pure functions of (data, config, seed); repeated runs with
 the same inputs return bit-identical results. The module needs numpy only:
-the bounded Nelder-Mead and Brent searches take scipy 1.17's steps exactly,
+the bounded Nelder-Mead search takes scipy 1.17's steps exactly,
 the gamma CDF is in-house, and the log-normal sampler inverts the normal CDF
 with the standard library's ``statistics.NormalDist``.
 """
@@ -65,8 +66,6 @@ _KS_STRIDE = 32  # fit_powerlaw_tail bounds each candidate's KS distance on ever
 EXP_SAMPLE_GRID = 4096  # points of sample_exp_profile's tabulated inverse CDF
 _XATOL = 1e-7  # Nelder-Mead refinement tolerance in parameter space
 _NM_MAXFEV = 4000  # Nelder-Mead's limit on both iterations and evaluations
-_EXP_XATOL = 1e-6  # bounded Brent tolerance of the exponential profile's beta
-_SQRT_EPS = math.sqrt(2.2e-16)  # the relative step of the bounded Brent search
 
 
 @dataclass(frozen=True)
@@ -181,8 +180,13 @@ def exp_profile_norm(beta: float) -> float:
 
 
 def exp_profile_pdf(y, beta: float) -> np.ndarray:
+    return _exp_pdf_over(y, beta, exp_profile_norm(beta))
+
+
+def _exp_pdf_over(y, beta: float, norm: float) -> np.ndarray:
+    """The saturating exponential 1 - e^(beta*y) divided by ``norm``, its (0, 1] mass."""
     y = np.asarray(y, float)
-    return (1.0 - np.exp(beta * y)) / exp_profile_norm(beta)
+    return (1.0 - np.exp(beta * y)) / norm
 
 
 # -- samplers --------------------------------------------------------------------
@@ -325,6 +329,9 @@ _GAMMA_GRID = tuple(
     for shape in np.geomspace(GAMMA_SHAPE_BOUNDS[0], GAMMA_SHAPE_BOUNDS[1], 14)
     for scale in np.geomspace(GAMMA_SCALE_BOUNDS[0], GAMMA_SCALE_BOUNDS[1], 14)
 )
+# Interior points only: a start on the box edge steps off it and is clipped
+# back, which leaves a flat one-dimensional simplex.
+_EXP_GRID = tuple((beta,) for beta in np.linspace(BETA_BOUNDS[0], BETA_BOUNDS[1], 34)[1:-1])
 
 
 def fit_lognormal_lsq(pdf: EmpiricalPdf, *, start=None) -> LogNormalFit:
@@ -354,74 +361,15 @@ def fit_gamma_lsq(pdf: EmpiricalPdf) -> GammaFit:
 def fit_exp_profile(pdf: EmpiricalPdf) -> ExpProfileFit:
     """Bounded least-squares fit of (1 - e^(beta*y))/norm to a binned density.
 
-    beta is scanned over [-100, -0.01]; the upper bound keeps the fitter away
-    from the degenerate beta -> 0 limit where the shape loses all mass.
+    beta is searched over [-100, -0.01] by the same grid and Nelder-Mead
+    path as the other body laws; the upper bound keeps the fitter away from
+    the degenerate beta -> 0 limit where the shape loses all mass.
     """
-    centers, density = _require_bins(pdf)
-
-    def sse(beta: float) -> float:
-        diff = exp_profile_pdf(centers, beta) - density
-        return float(diff @ diff)
-
-    beta, fun, failure = _bounded_brent(sse, *BETA_BOUNDS, _EXP_XATOL, 500)
-    if failure:
-        raise OptimizerDidNotConverge(f"exponential profile fit did not converge: {failure}")
-    # Bounded Brent stops once beta is within 2 * (sqrt(eps) * |beta| + xatol/3)
-    # of both ends of its bracket: 3.6e-6 at beta = -100, 6.7e-7 at -0.01.
-    tol = 2.0 * (_SQRT_EPS * abs(beta) + _EXP_XATOL / 3.0)
-    return ExpProfileFit(
-        beta, exp_profile_norm(beta), math.sqrt(fun / len(density)),
-        _at_bound((beta,), (BETA_BOUNDS,), tol),
+    (beta,), rms, at_bound = _fit_truncated(
+        pdf, _exp_pdf_over, exp_profile_norm, _EXP_GRID, [BETA_BOUNDS], None,
+        "exponential profile",
     )
-
-
-def _bounded_brent(fun, a: float, b: float, xatol: float, maxfev: int):
-    """Brent's minimization on [a, b], step for step as scipy 1.17's
-    ``minimize_scalar(method="bounded")``: golden-section steps, or parabolic
-    ones through the three best points ``xf``, ``nfc`` and ``fulc``. Returns
-    the best point, its value, and None or why it stopped.
-    """
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    xf = nfc = fulc = a + golden_mean * (b - a)
-    fx = fnfc = ffulc = fun(xf)
-    rat = e = 0.0
-    num, fu = 1, math.inf
-    xm, tol1 = 0.5 * (a + b), _SQRT_EPS * abs(xf) + xatol / 3.0
-    while abs(xf - xm) > 2.0 * tol1 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            p, q = (-p if q > 0.0 else p), abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden, rat = False, p / q
-                if xf + rat - a < 2.0 * tol1 or b - (xf + rat) < 2.0 * tol1:
-                    rat = tol1 if xm >= xf else -tol1
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = golden_mean * e
-        step = max(abs(rat), tol1)
-        x = xf + step if rat >= 0 else xf - step
-        fu = fun(x)
-        num += 1
-        if fu <= fx:
-            a, b = (xf, b) if x >= xf else (a, xf)
-            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
-        else:
-            a, b = (x, b) if x < xf else (a, x)
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm, tol1 = 0.5 * (a + b), _SQRT_EPS * abs(xf) + xatol / 3.0
-        if num >= maxfev:
-            break
-    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
-        return xf, fx, "NaN result encountered."
-    return xf, fx, "Maximum number of function calls reached." if num >= maxfev else None
+    return ExpProfileFit(beta, exp_profile_norm(beta), rms, at_bound)
 
 
 # -- power-law tail -----------------------------------------------------------

@@ -123,8 +123,8 @@ class GenConfig:
 
     def __post_init__(self) -> None:
         shares = (self.limit_share, self.marketable_share, self.cancel_share)
-        if any(s < 0.0 for s in shares) or abs(sum(shares) - 1.0) > 1e-9:
-            raise ConfigInvalid(f"arrival mix must be non-negative and sum to 1, got {shares}")
+        if not all(0.0 <= s < math.inf for s in shares) or abs(sum(shares) - 1.0) > 1e-9:
+            raise ConfigInvalid(f"arrival mix must be finite, non-negative and sum to 1, got {shares}")
         if self.n_events < 0:
             raise ConfigInvalid("n_events must be >= 0")
         code = self.instrument  # one CSV field: not empty, no comma, no line break

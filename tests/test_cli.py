@@ -127,6 +127,9 @@ def test_gen_bad_mix_exits_2(tmp_path):
     assert run(["gen", "--out", str(tmp_path / "x.csv"), "--mix", "0.5,0.5"]) == 2
     assert run(["gen", "--out", str(tmp_path / "x.csv"), "--mix", "0.9,0.9,0.9"]) == 2
     assert run(["gen", "--out", str(tmp_path / "x.csv"), "--queue-law", "zipf:2"]) == 2
+    for mix in ("nan,0.2,0.8", "0.2,0.8,nan"):  # NaN passes a < 0 test and a sum test
+        assert run(["gen", "--out", str(tmp_path / "x.csv"), "--mix", mix]) == 2
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("code", ["A,B", "", "A\nB", "A\rB"])

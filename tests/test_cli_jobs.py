@@ -291,6 +291,22 @@ def test_checks_of_a_day_span_its_files(streams, tmp_path, capsys, fault, code, 
         assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_profile_reports_a_repeated_file_as_validate_does(streams, tmp_path, capsys, workers):
+    paths = [str(streams["SYNA"]), str(streams["SYNB"]), str(streams["SYNA"])]
+    assert main(["validate", *paths]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].endswith(" 0 errors") and out[1].endswith(" 0 errors")
+    expected = [line[2:] for line in out if line.startswith("  ")]
+    assert len(expected) > 1  # every id reused, every time stepped back
+    out_dir = tmp_path / "out"
+    assert main(["profile", *paths, "--out", str(out_dir), "--workers", str(workers)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("error: ")
+    assert [err[0][len("error: "):], *err[1:]] == expected
+    assert not out_dir.exists()
+
+
 def test_profile_instrument_filter_with_workers(streams, tmp_path):
     paths = [str(streams[code]) for code in ("SYNA", "SYNB", "SYNC")]
     serial = _profile_bytes(paths, tmp_path / "w1", 1, "--instrument", "SYNB")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -450,9 +451,11 @@ def test_exp_profile_fitted_density_nonnegative():
 
 # -- the in-house optimizers against scipy ---------------------------------------------
 #
-# `_nelder_mead`, `_bounded_brent` and `_gamma_p` replace scipy's bounded
-# Nelder-Mead, bounded Brent and `gammainc` inside `fit`; the optimizers must
-# take scipy's steps exactly, so the fits come out bit for bit the same.
+# `_nelder_mead` and `_gamma_p` replace scipy's bounded Nelder-Mead and
+# `gammainc` inside `fit`. The one optimizer serves all three body laws, the
+# two-parameter log-normal and gamma and the one-parameter exponential
+# profile; it must take scipy's steps exactly, so the fits come out bit for
+# bit the same.
 
 NM_OPTIONS = {"xatol": df._XATOL, "fatol": 1e-12, "maxiter": df._NM_MAXFEV,
               "maxfev": df._NM_MAXFEV}
@@ -549,42 +552,41 @@ def test_nelder_mead_out_of_evaluations_matches_scipy(monkeypatch):
     assert str(info.value) == f"log-normal fit did not converge: {ref.message}"
 
 
-def _exp_sse(pdf):
-    centers, density = pdf.centers(), np.asarray(pdf.density, float)
-
-    def sse(beta) -> float:
-        diff = df.exp_profile_pdf(centers, beta) - density
-        return float(diff @ diff)
-
-    return sse
+def _exp_pdf():
+    return accumulate_pdf(df.sample_exp_profile(20_000, -25.0, RNG(8)), BinSpec("uniform", 50))
 
 
 @pytest.mark.parametrize(
     "make_pdf, beta_end",
     [
-        (lambda: accumulate_pdf(df.sample_exp_profile(20_000, -25.0, RNG(8)),
-                                BinSpec("uniform", 50)), None),
+        (_exp_pdf, None),
         (_uniform_pdf, df.BETA_BOUNDS[0]),
         (lambda: accumulate_pdf(np.cbrt(1.0 - RNG(19).random(50_000)), BinSpec("uniform", 50)),
          df.BETA_BOUNDS[1]),
     ],
     ids=["seeded", "uniform_steep_end", "convex_shallow_end"],
 )
-def test_exp_fit_takes_scipys_bounded_brent_steps(make_pdf, beta_end):
+def test_exp_fit_takes_scipys_nelder_mead_steps(make_pdf, beta_end):
     pdf = make_pdf()
-    sse = _exp_sse(pdf)
-    ref = optimize.minimize_scalar(sse, bounds=df.BETA_BOUNDS, method="bounded",
-                                   options={"xatol": df._EXP_XATOL, "maxiter": 500})
+    sse = _sse(pdf, df.exp_profile_pdf, df.exp_profile_norm)
+    x0 = [float(v) for v in min(df._EXP_GRID, key=sse)]
+    ref = _scipy_nm(sse, x0, [df.BETA_BOUNDS])
     assert ref.success
     fit = df.fit_exp_profile(pdf)
-    assert fit.beta == ref.x and fit.rms == math.sqrt(ref.fun / len(pdf.density))
+    assert fit.beta == ref.x[0] and fit.rms == math.sqrt(ref.fun / len(pdf.density))
+    assert fit.at_bound == (beta_end is not None)
     if beta_end is not None:
-        assert fit.beta == pytest.approx(beta_end, abs=1e-5) and fit.at_bound
-    for maxfev in (500, 3, 8):
-        ref = optimize.minimize_scalar(sse, bounds=df.BETA_BOUNDS, method="bounded",
-                                       options={"xatol": df._EXP_XATOL, "maxiter": maxfev})
-        got = df._bounded_brent(sse, *df.BETA_BOUNDS, df._EXP_XATOL, maxfev)
-        assert got == (ref.x, ref.fun, None if ref.success else ref.message)
+        assert fit.beta == beta_end
+    # no beta on a fine grid over the box does better than the search
+    assert ref.fun <= min(sse([b]) for b in np.linspace(*df.BETA_BOUNDS, 20_001).tolist())
+
+
+def test_exp_fit_out_of_evaluations_names_the_profile(monkeypatch):
+    monkeypatch.setattr(df, "_NM_MAXFEV", 10)
+    with pytest.raises(df.OptimizerDidNotConverge) as info:
+        df.fit_exp_profile(_exp_pdf())
+    assert str(info.value) == ("exponential profile fit did not converge: "
+                               "Maximum number of function evaluations has been exceeded.")
 
 
 def test_gamma_p_matches_scipy_over_the_fit_box():
@@ -649,18 +651,12 @@ def _terraced_bowls(count: int):
 
 
 def test_nelder_mead_breaks_ties_as_scipy_does():
-    bounds = [df.MU_BOUNDS, df.SIGMA_BOUNDS]
-    for bowl, x0 in _terraced_bowls(100):
+    # dims = 1 searches each bowl's section at y = 0: one parameter, as the
+    # exponential profile's beta
+    for dims, (bowl, x0) in itertools.product((2, 1), _terraced_bowls(100)):
+        bounds, x0 = [df.MU_BOUNDS, df.SIGMA_BOUNDS][:dims], x0[:dims]
         sse = lambda v, bowl=bowl: bowl(*v)
         for maxfev in (df._NM_MAXFEV, 2, 9, 33):
             ref = _scipy_nm(sse, x0, bounds, maxiter=maxfev, maxfev=maxfev)
             assert df._nelder_mead(sse, x0, bounds, df._XATOL, 1e-12, maxfev) == (
                 list(ref.x), ref.fun, None if ref.success else ref.message)
-
-
-def test_bounded_brent_breaks_ties_as_scipy_does():
-    for bowl, _ in _terraced_bowls(100):
-        ref = optimize.minimize_scalar(bowl, bounds=df.MU_BOUNDS, method="bounded",
-                                       options={"xatol": df._EXP_XATOL, "maxiter": 500})
-        got = df._bounded_brent(bowl, *df.MU_BOUNDS, df._EXP_XATOL, 500)
-        assert got == (ref.x, ref.fun, None if ref.success else ref.message)

@@ -133,12 +133,33 @@ def test_profile_accumulates_counts_not_samples(fixture_events):
 
 
 def test_lines_split_as_splitlines_across_read_blocks(tmp_path, monkeypatch):
-    text = "a,b\r\nc\rd\n\ne\x0bf\x0cg\x1ch\x85i j k\r\n\r\nlém"
+    mixed = "a,b\r\nc\rd\n\ne\x0bf\x0cg\x1ch\x85i j k\r\n\r\nlém"
+    cr_only, cr_crlf = "ab\rcd\r\ref\r\rlém\r", "ab\r\ncd\ref\r\n\r\rg\r\n"
     path = tmp_path / "lines.txt"
-    path.write_bytes(text.encode("utf-8"))
-    for block in (1, 2, 3, 5, 64):
-        monkeypatch.setattr(cli, "READ_BLOCK", block)
-        assert list(cli._read_lines(str(path))) == text.splitlines()
+    for text in (mixed, cr_only, cr_crlf):
+        data = text.encode("utf-8")
+        path.write_bytes(data)
+        blocks = (1, 2, 3, 5, 64)
+        if "\r\n" in text:  # some block ends between the two bytes of a CRLF
+            assert any(data[k - 1:k + 1] == b"\r\n" for b in blocks for k in range(b, len(data), b))
+        for block in blocks:
+            monkeypatch.setattr(cli, "READ_BLOCK", block)
+            assert list(cli._read_lines(str(path))) == text.splitlines()
+
+
+@pytest.mark.parametrize("sep", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+def test_read_lines_holds_about_a_block(tmp_path, monkeypatch, sep):
+    path = tmp_path / "lines.csv"
+    row = "1,2003-06-02T09:30:00.000,SYN001,1,L,B,10000,100"
+    path.write_bytes((sep.join([row] * 20_000) + sep).encode())  # 1 MB
+    monkeypatch.setattr(cli, "READ_BLOCK", 4096)
+    tracemalloc.start()
+    try:
+        assert sum(1 for _ in cli._read_lines(str(path))) == 20_000
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 4096
 
 
 @pytest.mark.parametrize("block", [7, 1 << 20])
