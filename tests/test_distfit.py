@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 
@@ -650,13 +649,20 @@ def _terraced_bowls(count: int):
         yield bowl, x0
 
 
-def test_nelder_mead_breaks_ties_as_scipy_does():
-    # dims = 1 searches each bowl's section at y = 0: one parameter, as the
-    # exponential profile's beta
-    for dims, (bowl, x0) in itertools.product((2, 1), _terraced_bowls(100)):
+def _check_ties(dims: int):
+    for bowl, x0 in _terraced_bowls(100):
         bounds, x0 = [df.MU_BOUNDS, df.SIGMA_BOUNDS][:dims], x0[:dims]
         sse = lambda v, bowl=bowl: bowl(*v)
         for maxfev in (df._NM_MAXFEV, 2, 9, 33):
             ref = _scipy_nm(sse, x0, bounds, maxiter=maxfev, maxfev=maxfev)
             assert df._nelder_mead(sse, x0, bounds, df._XATOL, 1e-12, maxfev) == (
                 list(ref.x), ref.fun, None if ref.success else ref.message)
+
+
+def test_nelder_mead_breaks_ties_as_scipy_does():
+    _check_ties(2)
+
+
+def test_nelder_mead_breaks_one_parameter_ties_as_scipy_does():
+    # each bowl's section at y = 0: one parameter, as the exponential profile's beta
+    _check_ties(1)
