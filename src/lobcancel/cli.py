@@ -7,7 +7,6 @@ input set and seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import errno
 import json
@@ -15,16 +14,26 @@ import os
 import shutil
 import sys
 import tempfile
+import warnings
 import zlib
+from collections import defaultdict
 from contextlib import contextmanager
 from datetime import date
 from functools import partial
-from itertools import chain
+from itertools import chain, count, repeat
 from typing import Iterator
 
 from . import reportio
 from .lob import LobError, gc_paused, norm_level
-from .orderflow import HEADER, DayChecks, DaysOutOfOrder, OrderEvent, ParseError, iter_parse
+from .orderflow import (
+    HEADER,
+    DayChecks,
+    DaysOutOfOrder,
+    OrderEvent,
+    ParseError,
+    iter_parse,
+    split_lines,
+)
 from .profiles import (
     DEFAULT_UNIT_BINS,
     POSITIVE_RAY,
@@ -205,21 +214,23 @@ def _writing(path: str):
 READ_BLOCK = 1 << 14
 
 
-def _read_lines(path: str) -> Iterator[str]:
-    """Lines of a UTF-8 file, read READ_BLOCK bytes at a time.
+def _line_blocks(path: str, size: int) -> Iterator[list[str]]:
+    """The lines of a UTF-8 file, one list for each ``size`` bytes read.
 
-    Each block is cut after its last ``\n``, or after a later ``\r`` that is
-    not its final byte (so a ``\r\n`` split across blocks stays one break).
-    Neither byte is ever part of a multi-byte character and each ends a line
-    there, so the lines are those of ``str.splitlines`` on the whole text,
-    the text held stays near a block for LF, CR and CRLF files alike, and a
-    decoding error names its byte offset within the file.
+    Lines end at ``\n``, ``\r\n`` and ``\r`` only (``orderflow.split_lines``).
+    Each read is cut after its last ``\n``, or after a later ``\r`` that is
+    not its final byte (so a ``\r\n`` split across reads stays one break),
+    and the rest is carried into the next read. Neither byte is ever part of
+    a multi-byte character and each ends a line there, so the lines are
+    those of the whole text, the text held stays near ``size`` bytes for LF,
+    CR and CRLF files alike, and a decoding error names its byte offset
+    within the file. A list is empty while a line runs on past a read.
     """
     try:
         with open(path, "rb") as fh:
             offset, tail = 0, b""
             while True:
-                block = fh.read(READ_BLOCK)
+                block = fh.read(size)
                 data = tail + block
                 cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, -1)) + 1 if block else len(data)
                 try:
@@ -228,12 +239,17 @@ def _read_lines(path: str) -> Iterator[str]:
                     raise InputDataError(
                         f"{path}: not valid UTF-8 at byte {offset + exc.start}: {exc.reason}"
                     ) from exc
-                yield from text.splitlines()
+                yield split_lines(text)
                 if not block:
                     return
                 offset, tail = offset + cut, data[cut:]
     except OSError as exc:
         raise InputDataError(f"{path}: {exc}") from exc
+
+
+def _read_lines(path: str) -> Iterator[str]:
+    """Lines of a UTF-8 file, read READ_BLOCK bytes at a time (`_line_blocks`)."""
+    return chain.from_iterable(_line_blocks(path, READ_BLOCK))
 
 
 def cmd_validate(args) -> int:
@@ -481,42 +497,97 @@ def _pdf_from_payload(payload: dict | None, where: str) -> EmpiricalPdf | None:
     raise InputDataError(f"schema error at {where}: {problem}")
 
 
-def _load_norm_level_samples(path: str) -> dict[tuple[str, str], list[float]]:
-    """``lob.norm_level`` of the book counts of cancels.csv, per (instrument, side).
+# Bytes of cancels.csv that `fit` reads, checks and parses at a time.
+CANCELS_BLOCK = 1 << 18
 
-    Every row must have as many columns as the header, and an in-profile
-    row's counts must be integers with 1 <= level_rank <= side_levels and
-    1 <= level_orders <= side_orders, as in a ``CancellationRecord``; any
-    other row is a schema error.
+# The cancels.csv columns that `fit` reads: the two texts and the in_profile
+# flag as Python strings, so that a code of any length stays whole, then the
+# four book counts of `lob.norm_level`, in its argument order.
+_CANCELS_COLUMNS = {"instrument": object, "side": object, "in_profile": object,
+                    "level_rank": "i8", "side_levels": "i8", "level_orders": "i8",
+                    "side_orders": "i8"}
+
+
+def _norm_level_block(lines: list[str], width: int, columns: list[int]):
+    """Instrument codes, sell flags and ``norm_level`` of the in-profile rows of ``lines``.
+
+    Every row must have ``width`` columns, in_profile ``0`` or ``1``, side
+    ``B`` or ``S``, and counts that numpy reads as int64, with
+    1 <= level_rank <= side_levels and 1 <= level_orders <= side_orders as
+    in a ``CancellationRecord``; otherwise ValueError. The checks run on the
+    whole block at once, and each row passes or fails on its own.
     """
-    samples: dict[tuple[str, str], list[float]] = {}
+    import numpy as np
+
+    bad = np.fromiter(map(str.count, lines, repeat(",")), np.intp, len(lines)) != width - 1
+    if bad.any():
+        line = lines[bad.argmax()]
+        raise ValueError(f"{line.count(',') + 1 if line else 0} columns, the header {width}")
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh, quoting=csv.QUOTE_NONE)  # as `profile` wrote it
-            header = next(reader, [])
-            width = len(header)
-            inst, side, prof, col_rank, col_levels, col_at, col_on = (
-                header.index(name) for name in ("instrument", "side", "in_profile", "level_rank",
-                                                "side_levels", "level_orders", "side_orders")
-            )
-            for row in reader:
-                if len(row) != width:
-                    raise InputDataError(
-                        f"{path}: bad cancels schema: line {reader.line_num} has "
-                        f"{len(row)} columns, the header {width}"
-                    )
-                if row[prof] == "1":
-                    rank, levels = int(row[col_rank]), int(row[col_levels])
-                    at_level, on_side = int(row[col_at]), int(row[col_on])
-                    if not (1 <= rank <= levels and 1 <= at_level <= on_side):
-                        raise ValueError(f"line {reader.line_num}: book counts out of range")
-                    xs = samples.setdefault((row[inst], row[side]), [])
-                    xs.append(norm_level(rank, levels, at_level, on_side))
-    except OSError as exc:
-        raise InputDataError(f"{path}: {exc}") from exc
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy before 1.26 reads "1.5" as 1, with a warning
+            rows = np.loadtxt(lines, dtype=list(_CANCELS_COLUMNS.items()), delimiter=",",
+                              comments=None, usecols=columns, ndmin=1)
+    except Warning as exc:
+        raise ValueError(str(exc)) from exc
+    codes, sides, flags, *counts = (rows[name] for name in _CANCELS_COLUMNS)
+    rank, levels, at_level, on_side = counts
+    in_profile, sell = flags == "1", sides == "S"
+    for name, got, ok in (("in_profile must be 0 or 1", flags, in_profile | (flags == "0")),
+                          ("side must be B or S", sides, sell | (sides == "B"))):
+        if not ok.all():
+            raise ValueError(f"{name}, got {got[~ok][0]!r}")
+    if not ((1 <= rank) & (rank <= levels) & (1 <= at_level) & (at_level <= on_side)).all():
+        raise ValueError("book counts out of range")
+    # Integer products converted once and divided once are `lob.norm_level`
+    # bit for bit while both stay below 2**53. A block with a larger product,
+    # which int64 may not even hold, takes the exact Python path.
+    if max((rank * on_side.astype(float)).max(), (levels * at_level.astype(float)).max()) < 2**53:
+        x = (rank * on_side) / (levels * at_level)
+    else:
+        x = np.array(list(map(norm_level, *(column.tolist() for column in counts))))
+    return codes[in_profile], sell[in_profile], x[in_profile]
+
+
+def _load_norm_level_samples(path: str) -> dict:
+    """``lob.norm_level`` of the in-profile rows of cancels.csv, per (instrument, side).
+
+    Each value is a float64 array in file order, and the keys come in the
+    order of their first row. The file is read CANCELS_BLOCK bytes at a time,
+    and the lines of each read are checked and parsed together by
+    `_norm_level_block`. A bad block is checked again row by row, and the
+    error names the first bad line.
+    """
+    import numpy as np
+
+    blocks = filter(None, _line_blocks(path, CANCELS_BLOCK))  # empty while a line runs on
+    head = next(blocks, [""])
+    header = head[0].split(",")
+    try:
+        columns = [header.index(name) for name in _CANCELS_COLUMNS]
     except ValueError as exc:
-        raise InputDataError(f"{path}: bad cancels schema: {exc!r}") from exc
-    return samples
+        raise InputDataError(f"{path}: bad cancels schema: {exc}") from exc
+    ids = defaultdict(count().__next__)  # instrument code -> id, in order of first row
+    chunks: dict[int, list] = {}  # 2 * id + sell -> its arrays, one per block
+    line_no = 2
+    for block in filter(None, chain([head[1:]], blocks)):
+        try:
+            codes, sell, x = _norm_level_block(block, len(header), columns)
+        except ValueError as exc:
+            for i, line in enumerate(block):
+                try:
+                    _norm_level_block([line], len(header), columns)
+                except ValueError as row_exc:
+                    exc, line_no = row_exc, line_no + i
+                    break
+            raise InputDataError(f"{path}: bad cancels schema: line {line_no}: {exc}") from None
+        keys = 2 * np.fromiter(map(ids.__getitem__, codes.tolist()), np.intp, codes.size) + sell
+        for key in dict.fromkeys(keys.tolist()):
+            chunks.setdefault(key, []).append(x[keys == key])
+        line_no += len(block)
+    names = list(ids)
+    return {(names[key >> 1], "BS"[key & 1]): np.concatenate(parts)
+            for key, parts in chunks.items()}
 
 
 def _entry_seed(base_seed: int, instrument: str, side: str, model: str) -> int:
@@ -543,6 +614,8 @@ def _fit_entry(
     repeats: int,
     seed: int,
 ) -> list[dict]:
+    import numpy as np
+
     from . import distfit
 
     code = "B" if side == "buy" else "S"
@@ -556,7 +629,9 @@ def _fit_entry(
                     entry["error"] = "cancels.csv with raw samples not available"
                     continue
                 if instrument == "__ensemble__":
-                    xs = [v for (_, s), vals in norm_samples.items() if s == code for v in vals]
+                    xs = np.concatenate(
+                        [np.empty(0), *(v for (_, s), v in norm_samples.items() if s == code)]
+                    )
                 else:
                     xs = norm_samples.get((instrument, code), [])
                 entry["params"] = dataclasses.asdict(distfit.fit_powerlaw_tail(xs))

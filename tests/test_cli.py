@@ -1,13 +1,17 @@
+import csv
 import errno
 import json
 import math
 import os
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from lobcancel import cli, reportio
 from lobcancel.cli import main
+from lobcancel.lob import norm_level
 
 
 def run(argv):
@@ -723,6 +727,180 @@ def test_fit_cancels_bad_count_is_schema_error(profile_dir, tmp_path, capsys, co
     err = capsys.readouterr().err
     assert "bad cancels schema" in err and "Traceback" not in err
     assert not (tmp_path / "fits.json").exists()
+
+
+@pytest.mark.parametrize(
+    "column,value",
+    [("in_profile", "2"), ("in_profile", "01"), ("in_profile", ""), ("in_profile", " 1"),
+     ("side", "X"), ("side", "b"), ("side", "BS"), ("side", "B ")],
+)
+def test_fit_cancels_bad_flag_or_side_is_schema_error(profile_dir, tmp_path, capsys, column,
+                                                       value):
+    # Such a row was left out (in_profile) or loaded under a key that no fit
+    # reads (side), without a word.
+    _, _, out = profile_dir
+    header, *rows = (out / "cancels.csv").read_text().splitlines()
+    at = len(rows) // 2
+    cells = rows[at].split(",")
+    cells[header.split(",").index(column)] = value
+    rows[at] = ",".join(cells)
+    cancels = tmp_path / "cancels.csv"
+    cancels.write_text("\n".join([header, *rows]) + "\n")
+    argv = ["fit", "--profiles", str(out / "profiles.json"), "--cancels", str(cancels),
+            "--out", str(tmp_path / "fits.json"), "--models", "powerlaw"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert f"bad cancels schema: line {at + 2}: {column}" in err and repr(value) in err
+    assert "Traceback" not in err and not (tmp_path / "fits.json").exists()
+
+
+@pytest.mark.parametrize(
+    "line,problem",
+    [("", "0 columns"), ("#", "1 columns"), ("# " + "," * 14, "could not convert"),
+     (None, "could not convert")],
+    ids=["blank", "hash", "hash_row", "beyond_int64"],
+)
+def test_fit_cancels_blank_comment_or_huge_line_is_schema_error(
+    profile_dir, tmp_path, capsys, line, problem
+):
+    # numpy's text reader skips blank and # lines by default; fit does not.
+    _, _, out = profile_dir
+    header, *rows = (out / "cancels.csv").read_text().splitlines()
+    at = len(rows) - 3
+    if line is None:  # a count that int64 cannot hold
+        cells = rows[at].split(",")
+        cells[6] = cells[7] = str(2**63)
+        line = ",".join(cells)
+    rows.insert(at, line)
+    cancels = tmp_path / "cancels.csv"
+    cancels.write_text("\n".join([header, *rows]) + "\n")
+    argv = ["fit", "--profiles", str(out / "profiles.json"), "--cancels", str(cancels),
+            "--out", str(tmp_path / "fits.json"), "--models", "powerlaw"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert f"bad cancels schema: line {at + 2}: " in err and problem in err
+
+
+@pytest.mark.parametrize("block", [7, 1 << 18])
+def test_fit_cancels_invalid_utf8_names_its_byte(profile_dir, tmp_path, monkeypatch, capsys,
+                                                 block):
+    _, _, out = profile_dir
+    data = (out / "cancels.csv").read_bytes()
+    bad = data.index(b"SYNB")
+    cancels = tmp_path / "cancels.csv"
+    cancels.write_bytes(data[:bad] + b"\xff" + data[bad + 1:])
+    monkeypatch.setattr(cli, "CANCELS_BLOCK", block)
+    argv = ["fit", "--profiles", str(out / "profiles.json"), "--cancels", str(cancels),
+            "--out", str(tmp_path / "fits.json"), "--models", "powerlaw"]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cancels}: not valid UTF-8 at byte {bad}: invalid start byte\n"
+    )
+
+
+_SAMPLE_COLUMNS = ("instrument", "side", "in_profile",
+                   "level_rank", "side_levels", "level_orders", "side_orders")
+
+
+def _norm_levels_row_by_row(path) -> dict:
+    """The samples as `fit` read them one row at a time: csv rows, int() counts, lob.norm_level."""
+    samples = {}
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh, quoting=csv.QUOTE_NONE)
+        header = next(reader)
+        code, side, flag, *counts = (header.index(name) for name in _SAMPLE_COLUMNS)
+        for row in reader:
+            assert len(row) == len(header) and row[flag] in ("0", "1") and row[side] in ("B", "S")
+            if row[flag] == "1":
+                xs = samples.setdefault((row[code], row[side]), [])
+                xs.append(norm_level(*(int(row[i]) for i in counts)))
+    return samples
+
+
+def _assert_loads_as_row_by_row(path):
+    samples = cli._load_norm_level_samples(str(path))
+    expected = _norm_levels_row_by_row(path)
+    assert list(samples) == list(expected)  # keys in the order of their first row
+    for key, xs in samples.items():
+        assert xs.dtype == np.float64
+        assert xs.tobytes() == np.array(expected[key], dtype=np.float64).tobytes()
+    return samples
+
+
+def test_cancels_blocks_load_as_row_by_row(profile_dir, tmp_path, monkeypatch):
+    _, _, out = profile_dir
+    text = (out / "cancels.csv").read_text()
+    header, *rows = text.splitlines()
+    assert len(text) > 2 * cli.CANCELS_BLOCK  # the default block ends inside the file
+    _assert_loads_as_row_by_row(out / "cancels.csv")
+
+    old = [header.replace("queue_rank,", "queue_rank,rel_level,norm_level,queue_frac,")]
+    old += [",".join([*row.split(",")[:11], "0.5", "0.5", "0.5", *row.split(",")[11:]])
+            for row in rows]
+    (tmp_path / "old.csv").write_text("\n".join(old) + "\n")
+    _assert_loads_as_row_by_row(tmp_path / "old.csv")
+
+    (tmp_path / "crlf.csv").write_bytes(text.replace("\n", "\r\n").encode())
+    _assert_loads_as_row_by_row(tmp_path / "crlf.csv")
+
+    # Codes longer than any fixed width, or that start with a quote, are read
+    # whole and as written.
+    long_code, quoted = "L" * 300, '"Q1'
+    recoded = [row.replace("SYNA,", f"{long_code},", 1) if i % 3 == 0 else
+               row.replace("SYNB,", f"{quoted},", 1) if i % 3 == 1 else row
+               for i, row in enumerate(rows)]
+    (tmp_path / "codes.csv").write_text("\n".join([header, *recoded]) + "\n")
+    samples = _assert_loads_as_row_by_row(tmp_path / "codes.csv")
+    assert {code for code, _ in samples} == {"SYNA", "SYNB", long_code, quoted}
+
+    # Rows on both sides of every block boundary, with blocks of a few bytes.
+    few = "\n".join([header, *recoded[:40], *rows[-40:]]) + "\n"
+    (tmp_path / "few.csv").write_text(few)
+    for block in (1, 2, 7):
+        monkeypatch.setattr(cli, "CANCELS_BLOCK", block)
+        _assert_loads_as_row_by_row(tmp_path / "few.csv")
+
+
+@pytest.mark.parametrize("block", [7, 1 << 18])
+def test_cancels_counts_beyond_two_to_the_53_take_the_exact_path(tmp_path, monkeypatch, block):
+    # (level_rank, side_levels, level_orders, side_orders). int64 products
+    # would lose bits from 2**53 on, and wrap beyond 2**63.
+    counts = [
+        (3, 7, 2, 5),
+        (2**27, 2**27, 1, 2**26),                   # level_rank * side_orders == 2**53
+        (2**27 + 1, 2**27 + 1, 1, 2**26 + 1),       # just above 2**53
+        (2**53 + 1, 2**53 + 1, 3, 2**53 + 1),       # products near 2**106
+        (2**62, 2**63 - 1, 2**40, 2**63 - 1),       # largest int64 counts
+        (1, 1, 1, 1),
+    ]
+    header = ",".join(_SAMPLE_COLUMNS)
+    rows = [f"BIG,{'BS'[i % 2]},1,{','.join(map(str, c))}" for i, c in enumerate(counts)]
+    path = tmp_path / "cancels.csv"
+    path.write_text("\n".join([header, *rows]) + "\n")
+    monkeypatch.setattr(cli, "CANCELS_BLOCK", block)
+    samples = _assert_loads_as_row_by_row(path)
+    assert samples["BIG", "S"][1] == (2**53 + 1) // 3  # exact, where floats of the products are not
+
+
+def test_cancels_load_holds_about_a_block(tmp_path, monkeypatch):
+    # 200k rows, one in 100 in profile: the samples stay small, so the peak
+    # shows what reading holds, a block's lines and parsed columns.
+    row = "SYN001,{},2003-06-02T09:42:46.590,continuous_am,{},1,39,127,90,8271,60,800,inside_book,{},1"
+    lines = [CANCELS_COLUMNS] + [row.format(i, "BS"[i % 2], int(i % 100 == 0))
+                                 for i in range(200_000)]
+    path = tmp_path / "cancels.csv"
+    path.write_text("\n".join(lines) + "\n")
+    del lines
+    monkeypatch.setattr(cli, "CANCELS_BLOCK", 1 << 16)
+    tracemalloc.start()
+    try:
+        samples = cli._load_norm_level_samples(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert {key: xs.size for key, xs in samples.items()} == {("SYN001", "B"): 2000}
+    assert path.stat().st_size > 200 * (1 << 16)
+    assert peak < 16 * (1 << 16)
 
 
 # -- simqueues and report --------------------------------------------------------------

@@ -14,6 +14,7 @@ import errno
 import gc
 import hashlib
 import heapq
+import io
 import tempfile
 import tracemalloc
 from datetime import date, timedelta
@@ -25,6 +26,7 @@ from lobcancel import cli, reportio
 from lobcancel.cli import main
 from lobcancel.orderflow import (
     DUPLICATE_ORDER_ID,
+    MALFORMED_ROW,
     HEADER,
     NON_MONOTONE_SEQ,
     NON_MONOTONE_TIME,
@@ -34,6 +36,7 @@ from lobcancel.orderflow import (
     iter_parse,
     parse_stream,
     split_days,
+    split_lines,
 )
 from lobcancel.profiles import (
     BinSpec,
@@ -132,11 +135,16 @@ def test_profile_accumulates_counts_not_samples(fixture_events):
 # -- lazy input -------------------------------------------------------------------
 
 
-def test_lines_split_as_splitlines_across_read_blocks(tmp_path, monkeypatch):
-    mixed = "a,b\r\nc\rd\n\ne\x0bf\x0cg\x1ch\x85i j k\r\n\r\nlém"
+def test_lines_split_at_csv_line_ends_across_read_blocks(tmp_path, monkeypatch):
+    # Lines end at LF, CRLF and CR, as a universal-newline text file reads
+    # them; the other `str.splitlines` breaks (VT, FF, FS, GS, RS, NEL,
+    # U+2028, U+2029) stay inside their line, as a CSV reader keeps them.
+    mixed = "a,b\r\nc\rd\n\ne\x0bf\x0cg\x1ch\x1di\x1ej\x85k\u2028l\u2029m\r\n\r\nlém"
     cr_only, cr_crlf = "ab\rcd\r\ref\r\rlém\r", "ab\r\ncd\ref\r\n\r\rg\r\n"
     path = tmp_path / "lines.txt"
-    for text in (mixed, cr_only, cr_crlf):
+    for text in (mixed, cr_only, cr_crlf, "", "\n", "\x0c\n\u2028"):
+        expected = [line.rstrip("\r\n") for line in io.StringIO(text, newline="")]
+        assert split_lines(text) == expected
         data = text.encode("utf-8")
         path.write_bytes(data)
         blocks = (1, 2, 3, 5, 64)
@@ -144,7 +152,15 @@ def test_lines_split_as_splitlines_across_read_blocks(tmp_path, monkeypatch):
             assert any(data[k - 1:k + 1] == b"\r\n" for b in blocks for k in range(b, len(data), b))
         for block in blocks:
             monkeypatch.setattr(cli, "READ_BLOCK", block)
-            assert list(cli._read_lines(str(path))) == text.splitlines()
+            assert list(cli._read_lines(str(path))) == expected
+    assert split_lines(mixed)[4] == "e\x0bf\x0cg\x1ch\x1di\x1ej\x85k\u2028l\u2029m"
+
+
+def test_a_form_feed_inside_a_row_is_not_a_line_break():
+    # Split at the form feed, the row would read as two short rows.
+    text = f"{HEADER}\n1,2003-06-02T09:31:00.000,000777,1,L,B,10\x0c0,100\n"
+    (err,) = iter_parse(text)
+    assert (err.line, err.code, err.message) == (2, MALFORMED_ROW, "non-integer numeric field")
 
 
 @pytest.mark.parametrize("sep", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
