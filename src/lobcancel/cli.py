@@ -594,64 +594,81 @@ def _entry_seed(base_seed: int, instrument: str, side: str, model: str) -> int:
     return base_seed ^ zlib.crc32(f"{instrument}|{side}|{model}".encode())
 
 
-# Body models: the profiles.json density each one fits, the error recorded
-# when that density is missing, and its distfit fitter. Fitters are looked up
-# on the module at call time, so a wrapper installed on distfit is honoured.
-# Only `_fit_entry` imports distfit, so the other subcommands start without it.
+# Body models: the profiles.json density each one fits, and the error
+# recorded when that density is missing. The distfit batch entry points are
+# looked up on the module at call time, so a wrapper installed on distfit is
+# honoured. Only `_fit_entries` imports distfit, so the other subcommands
+# start without it.
 _BODY_MODELS = {
-    "lognormal": ("pdf_rel_level", "no relative-level density", "fit_lognormal_lsq"),
-    "gamma": ("pdf_rel_level", "no relative-level density", "fit_gamma_lsq"),
-    "exp": ("pdf_queue_frac", "no queue-position density", "fit_exp_profile"),
+    "lognormal": ("pdf_rel_level", "no relative-level density"),
+    "gamma": ("pdf_rel_level", "no relative-level density"),
+    "exp": ("pdf_queue_frac", "no queue-position density"),
 }
 
 
-def _fit_entry(
-    instrument: str,
-    side: str,
-    pdfs: dict[str, EmpiricalPdf | None],
+def _powerlaw_outcome(instrument: str, side: str, norm_samples: dict | None):
+    """The power-law tail entry's params, or its error text."""
+    import numpy as np
+
+    from . import distfit
+
+    if norm_samples is None:
+        return "cancels.csv with raw samples not available"
+    code = "B" if side == "buy" else "S"
+    if instrument == "__ensemble__":
+        xs = np.concatenate([np.empty(0), *(v for (_, s), v in norm_samples.items() if s == code)])
+    else:
+        xs = norm_samples.get((instrument, code), [])
+    try:
+        return dataclasses.asdict(distfit.fit_powerlaw_tail(xs))
+    except distfit.FitError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _fit_entries(
+    jobs: list[tuple[str, str, dict[str, EmpiricalPdf | None]]],
     models: list[str],
     norm_samples: dict | None,
     repeats: int,
     seed: int,
 ) -> list[dict]:
-    import numpy as np
+    """One fits.json entry per job (instrument, side, densities) and model, in that order.
 
+    Each body model is fitted to every job's density in one batch, and the
+    log-normal's bootstrap refits of every job run in one batch too.
+    """
     from . import distfit
 
-    code = "B" if side == "buy" else "S"
-    out: list[dict] = []
+    outcome: dict[str, list] = {}  # model -> each job's params, or its error text
     for model in models:
-        entry = {"instrument": instrument, "side": side, "model": model}
-        out.append(entry)
-        try:
-            if model == "powerlaw":
-                if norm_samples is None:
-                    entry["error"] = "cancels.csv with raw samples not available"
-                    continue
-                if instrument == "__ensemble__":
-                    xs = np.concatenate(
-                        [np.empty(0), *(v for (_, s), v in norm_samples.items() if s == code)]
-                    )
-                else:
-                    xs = norm_samples.get((instrument, code), [])
-                entry["params"] = dataclasses.asdict(distfit.fit_powerlaw_tail(xs))
-                continue
-            key, missing, fitter = _BODY_MODELS[model]
-            pdf = pdfs[key]
-            if pdf is None:
-                entry["error"] = missing
-                continue
-            fit = getattr(distfit, fitter)(pdf)
-            params = dataclasses.asdict(fit)
-            if model == "lognormal":
-                params["p_value"] = distfit.gof_pvalue_mc(
-                    pdf, fit, repeats=repeats, seed=_entry_seed(seed, instrument, side, model)
-                )
-                params["repeats"] = repeats
-            entry["params"] = params
-        except distfit.FitError as exc:
-            entry["error"] = f"{type(exc).__name__}: {exc}"
-    return out
+        if model == "powerlaw":
+            outcome[model] = [_powerlaw_outcome(i, s, norm_samples) for i, s, _ in jobs]
+            continue
+        key, missing = _BODY_MODELS[model]
+        found = [k for k, (_, _, pdfs) in enumerate(jobs) if pdfs[key] is not None]
+        results = [missing] * len(jobs)
+        fitted = []  # (job, fit) of each body fit that succeeded
+        for k, fit in zip(found, distfit.fit_batch(model, [jobs[k][2][key] for k in found])):
+            if isinstance(fit, distfit.FitError):
+                results[k] = f"{type(fit).__name__}: {fit}"
+            else:
+                results[k] = dataclasses.asdict(fit)
+                fitted.append((k, fit))
+        if model == "lognormal" and fitted:
+            p_values = distfit.gof_pvalues(
+                [(jobs[k][2][key], fit, _entry_seed(seed, *jobs[k][:2], model)) for k, fit in fitted],
+                repeats,
+            )
+            for (k, _), p_value in zip(fitted, p_values):
+                results[k].update(p_value=p_value, repeats=repeats)
+        outcome[model] = results
+    entries = []
+    for k, (instrument, side, _) in enumerate(jobs):
+        for model in models:
+            result = outcome[model][k]
+            entries.append({"instrument": instrument, "side": side, "model": model,
+                            "error" if isinstance(result, str) else "params": result})
+    return entries
 
 
 def cmd_fit(args) -> int:
@@ -687,11 +704,7 @@ def cmd_fit(args) -> int:
                 raise InputDataError(f"schema error at {where}: missing or not an object")
             pdfs = {key: _pdf_from_payload(side_data.get(key), where) for key in keys}
             jobs.append((instrument, side, pdfs))
-    entries: list[dict] = []
-    for instrument, side, pdfs in jobs:
-        entries.extend(
-            _fit_entry(instrument, side, pdfs, models, norm_samples, args.repeats, args.seed)
-        )
+    entries = _fit_entries(jobs, models, norm_samples, args.repeats, args.seed)
     config = {"models": models, "repeats": args.repeats, "seed": args.seed}
     with _writing(args.out):
         reportio.write_text(args.out, reportio.render_json(reportio.fits_payload(entries, config)))

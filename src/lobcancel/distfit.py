@@ -17,6 +17,15 @@ A gamma alternative restricted to (0, 1] shares the least-squares machinery
 so the two body fits can be compared by their rms values. All three body
 laws run one path: a start-grid scan, then a bounded Nelder-Mead search.
 
+That path is batched. ``fit_batch`` fits one law to many densities, and
+``gof_pvalues`` runs the bootstrap refits of many fits, as the rows of one
+lockstep Nelder-Mead whose simplices live in arrays; at each step the
+candidates of every live row are scored by one numpy pass. A row takes the
+steps it would take alone, so the single fitters (``fit_lognormal_lsq``,
+``gof_pvalue_mc``, ...) are batches of one and agree with the batch bit for
+bit. Batches hold at most ``_BATCH`` problems, so memory does not grow with
+the number of densities or repeats.
+
 All fitters are pure functions of (data, config, seed); repeated runs with
 the same inputs return bit-identical results. The module needs numpy only:
 the bounded Nelder-Mead search takes scipy 1.17's steps exactly,
@@ -66,6 +75,7 @@ _KS_STRIDE = 32  # fit_powerlaw_tail bounds each candidate's KS distance on ever
 EXP_SAMPLE_GRID = 4096  # points of sample_exp_profile's tabulated inverse CDF
 _XATOL = 1e-7  # Nelder-Mead refinement tolerance in parameter space
 _NM_MAXFEV = 4000  # Nelder-Mead's limit on both iterations and evaluations
+_BATCH = 1024  # problems per lockstep Nelder-Mead batch, and candidates per grid-scan pass
 
 
 @dataclass(frozen=True)
@@ -116,11 +126,14 @@ def trunc_lognormal_pdf(x, mu: float, sigma: float) -> np.ndarray:
     return _lognormal_pdf_over(x, mu, sigma, lognormal_unit_mass(mu, sigma))
 
 
-def _lognormal_pdf_over(x, mu: float, sigma: float, mass: float) -> np.ndarray:
-    """The log-normal density divided by ``mass``, its (0, 1] mass when truncated."""
+def _lognormal_pdf_over(x, mu, sigma, mass) -> np.ndarray:
+    """The log-normal density divided by ``mass``, its (0, 1] mass when truncated.
+
+    The parameters and mass are floats, or (m, 1) columns for m densities.
+    """
     x = np.asarray(x, float)
-    out = np.exp(-((np.log(x) - mu) ** 2) / (2.0 * sigma**2))
-    out /= math.sqrt(2.0 * math.pi) * sigma * x * mass
+    out = np.exp(-((np.log(x) - mu) ** 2) / _by_row(lambda s: 2.0 * s**2, sigma))
+    out /= _by_row(lambda s: math.sqrt(2.0 * math.pi) * s, sigma) * x * mass
     return out
 
 
@@ -161,10 +174,14 @@ def trunc_gamma_pdf(x, shape: float, scale: float) -> np.ndarray:
     return _gamma_pdf_over(x, shape, scale, gamma_unit_mass(shape, scale))
 
 
-def _gamma_pdf_over(x, shape: float, scale: float, mass: float) -> np.ndarray:
-    """The gamma density divided by ``mass``, its (0, 1] mass when truncated."""
+def _gamma_pdf_over(x, shape, scale, mass) -> np.ndarray:
+    """The gamma density divided by ``mass``, its (0, 1] mass when truncated.
+
+    The parameters and mass are floats, or (m, 1) columns for m densities.
+    """
     x = np.asarray(x, float)
-    log_pdf = (shape - 1.0) * np.log(x) - x / scale - math.lgamma(shape) - shape * math.log(scale)
+    log_pdf = ((shape - 1.0) * np.log(x) - x / scale - _by_row(math.lgamma, shape)
+               - _by_row(lambda a, s: a * math.log(s), shape, scale))
     return np.exp(log_pdf) / mass
 
 
@@ -183,8 +200,11 @@ def exp_profile_pdf(y, beta: float) -> np.ndarray:
     return _exp_pdf_over(y, beta, exp_profile_norm(beta))
 
 
-def _exp_pdf_over(y, beta: float, norm: float) -> np.ndarray:
-    """The saturating exponential 1 - e^(beta*y) divided by ``norm``, its (0, 1] mass."""
+def _exp_pdf_over(y, beta, norm) -> np.ndarray:
+    """The saturating exponential 1 - e^(beta*y) divided by ``norm``, its (0, 1] mass.
+
+    beta and norm are floats, or (m, 1) columns for m densities.
+    """
     y = np.asarray(y, float)
     return (1.0 - np.exp(beta * y)) / norm
 
@@ -226,96 +246,204 @@ def _require_bins(pdf: EmpiricalPdf) -> tuple[np.ndarray, np.ndarray]:
     return pdf.centers(), np.asarray(pdf.density, float)
 
 
-def _at_bound(params, bounds, tol: float) -> bool:
-    """True when any parameter lies within ``tol`` of either end of its box."""
-    return any(x - lo <= tol or hi - x <= tol for x, (lo, hi) in zip(params, bounds))
+def _at_bound(x: np.ndarray, bounds, tol: float) -> np.ndarray:
+    """Per row of ``x``: True when any parameter lies within ``tol`` of either end of its box."""
+    lo, hi = np.array(bounds, float).T
+    return ((x - lo <= tol) | (hi - x <= tol)).any(axis=1)
+
+
+_NM_FAILURE = "Maximum number of function evaluations has been exceeded."
+
+
+def _nelder_mead_batch(fun, x0, bounds, xatol: float, fatol: float, maxfev: int):
+    """Bounded Nelder-Mead over R independent problems in lockstep.
+
+    Every problem takes the steps of scipy 1.17's ``minimize(method=
+    "Nelder-Mead", bounds=...)`` exactly, on float64 arithmetic that rounds
+    as Python floats do: the centroid is summed in vertex order from 0, the
+    simplex is sorted stably, and points are clipped as ``min(max())``.
+    ``x0`` is R x n; the simplex is R x (n+1) x n, its values R x (n+1),
+    and each problem counts its own evaluations. At each step the
+    candidates of every live problem are scored by one call
+    ``fun(ids, points)``: the (m, n) ``points`` of the problems ``ids``
+    (row indices of ``x0``), returning their m values, none NaN (a NaN would
+    sort and compare unlike Python's floats). ``maxfev`` also bounds
+    scipy's iterations, but the evaluations run out first. Returns the best
+    vertex (R x n), its value, and whether each problem converged; one that
+    did not ran out of evaluations.
+    """
+    lo, hi = np.array(bounds, float).T
+
+    def clip(v):
+        return np.minimum(np.maximum(v, lo), hi)
+
+    x0 = clip(np.asarray(x0, float))
+    rows, n = x0.shape
+    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    for k in range(n):
+        v = sim[:, k + 1, k]
+        sim[:, k + 1, k] = np.where(v != 0, 1.05 * v, 0.00025)
+    # a vertex stepped past its upper bound is reflected back inside, then clipped
+    sim = clip(np.where(sim > hi, 2 * hi - sim, sim))
+    ids = np.arange(rows)
+    fsim = np.full((rows, n + 1), np.inf)  # a vertex the budget never reached stays at inf
+    for k in range(min(n + 1, maxfev)):
+        fsim[:, k] = fun(ids, sim[:, k])
+    nfev = np.full(rows, min(n + 1, maxfev))
+    x_out, f_out, converged = np.empty((rows, n)), np.empty(rows), np.zeros(rows, bool)
+
+    while True:
+        order = np.argsort(fsim, axis=1, kind="stable")  # ties keep their order, as in scipy
+        sim, fsim = np.take_along_axis(sim, order[:, :, None], 1), np.take_along_axis(fsim, order, 1)
+        spent = nfev >= maxfev
+        done = spent | ((np.abs(sim[:, 1:] - sim[:, :1]) <= xatol).all(axis=(1, 2))
+                        & (np.abs(fsim[:, :1] - fsim[:, 1:]) <= fatol).all(axis=1))
+        if done.any():
+            x_out[ids[done]], f_out[ids[done]] = sim[done, 0], fsim[done, 0]
+            converged[ids[done]] = ~spent[done]
+            live = ~done
+            ids, sim, fsim, nfev = ids[live], sim[live], fsim[live], nfev[live]
+            if not ids.size:
+                return x_out, f_out, converged
+        xbar = sum(sim[:, j] for j in range(n)) / n  # Python's sum, as scipy's add.reduce for n <= 2
+        worst = sim[:, -1]
+        xr = clip(2.0 * xbar + -1.0 * worst)
+        fr = fun(ids, xr)
+        nfev += 1
+        expand = fr < fsim[:, 0]
+        reflect = ~expand & (fr < fsim[:, -2])
+        outside = ~expand & ~reflect & (fr < fsim[:, -1])
+        replace, shrink = reflect.copy(), np.zeros_like(reflect)
+        # Expansions and contractions, while the budget lasts. A problem out
+        # of evaluations here keeps its simplex and stops on the next pass.
+        s = np.flatnonzero(~reflect & (nfev < maxfev))
+        if s.size:
+            e, o = expand[s], outside[s]
+            cb = np.where(e, 3.0, np.where(o, 1.5, 0.5))[:, None]
+            cw = np.where(e, -2.0, np.where(o, -0.5, 0.5))[:, None]
+            x2 = clip(cb * xbar[s] + cw * worst[s])
+            f2 = fun(ids[s], x2)
+            nfev[s] += 1
+            better = np.where(e, f2 < fr[s], np.where(o, f2 <= fr[s], f2 < fsim[s, -1]))
+            xr[s[better]], fr[s[better]] = x2[better], f2[better]
+            replace[s] = better | e  # an expansion keeps the reflection when it is no better
+            shrink[s] = ~replace[s]
+        sim[replace, -1], fsim[replace, -1] = xr[replace], fr[replace]
+        h = np.flatnonzero(shrink)
+        if h.size:  # shrink toward the best vertex, one evaluation per vertex while they last
+            best = sim[h, :1]
+            shrunk = clip(best + 0.5 * (sim[h, 1:] - best))
+            r, j = np.nonzero((maxfev - nfev[h])[:, None] > np.arange(n))
+            sim[h[r], j + 1] = shrunk[r, j]
+            fsim[h[r], j + 1] = fun(ids[h[r]], shrunk[r, j])
+            nfev[h] += np.bincount(r, minlength=h.size)
 
 
 def _nelder_mead(fun, x0, bounds, xatol: float, fatol: float, maxfev: int):
-    """Bounded Nelder-Mead on Python floats, step for step as scipy 1.17's ``minimize``.
+    """Bounded Nelder-Mead on one problem, step for step as scipy 1.17's ``minimize``.
 
-    ``maxfev`` also bounds scipy's iterations, but the evaluations run out
-    first. Returns the best vertex, its value, and None or why it stopped.
+    ``fun`` takes the parameters as a list of floats. Returns the best
+    vertex, its value, and None or why it stopped.
     """
-    lo, hi = zip(*bounds)
-    n, nfev = len(x0), 0
+    def values(_, points):
+        return np.array([fun(p) for p in points.tolist()], float)
 
-    def clip(v):
-        return [min(max(x, l), h) for x, l, h in zip(v, lo, hi)]
-
-    def point(v) -> tuple[float, list]:  # (value, vertex): one evaluation
-        nonlocal nfev
-        if nfev >= maxfev:
-            raise OptimizerDidNotConverge  # the evaluations ran out; caught below
-        nfev += 1
-        return fun(v), v
-
-    def move(xbar, cb: float, cw: float):  # cb * centroid + cw * worst vertex
-        return point(clip([cb * b + cw * w for b, w in zip(xbar, pts[-1][1])]))
-
-    x0 = clip(x0)
-    sim = [x0] + [[x if j != k else 1.05 * x if x != 0 else 0.00025 for j, x in enumerate(x0)]
-                  for k in range(n)]
-    # a vertex stepped past its upper bound is reflected back inside, then clipped
-    pts = [(math.inf, clip([2 * h - x if x > h else x for x, h in zip(v, hi)])) for v in sim]
-    try:
-        for k, (_, v) in enumerate(pts):
-            pts[k] = point(v)
-        pts.sort(key=itemgetter(0))  # stable: ties keep their order, as under numpy
-        while nfev < maxfev:
-            (fbest, best), rest = pts[0], pts[1:]
-            if (all(abs(x - b) <= xatol for _, v in rest for x, b in zip(v, best))
-                    and all(abs(fbest - fv) <= fatol for fv, _ in rest)):
-                return best, fbest, None
-            xbar = [sum(c) / n for c in zip(*(v for _, v in pts[:-1]))]
-            r = move(xbar, 2.0, -1.0)
-            if r[0] < fbest:
-                e = move(xbar, 3.0, -2.0)
-                pts[-1] = e if e[0] < r[0] else r
-            elif r[0] < pts[-2][0]:
-                pts[-1] = r
-            else:
-                outside = r[0] < pts[-1][0]
-                c = move(xbar, 1.5, -0.5) if outside else move(xbar, 0.5, 0.5)
-                if c[0] <= r[0] if outside else c[0] < pts[-1][0]:
-                    pts[-1] = c
-                else:  # shrink toward the best vertex
-                    for j in range(1, n + 1):
-                        pts[j] = point(clip([b + 0.5 * (x - b) for x, b in zip(pts[j][1], best)]))
-            pts.sort(key=itemgetter(0))
-    except OptimizerDidNotConverge:
-        pts.sort(key=itemgetter(0))
-    return pts[0][1], pts[0][0], "Maximum number of function evaluations has been exceeded."
+    x, f, converged = _nelder_mead_batch(values, [x0], bounds, xatol, fatol, maxfev)
+    return x[0].tolist(), float(f[0]), None if converged[0] else _NM_FAILURE
 
 
-def _fit_truncated(
-    pdf: EmpiricalPdf, density_fn, mass_fn, grid, bounds, start, name: str
-) -> tuple[tuple[float, ...], float, bool]:
-    """Bounded least-squares fit of a density truncated to (0, 1] at bin centers.
+def _by_row(f, *params):
+    """``f`` of the parameters as Python floats: once for scalars, else row by row.
 
-    The sum of squared differences computes each candidate's (0, 1] mass
-    once with ``mass_fn`` and hands it to ``density_fn(centers, *params,
-    mass)``, the density divided by that mass: bit for bit the public
-    ``trunc_*_pdf``. Parameters whose mass underflows score 1e300. The
-    start is ``start`` when given, else the first grid point of least SSE,
-    and bounded Nelder-Mead refines it. Returns the parameters, the rms and
-    whether a parameter stopped on its box (within ``_XATOL``).
+    Parameters are scalars or (m, 1) columns. The scalar factors of the
+    densities are computed with ``math`` either way, so a row of a batch is
+    bit for bit the density of that row's parameters alone.
     """
-    centers, density = _require_bins(pdf)
+    if np.ndim(params[0]) == 0:
+        return f(*params)
+    return np.array(list(map(f, *(p.ravel().tolist() for p in params))))[:, None]
 
-    def sse(params) -> float:
-        mass = mass_fn(*params)
-        if not mass > 1e-300:
-            return 1e300
-        diff = density_fn(centers, *params, mass) - density
-        return float(diff @ diff)
 
-    x0 = start if start is not None else min(grid, key=sse)
-    x, fun, failure = _nelder_mead(sse, [float(v) for v in x0], bounds, _XATOL, 1e-12, _NM_MAXFEV)
-    if failure:
-        raise OptimizerDidNotConverge(f"{name} fit did not converge: {failure}")
-    params = tuple(x)
-    return params, math.sqrt(fun / len(density)), _at_bound(params, bounds, _XATOL)
+@dataclass(frozen=True)
+class _Law:
+    """A body law fitted by least squares on (0, 1]."""
+
+    name: str         # as its errors name it
+    pdf_over: object  # (x, *params, mass) -> the density divided by mass; params may be columns
+    mass: object      # (*params) -> its (0, 1] mass, with math
+    grid: np.ndarray  # start grid, scanned in row order
+    bounds: tuple
+    record: object    # (params, rms, at_bound) -> the fit's dataclass
+
+
+def _sse(law: _Law, centers: np.ndarray, density: np.ndarray):
+    """The batch objective of ``law`` at bin ``centers``, for `_nelder_mead_batch`.
+
+    Problem i fits the empirical density ``density[i]``. Each candidate's (0, 1]
+    mass is computed once with ``law.mass`` and handed to ``law.pdf_over``:
+    bit for bit the public ``trunc_*_pdf``. A candidate whose mass
+    underflows scores 1e300. The model densities are finite or +inf at a
+    positive center, so a sum of squares is never NaN there; a bin center at
+    or below 0 (or so close to 0 that the log-normal's normalizer
+    underflows) gives 0/0, and such a sum scores +inf so that every value is
+    ordered. Each row's sum is ``diff[i] @ diff[i]``: the stacked matmul
+    below runs numpy's vector dot per row (pinned by a test).
+    """
+    def fun(ids, params):
+        mass = np.array([law.mass(*p) for p in params.tolist()])
+        out = np.full(mass.size, 1e300)
+        ok = mass > 1e-300
+        if ok.any():
+            columns = params[ok].T[:, :, None]
+            diff = law.pdf_over(centers, *columns, mass[ok, None]) - density[ids[ok]]
+            out[ok] = np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
+        return np.where(np.isnan(out), np.inf, out)
+
+    return fun
+
+
+def _fit_law(law: _Law, pdfs, start=None) -> list:
+    """Least-squares fits of ``law`` to each density: its record, or the FitError that stopped it.
+
+    Each search starts at ``start`` when given, else at the first grid point
+    of least sum of squares, and bounded Nelder-Mead refines it. The
+    densities on the same bins are fitted together: the grid scans in array
+    passes of up to ``_BATCH`` candidates, and the searches in lockstep
+    batches of up to ``_BATCH`` problems.
+    """
+    out: list = [None] * len(pdfs)
+    groups: dict = {}  # (domain, edges) -> (centers, [(index, density)])
+    for i, pdf in enumerate(pdfs):
+        try:
+            centers, density = _require_bins(pdf)
+        except TooFewBins as exc:
+            out[i] = exc
+            continue
+        key = (pdf.domain, np.asarray(pdf.bin_edges, float).tobytes())
+        groups.setdefault(key, (centers, []))[1].append((i, density))
+    grid = law.grid
+    for centers, members in groups.values():
+        for lo in range(0, len(members), _BATCH):
+            index, density = zip(*members[lo:lo + _BATCH])
+            fun = _sse(law, centers, np.array(density))
+            x0 = np.empty((len(index), grid.shape[1]))
+            if start is not None:
+                x0[:] = [float(v) for v in start]
+            per = max(1, _BATCH // len(grid))  # problems per grid-scan pass
+            for k in range(0, len(index) if start is None else 0, per):
+                rows = np.arange(k, min(k + per, len(index)))
+                sse = fun(np.repeat(rows, len(grid)), np.tile(grid, (rows.size, 1)))
+                # no value is NaN, so argmin's first minimum is min(grid, key=sse)'s
+                x0[rows] = grid[sse.reshape(rows.size, len(grid)).argmin(axis=1)]
+            x, f, converged = _nelder_mead_batch(fun, x0, law.bounds, _XATOL, 1e-12, _NM_MAXFEV)
+            at_bound = _at_bound(x, law.bounds, _XATOL).tolist()
+            for row, i in enumerate(index):
+                if converged[row]:
+                    rms = math.sqrt(float(f[row]) / centers.size)
+                    out[i] = law.record(tuple(x[row].tolist()), rms, at_bound[row])
+                else:
+                    out[i] = OptimizerDidNotConverge(f"{law.name} fit did not converge: {_NM_FAILURE}")
+    return out
 
 
 # Start grids, scanned in this order (the first point of least SSE wins).
@@ -333,6 +461,39 @@ _GAMMA_GRID = tuple(
 # back, which leaves a flat one-dimensional simplex.
 _EXP_GRID = tuple((beta,) for beta in np.linspace(BETA_BOUNDS[0], BETA_BOUNDS[1], 34)[1:-1])
 
+BODY_LAWS = {
+    "lognormal": _Law(
+        "log-normal", _lognormal_pdf_over, lognormal_unit_mass, np.array(_LOGNORMAL_GRID),
+        (MU_BOUNDS, SIGMA_BOUNDS),
+        lambda p, rms, at_bound: LogNormalFit(*p, lognormal_unit_mass(*p), rms, at_bound)),
+    "gamma": _Law(
+        "gamma", _gamma_pdf_over, gamma_unit_mass, np.array(_GAMMA_GRID),
+        (GAMMA_SHAPE_BOUNDS, GAMMA_SCALE_BOUNDS),
+        lambda p, rms, at_bound: GammaFit(*p, gamma_unit_mass(*p), rms, at_bound)),
+    "exp": _Law(
+        "exponential profile", _exp_pdf_over, exp_profile_norm, np.array(_EXP_GRID),
+        (BETA_BOUNDS,),
+        lambda p, rms, at_bound: ExpProfileFit(*p, exp_profile_norm(*p), rms, at_bound)),
+}
+
+
+def fit_batch(law: str, pdfs) -> list:
+    """Least-squares fits of the body law ``law`` ("lognormal", "gamma" or "exp")
+    to every density of ``pdfs``, in order: each one's fit, or the FitError
+    (TooFewBins, OptimizerDidNotConverge) that stopped it.
+
+    Each result equals the single fitter's (``fit_lognormal_lsq``, ...) bit
+    for bit; the batch runs every grid scan and search in array passes.
+    """
+    return _fit_law(BODY_LAWS[law], list(pdfs))
+
+
+def _fit_one(law: str, pdf: EmpiricalPdf, start=None):
+    result = _fit_law(BODY_LAWS[law], [pdf], start)[0]
+    if isinstance(result, FitError):
+        raise result
+    return result
+
 
 def fit_lognormal_lsq(pdf: EmpiricalPdf, *, start=None) -> LogNormalFit:
     """Least-squares truncated log-normal fit to a binned density on (0, 1].
@@ -342,20 +503,12 @@ def fit_lognormal_lsq(pdf: EmpiricalPdf, *, start=None) -> LogNormalFit:
     recomputed for every candidate parameter pair. The search is a coarse
     grid (skipped when ``start`` is given) refined by bounded Nelder-Mead.
     """
-    (mu, sigma), rms, at_bound = _fit_truncated(
-        pdf, _lognormal_pdf_over, lognormal_unit_mass, _LOGNORMAL_GRID,
-        [MU_BOUNDS, SIGMA_BOUNDS], start, "log-normal",
-    )
-    return LogNormalFit(mu, sigma, lognormal_unit_mass(mu, sigma), rms, at_bound)
+    return _fit_one("lognormal", pdf, start)
 
 
 def fit_gamma_lsq(pdf: EmpiricalPdf) -> GammaFit:
     """Least-squares truncated gamma fit; comparison partner for the log-normal."""
-    (shape, scale), rms, at_bound = _fit_truncated(
-        pdf, _gamma_pdf_over, gamma_unit_mass, _GAMMA_GRID,
-        [GAMMA_SHAPE_BOUNDS, GAMMA_SCALE_BOUNDS], None, "gamma",
-    )
-    return GammaFit(shape, scale, gamma_unit_mass(shape, scale), rms, at_bound)
+    return _fit_one("gamma", pdf)
 
 
 def fit_exp_profile(pdf: EmpiricalPdf) -> ExpProfileFit:
@@ -365,11 +518,7 @@ def fit_exp_profile(pdf: EmpiricalPdf) -> ExpProfileFit:
     path as the other body laws; the upper bound keeps the fitter away from
     the degenerate beta -> 0 limit where the shape loses all mass.
     """
-    (beta,), rms, at_bound = _fit_truncated(
-        pdf, _exp_pdf_over, exp_profile_norm, _EXP_GRID, [BETA_BOUNDS], None,
-        "exponential profile",
-    )
-    return ExpProfileFit(beta, exp_profile_norm(beta), rms, at_bound)
+    return _fit_one("exp", pdf)
 
 
 # -- power-law tail -----------------------------------------------------------
@@ -473,6 +622,69 @@ def _trunc_lognormal_bin_masses(edges, mu: float, sigma: float) -> list[float]:
             / unit for za, zb in zip(zs, zs[1:])]
 
 
+def _bootstrap_refits(jobs, repeats: int):
+    """The parametric-bootstrap refits of ``gof_pvalues``, in lockstep batches.
+
+    ``jobs`` holds (pdf, fit, seed) triples. Repeat ``rep`` of a job bins
+    one multinomial draw of the empirical count over the fitted bin masses,
+    from ``np.random.default_rng([seed, rep])``, and refits the log-normal
+    from the fitted parameters. Yields one tuple of arrays per batch of at
+    most ``_BATCH`` refits, over jobs binned alike: the job and repeat of
+    each refit, its parameters and sum of squares (NaN when the draw has
+    fewer than ``MIN_FIT_BINS`` non-empty bins), and whether its search
+    converged. So the memory held does not grow with ``repeats``.
+    """
+    law = BODY_LAWS["lognormal"]
+    groups: dict = {}  # (domain, edges) -> the jobs binned on them
+    for j, (pdf, _, _) in enumerate(jobs):
+        groups.setdefault((pdf.domain, np.asarray(pdf.bin_edges, float).tobytes()), []).append(j)
+    for members in groups.values():
+        pdf = jobs[members[0]][0]
+        edges = np.asarray(pdf.bin_edges, float)
+        centers, widths = pdf.centers(), np.diff(edges)
+        # numpy's last category takes what the bins leave of 1: the mass outside the edges
+        masses = {j: _trunc_lognormal_bin_masses(edges, jobs[j][1].mu, jobs[j][1].sigma) + [0.0]
+                  for j in members}
+        for lo in range(0, len(members) * repeats, _BATCH):
+            k = np.arange(lo, min(lo + _BATCH, len(members) * repeats))
+            job, rep = np.array(members)[k // repeats], k % repeats
+            counts = np.empty((k.size, widths.size), np.int64)
+            for row, (j, r) in enumerate(zip(job.tolist(), rep.tolist())):
+                rng = np.random.default_rng([jobs[j][2], r])
+                counts[row] = rng.multinomial(jobs[j][0].count, masses[j])[:-1]
+            # as pdf_from_counts, row by row; a draw of nothing has no non-empty bin
+            n = counts.sum(axis=1, keepdims=True)
+            density = counts / (np.maximum(n, 1) * widths)
+            fittable = (density != 0).sum(axis=1) >= MIN_FIT_BINS
+            x, f = np.full((k.size, 2), np.nan), np.full(k.size, np.nan)
+            converged = np.zeros(k.size, bool)
+            rows = np.flatnonzero(fittable)
+            if rows.size:
+                x0 = [(jobs[j][1].mu, jobs[j][1].sigma) for j in job[rows].tolist()]
+                x[rows], f[rows], converged[rows] = _nelder_mead_batch(
+                    _sse(law, centers, density[rows]), x0, law.bounds, _XATOL, 1e-12, _NM_MAXFEV)
+            yield job, rep, x, f, converged
+
+
+def gof_pvalues(jobs, repeats: int = 1000) -> list[float]:
+    """Parametric-bootstrap p-values of truncated log-normal fits, all in one batch.
+
+    ``jobs`` holds (pdf, fit, seed) triples, and each p-value is
+    ``gof_pvalue_mc(pdf, fit, repeats, seed)`` exactly: the refits of every
+    job and repeat run in lockstep Nelder-Mead batches of at most
+    ``_BATCH`` problems (see ``_bootstrap_refits``).
+    """
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
+    jobs = list(jobs)
+    hits = np.zeros(len(jobs), np.int64)
+    for job, _, _, f, converged in _bootstrap_refits(jobs, repeats):
+        # an unfittable draw, or a refit out of evaluations, counts as at least as extreme
+        rms = np.sqrt(np.where(converged, f, np.inf) / jobs[job[0]][0].density.size)
+        np.add.at(hits, job, rms >= np.array([jobs[j][1].rms for j in job.tolist()]))
+    return [h / repeats for h in hits.tolist()]
+
+
 def gof_pvalue_mc(
     pdf: EmpiricalPdf, fit: LogNormalFit, repeats: int = 1000, seed: int = 0
 ) -> float:
@@ -484,21 +696,4 @@ def gof_pvalue_mc(
     or above the empirical rms. Each repeat uses its own derived seed, so
     parallel and serial evaluation orders agree.
     """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    edges = np.asarray(pdf.bin_edges, float)
-    # numpy's last category takes what the bins leave of 1: the mass outside the edges
-    masses = _trunc_lognormal_bin_masses(edges, fit.mu, fit.sigma) + [0.0]
-    start = (fit.mu, fit.sigma)
-    hits = 0
-    for rep in range(repeats):
-        rng = np.random.default_rng([seed, rep])
-        synth = pdf_from_counts(rng.multinomial(pdf.count, masses)[:-1], edges, pdf.domain)
-        try:
-            refit = fit_lognormal_lsq(synth, start=start)
-        except FitError:
-            hits += 1  # unfittable draw counts as at least as extreme
-            continue
-        if refit.rms >= fit.rms:
-            hits += 1
-    return hits / repeats
+    return gof_pvalues([(pdf, fit, seed)], repeats)[0]

@@ -377,6 +377,55 @@ def test_fit_deterministic(profile_dir, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_fit_writes_what_the_single_fitters_give(profile_dir, tmp_path):
+    # `fit` runs every entry's body fit, and every bootstrap refit, in batches;
+    # the file must be what a loop over distfit's public fitters writes
+    import dataclasses
+
+    from lobcancel import distfit
+
+    _, _, out = profile_dir
+    models, repeats, seed = ["lognormal", "powerlaw", "exp", "gamma"], 15, 3
+    fits_path = tmp_path / "fits.json"
+    assert run(["fit", "--profiles", str(out / "profiles.json"), "--out", str(fits_path),
+                "--models", ",".join(models), "--repeats", str(repeats), "--seed", str(seed)]) == 0
+    payload = json.loads((out / "profiles.json").read_text())
+    samples = cli._load_norm_level_samples(str(out / "cancels.csv"))
+    fitters = {"lognormal": ("pdf_rel_level", distfit.fit_lognormal_lsq),
+               "gamma": ("pdf_rel_level", distfit.fit_gamma_lsq),
+               "exp": ("pdf_queue_frac", distfit.fit_exp_profile)}
+    entries = []
+    for block in [*payload["instruments"], payload["ensemble"]]:
+        instrument = block["instrument"]
+        for side in ("buy", "sell"):
+            code = "B" if side == "buy" else "S"
+            for model in models:
+                entry = {"instrument": instrument, "side": side, "model": model}
+                try:
+                    if model == "powerlaw":
+                        xs = [v for (i, s), v in samples.items()
+                              if s == code and instrument in (i, "__ensemble__")]
+                        params = dataclasses.asdict(
+                            distfit.fit_powerlaw_tail(np.concatenate([np.empty(0), *xs])))
+                    else:
+                        key, fitter = fitters[model]
+                        pdf = cli._pdf_from_payload(block["sides"][side][key], key)
+                        fit = fitter(pdf)
+                        params = dataclasses.asdict(fit)
+                        if model == "lognormal":
+                            params["p_value"] = distfit.gof_pvalue_mc(
+                                pdf, fit, repeats, cli._entry_seed(seed, instrument, side, model))
+                            params["repeats"] = repeats
+                    entry["params"] = params
+                except distfit.FitError as exc:
+                    entry["error"] = f"{type(exc).__name__}: {exc}"
+                entries.append(entry)
+    config = {"models": models, "repeats": repeats, "seed": seed}
+    want = reportio.render_json(reportio.fits_payload(entries, config))
+    assert fits_path.read_bytes() == want.encode()
+    assert sum("p_value" in e.get("params", {}) for e in entries) == 6
+
+
 def test_fit_unknown_model_exits_2(profile_dir, tmp_path):
     _, _, out = profile_dir
     assert run(
@@ -501,10 +550,20 @@ def test_fit_malformed_density_is_schema_error(
     fitted = []
     for name in ("fit_lognormal_lsq", "fit_gamma_lsq", "fit_exp_profile"):
         monkeypatch.setattr(distfit, name, lambda pdf, name=name: fitted.append(name))
+    # the batch entry points that `fit` calls, recorded and then run
+    for name in ("fit_batch", "gof_pvalues"):
+        def record(*args, name=name, fit=getattr(distfit, name)):
+            fitted.append(name)
+            return fit(*args)
+        monkeypatch.setattr(distfit, name, record)
     fits_path = tmp_path / "f.json"
     assert run(["fit", "--profiles", str(path), "--out", str(fits_path), "--models", model]) == 1
     assert f"schema error at {expected}" in capsys.readouterr().err
     assert fitted == [] and not fits_path.exists()
+    # the same run on the unedited densities goes through the recorded batch fit
+    assert run(["fit", "--profiles", str(out / "profiles.json"), "--out", str(fits_path),
+                "--models", model, "--repeats", "1"]) == 0
+    assert "fit_batch" in fitted
 
 
 def test_fit_invalid_json_exits_1(tmp_path, capsys):

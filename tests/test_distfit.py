@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate, optimize, stats
 
 from lobcancel import distfit as df
-from lobcancel.profiles import BinSpec, accumulate_pdf
+from lobcancel.profiles import BinSpec, accumulate_pdf, pdf_from_counts
 
 RNG = lambda seed: np.random.default_rng(seed)
 
@@ -461,7 +461,7 @@ NM_OPTIONS = {"xatol": df._XATOL, "fatol": 1e-12, "maxiter": df._NM_MAXFEV,
 
 
 def _sse(pdf, density_fn, mass_fn):
-    """The objective `_fit_truncated` minimizes, built from the public densities."""
+    """The objective `_sse` scores, one candidate at a time, built from the public densities."""
     centers, density = pdf.centers(), np.asarray(pdf.density, float)
 
     def sse(params) -> float:
@@ -666,3 +666,169 @@ def test_nelder_mead_breaks_ties_as_scipy_does():
 def test_nelder_mead_breaks_one_parameter_ties_as_scipy_does():
     # each bowl's section at y = 0: one parameter, as the exponential profile's beta
     _check_ties(1)
+
+
+# -- the lockstep batch against one problem at a time ------------------------------
+#
+# `fit` runs every entry's search, and every bootstrap refit, as rows of one
+# `_nelder_mead_batch`. Each row must take the steps it takes alone, and so
+# scipy's, to the last bit.
+
+
+def test_a_batch_of_bowls_takes_each_bowls_own_steps():
+    bowls = list(_terraced_bowls(100))
+    stopped = {}
+    for dims in (1, 2):
+        bounds = [df.MU_BOUNDS, df.SIGMA_BOUNDS][:dims]
+
+        def values(ids, points):
+            return np.array([bowls[i][0](*p) for i, p in zip(ids.tolist(), points.tolist())])
+
+        x0 = [x0[:dims] for _, x0 in bowls]
+        for maxfev in (2, 9, 33, df._NM_MAXFEV):
+            x, f, converged = df._nelder_mead_batch(values, x0, bounds, df._XATOL, 1e-12, maxfev)
+            for k, (bowl, start) in enumerate(bowls):
+                sse = lambda v, bowl=bowl: bowl(*v)
+                alone = df._nelder_mead(sse, start[:dims], bounds, df._XATOL, 1e-12, maxfev)
+                ref = _scipy_nm(sse, start[:dims], bounds, maxiter=maxfev, maxfev=maxfev)
+                got = (x[k].tolist(), float(f[k]), None if converged[k] else df._NM_FAILURE)
+                assert got == alone == (list(ref.x), ref.fun,
+                                        None if ref.success else ref.message)
+            stopped[dims, maxfev] = int((~converged).sum())
+    # at 33 evaluations some rows converge while the others of their batch run on
+    assert 0 < stopped[1, 33] < 100 and 0 < stopped[2, 33] < 100
+
+
+_SSE_CASES = [
+    ("lognormal", df.trunc_lognormal_pdf, df.lognormal_unit_mass),
+    ("gamma", df.trunc_gamma_pdf, df.gamma_unit_mass),
+    ("exp", df.exp_profile_pdf, df.exp_profile_norm),
+]
+
+
+@pytest.mark.parametrize("law, pdf_fn, mass_fn", _SSE_CASES, ids=[c[0] for c in _SSE_CASES])
+def test_batch_sse_rows_equal_the_public_density_sse(law, pdf_fn, mass_fn):
+    # numpy's exp, log and dot on a stack of rows against one row at a time:
+    # equal to the last bit, grid points and the mass-underflow corner included
+    law = df.BODY_LAWS[law]
+    pdfs = [_lognormal_pdf(5000, -2.14, 1.11, 11), _uniform_pdf(), _exp_pdf()]
+    lo, hi = np.array(law.bounds).T
+    params = np.concatenate([law.grid, lo + (hi - lo) * RNG(12).random((300, lo.size)),
+                             [hi, lo, [1.9, 0.06][:lo.size]]])
+    for pdf in pdfs:
+        sse = _sse(pdf, pdf_fn, mass_fn)
+        density = np.tile(pdf.density, (params.shape[0], 1))
+        got = df._sse(law, pdf.centers(), density)(np.arange(params.shape[0]), params)
+        want = np.array([sse(p) for p in params.tolist()])
+        assert np.array_equal(got, want)
+    if law.name == "log-normal":
+        assert (want == 1e300).any()
+
+
+def test_stacked_matmul_is_numpys_row_dot():
+    rng = RNG(13)
+    for k in (1, 7, 31, 50, 64, 101):
+        rows = rng.normal(size=(200, k)) * 10.0 ** rng.integers(-200, 150, (200, 1))
+        rows[0, 0], rows[1, :] = np.inf, 0.0
+        stacked = np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
+        alone = [float(r.copy() @ r.copy()) for r in rows]
+        assert stacked.tolist() == alone == [float(rows[i] @ rows[i]) for i in range(len(rows))]
+
+
+def _corner_pdf():
+    # a density near 1 whose draws often leave fewer than MIN_FIT_BINS bins,
+    # and whose refits start where the (0, 1] mass underflows
+    edges = np.linspace(0.9, 1.0, 51)
+    masses = df._trunc_lognormal_bin_masses(edges, 1.8, 0.08) + [0.0]
+    return pdf_from_counts(RNG(14).multinomial(400, masses)[:-1], edges, "unit_interval")
+
+
+def _serial_gof(pdf, fit, repeats, seed):
+    """The bootstrap one refit at a time, through the public fitter."""
+    edges = np.asarray(pdf.bin_edges, float)
+    masses = df._trunc_lognormal_bin_masses(edges, fit.mu, fit.sigma) + [0.0]
+    hits, refits = 0, []
+    for rep in range(repeats):
+        rng = np.random.default_rng([seed, rep])
+        synth = pdf_from_counts(rng.multinomial(pdf.count, masses)[:-1], edges, pdf.domain)
+        try:
+            refit = df.fit_lognormal_lsq(synth, start=(fit.mu, fit.sigma))
+        except df.FitError as exc:
+            hits += 1
+            refits.append(type(exc))
+            continue
+        refits.append(refit)
+        hits += refit.rms >= fit.rms
+    return hits / repeats, refits
+
+
+@pytest.mark.parametrize("maxfev", [df._NM_MAXFEV, 100])
+def test_batched_gof_equals_a_serial_loop(monkeypatch, maxfev):
+    small = _lognormal_pdf(60, -1.5, 0.6, 15)  # about 14 non-empty bins of 50
+    jobs = [
+        (_lognormal_pdf(3000, -2.14, 1.11, 16), None, 3),
+        (small, None, 4),
+        (_corner_pdf(), df.LogNormalFit(1.8, 0.08, df.lognormal_unit_mass(1.8, 0.08), 0.5, False), 5),
+        (_lognormal_pdf(800, -1.0, 0.5, 17), None, 6),
+    ]
+    jobs = [(pdf, fit or df.fit_lognormal_lsq(pdf), seed) for pdf, fit, seed in jobs]
+    monkeypatch.setattr(df, "_NM_MAXFEV", maxfev)
+    monkeypatch.setattr(df, "_BATCH", 64)  # batches span jobs, and jobs span batches
+    repeats = 40
+    underflows = []
+    sse = df._sse
+
+    def spy(law, centers, density):
+        fun = sse(law, centers, density)
+
+        def scored(ids, params):
+            values = fun(ids, params)
+            underflows.append(int((values == 1e300).sum()))
+            return values
+
+        return scored
+
+    monkeypatch.setattr(df, "_sse", spy)
+    got = {}
+    for job, rep, x, f, converged in df._bootstrap_refits(jobs, repeats):
+        for row, key in enumerate(zip(job.tolist(), rep.tolist())):
+            got[key] = (x[row], f[row], converged[row])
+    assert sum(underflows) > 0
+    p_values = df.gof_pvalues(jobs, repeats)
+    kinds = set()
+    for j, (pdf, fit, seed) in enumerate(jobs):
+        p_value, refits = _serial_gof(pdf, fit, repeats, seed)
+        assert p_values[j] == p_value == df.gof_pvalue_mc(pdf, fit, repeats, seed)
+        for rep, refit in enumerate(refits):
+            x, f, converged = got[j, rep]
+            if refit is df.TooFewBins:
+                assert np.isnan(x).all() and not converged
+            elif refit is df.OptimizerDidNotConverge:
+                assert np.isfinite(x).all() and not converged
+            else:
+                at_bound = df._at_bound(x[None], df.BODY_LAWS["lognormal"].bounds, df._XATOL)[0]
+                assert converged and (refit.mu, refit.sigma) == tuple(x.tolist())
+                assert refit.rms == math.sqrt(f / len(pdf.density)) and refit.at_bound == at_bound
+            kinds.add(refit if isinstance(refit, type) else type(refit))
+    assert df.TooFewBins in kinds and df.LogNormalFit in kinds
+    assert (df.OptimizerDidNotConverge in kinds) == (maxfev == 100)
+
+
+def test_gof_memory_does_not_grow_with_repeats(monkeypatch):
+    import tracemalloc
+
+    monkeypatch.setattr(df, "_BATCH", 256)  # a quarter of the default, to keep the test short
+    pdf = _lognormal_pdf(2000, -2.14, 1.11, 18)
+    fit = df.fit_lognormal_lsq(pdf)
+    peaks = []
+    for repeats in (df._BATCH, 3 * df._BATCH):
+        tracemalloc.start()
+        try:
+            df.gof_pvalue_mc(pdf, fit, repeats, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # a batch holds a few arrays of _BATCH x 50 floats, 0.1 MB each here;
+    # the two peaks read 0.82 and 0.83 MB
+    assert max(peaks) < 12 * df._BATCH * len(pdf.density) * 8
+    assert peaks[1] < 1.1 * peaks[0]
