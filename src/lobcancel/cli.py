@@ -655,12 +655,12 @@ def _fit_entries(
                 results[k] = dataclasses.asdict(fit)
                 fitted.append((k, fit))
         if model == "lognormal" and fitted:
-            p_values = distfit.gof_pvalues(
+            bootstrap = distfit.gof_pvalues(
                 [(jobs[k][2][key], fit, _entry_seed(seed, *jobs[k][:2], model)) for k, fit in fitted],
                 repeats,
             )
-            for (k, _), p_value in zip(fitted, p_values):
-                results[k].update(p_value=p_value, repeats=repeats)
+            for (k, _), (p_value, unfittable) in zip(fitted, bootstrap):
+                results[k].update(p_value=p_value, repeats=repeats, unfittable=unfittable)
         outcome[model] = results
     entries = []
     for k, (instrument, side, _) in enumerate(jobs):
@@ -831,7 +831,11 @@ def cmd_report(args) -> int:
                 else:
                     params = dict(entry["params"])
                     mark = " (at bound)" if params.pop("at_bound", False) else ""
-                    text = ", ".join(f"{k}={v:.4g}" for k, v in sorted(params.items()))
+                    # the bootstrap's unfittable draws are printed beside the p-value they count in
+                    beside = ({"p_value": f" ({params.pop('unfittable'):d} unfittable)"}
+                              if "p_value" in params and "unfittable" in params else {})
+                    text = ", ".join(f"{k}={v:.4g}{beside.get(k, '')}"
+                                     for k, v in sorted(params.items()))
                     lines.append(f"  {label}: {text}{mark}")
             except (KeyError, TypeError, AttributeError, ValueError) as exc:
                 raise InputDataError(

@@ -666,23 +666,27 @@ def _bootstrap_refits(jobs, repeats: int):
             yield job, rep, x, f, converged
 
 
-def gof_pvalues(jobs, repeats: int = 1000) -> list[float]:
+def gof_pvalues(jobs, repeats: int = 1000) -> list[tuple[float, int]]:
     """Parametric-bootstrap p-values of truncated log-normal fits, all in one batch.
 
-    ``jobs`` holds (pdf, fit, seed) triples, and each p-value is
-    ``gof_pvalue_mc(pdf, fit, repeats, seed)`` exactly: the refits of every
-    job and repeat run in lockstep Nelder-Mead batches of at most
-    ``_BATCH`` problems (see ``_bootstrap_refits``).
+    ``jobs`` holds (pdf, fit, seed) triples. For each job returns the
+    p-value, ``gof_pvalue_mc(pdf, fit, repeats, seed)`` exactly, and the
+    number of its draws that could not be refitted: those with fewer than
+    ``MIN_FIT_BINS`` non-empty bins and those whose refit ran out of
+    evaluations, each counted as a hit. The refits of every job and repeat
+    run in lockstep Nelder-Mead batches of at most ``_BATCH`` problems (see
+    ``_bootstrap_refits``).
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     jobs = list(jobs)
-    hits = np.zeros(len(jobs), np.int64)
+    hits, unfittable = np.zeros(len(jobs), np.int64), np.zeros(len(jobs), np.int64)
     for job, _, _, f, converged in _bootstrap_refits(jobs, repeats):
-        # an unfittable draw, or a refit out of evaluations, counts as at least as extreme
+        # an unfittable draw counts as at least as extreme; a batch is binned alike
         rms = np.sqrt(np.where(converged, f, np.inf) / jobs[job[0]][0].density.size)
         np.add.at(hits, job, rms >= np.array([jobs[j][1].rms for j in job.tolist()]))
-    return [h / repeats for h in hits.tolist()]
+        np.add.at(unfittable, job, ~converged)
+    return [(h / repeats, u) for h, u in zip(hits.tolist(), unfittable.tolist())]
 
 
 def gof_pvalue_mc(
@@ -696,4 +700,4 @@ def gof_pvalue_mc(
     or above the empirical rms. Each repeat uses its own derived seed, so
     parallel and serial evaluation orders agree.
     """
-    return gof_pvalues([(pdf, fit, seed)], repeats)[0]
+    return gof_pvalues([(pdf, fit, seed)], repeats)[0][0]

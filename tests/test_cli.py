@@ -336,7 +336,8 @@ def test_fit_all_models(profile_dir, tmp_path):
     ok = [e for e in payload["fits"] if "params" in e]
     assert len(ok) > len(payload["fits"]) // 2
     params_keys = {
-        "lognormal": {"mu", "sigma", "unit_mass", "rms", "at_bound", "p_value", "repeats"},
+        "lognormal": {"mu", "sigma", "unit_mass", "rms", "at_bound", "p_value", "repeats",
+                      "unfittable"},
         "gamma": {"shape", "scale", "unit_mass", "rms", "at_bound"},
         "exp": {"beta", "norm", "rms", "at_bound"},
         "powerlaw": {"alpha", "xmin", "tail_size", "stderr", "ks"},
@@ -413,9 +414,10 @@ def test_fit_writes_what_the_single_fitters_give(profile_dir, tmp_path):
                         fit = fitter(pdf)
                         params = dataclasses.asdict(fit)
                         if model == "lognormal":
-                            params["p_value"] = distfit.gof_pvalue_mc(
-                                pdf, fit, repeats, cli._entry_seed(seed, instrument, side, model))
-                            params["repeats"] = repeats
+                            job = (pdf, fit, cli._entry_seed(seed, instrument, side, model))
+                            p_value, unfittable = distfit.gof_pvalues([job], repeats)[0]
+                            assert p_value == distfit.gof_pvalue_mc(*job[:2], repeats, job[2])
+                            params.update(p_value=p_value, repeats=repeats, unfittable=unfittable)
                     entry["params"] = params
                 except distfit.FitError as exc:
                     entry["error"] = f"{type(exc).__name__}: {exc}"
@@ -1026,6 +1028,28 @@ def test_report_marks_fits_stopped_on_a_bound(profile_dir, tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "  X/buy/exp: beta=-0.01, norm=0.0033, rms=0.5 (at bound)" in lines
     assert "  X/sell/exp: beta=-25, norm=0.96, rms=0.01" in lines
+
+
+def test_report_prints_unfittable_draws_beside_the_p_value(profile_dir, tmp_path, capsys):
+    _, _, out = profile_dir
+    params = {"mu": -2.1, "sigma": 1.1, "unit_mass": 0.97, "rms": 0.02, "at_bound": False,
+              "p_value": 0.35, "repeats": 20}
+    fits = {"kind": "fits", "fits": [
+        {"instrument": "X", "side": "buy", "model": "lognormal",
+         "params": dict(params, unfittable=3)},
+        {"instrument": "X", "side": "sell", "model": "lognormal", "params": params},
+    ]}
+    path = tmp_path / "fits.json"
+    path.write_text(json.dumps(fits))
+    assert run(["report", "--profiles", str(out / "profiles.json"), "--fits", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rest = "repeats=20, rms=0.02, sigma=1.1, unit_mass=0.97"
+    assert f"  X/buy/lognormal: mu=-2.1, p_value=0.35 (3 unfittable), {rest}" in lines
+    assert f"  X/sell/lognormal: mu=-2.1, p_value=0.35, {rest}" in lines  # an older fits.json
+    fits["fits"][0]["params"]["unfittable"] = 2.5
+    path.write_text(json.dumps(fits))
+    assert run(["report", "--profiles", str(out / "profiles.json"), "--fits", str(path)]) == 1
+    assert "schema error at $.fits[0]" in capsys.readouterr().err
 
 
 def test_report_side_without_class_ratios_is_schema_error(profile_dir, tmp_path, capsys):

@@ -794,11 +794,12 @@ def test_batched_gof_equals_a_serial_loop(monkeypatch, maxfev):
         for row, key in enumerate(zip(job.tolist(), rep.tolist())):
             got[key] = (x[row], f[row], converged[row])
     assert sum(underflows) > 0
-    p_values = df.gof_pvalues(jobs, repeats)
+    bootstrap = df.gof_pvalues(jobs, repeats)
     kinds = set()
     for j, (pdf, fit, seed) in enumerate(jobs):
         p_value, refits = _serial_gof(pdf, fit, repeats, seed)
-        assert p_values[j] == p_value == df.gof_pvalue_mc(pdf, fit, repeats, seed)
+        assert bootstrap[j][0] == p_value == df.gof_pvalue_mc(pdf, fit, repeats, seed)
+        assert bootstrap[j][1] == sum(isinstance(r, type) for r in refits)  # refits that raised
         for rep, refit in enumerate(refits):
             x, f, converged = got[j, rep]
             if refit is df.TooFewBins:
