@@ -465,8 +465,9 @@ def _profile_blocks(path: str) -> list:
 def _pdf_from_payload(payload: dict | None, where: str) -> EmpiricalPdf | None:
     """The density ``profile`` wrote at ``where``, or None where it wrote null.
 
-    Edges must be finite and strictly increasing, densities finite and
-    >= 0, and the count an integer >= 1; anything else is a schema error.
+    Edges must be finite, strictly increasing and inside the domain (>= 0 on
+    the unit interval, > 0 on the positive ray), densities finite and >= 0,
+    and the count an integer >= 1; anything else is a schema error.
     """
     if payload is None:
         return None
@@ -488,6 +489,10 @@ def _pdf_from_payload(payload: dict | None, where: str) -> EmpiricalPdf | None:
         problem = f"unknown domain {pdf.domain!r}"
     elif not (np.isfinite(edges).all() and (np.diff(edges) > 0).all()):
         problem = "edges must be finite and strictly increasing"
+    elif edges.size and not edges[0] >= (0.0 if pdf.domain == UNIT_INTERVAL else 5e-324):
+        # a bin center at or below 0 has no log-normal or gamma density: every
+        # sum of squares of the fit would be NaN
+        problem = f"edges must lie in the domain {pdf.domain}, got a first edge of {float(edges[0])!r}"
     elif not ((density >= 0) & (density < np.inf)).all():
         problem = "densities must be finite and >= 0"
     elif type(pdf.count) is not int or pdf.count < 1:
@@ -595,10 +600,10 @@ def _entry_seed(base_seed: int, instrument: str, side: str, model: str) -> int:
 
 
 # Body models: the profiles.json density each one fits, and the error
-# recorded when that density is missing. The distfit batch entry points are
-# looked up on the module at call time, so a wrapper installed on distfit is
-# honoured. Only `_fit_entries` imports distfit, so the other subcommands
-# start without it.
+# recorded when that density is missing. `fit` calls distfit's batch entry
+# points, `fit_batch` and `gof_pvalues`, looked up on the module at call time,
+# so a wrapper installed on distfit is honoured. Only `fit` imports distfit,
+# so the other subcommands start without it.
 _BODY_MODELS = {
     "lognormal": ("pdf_rel_level", "no relative-level density"),
     "gamma": ("pdf_rel_level", "no relative-level density"),

@@ -523,6 +523,10 @@ BAD_DENSITY = f"{LAST}: densities must be finite and >= 0"
         (_edit_last_density("edges", lambda e: e[::-1]), "lognormal", BAD_EDGES),
         (_edit_last_density("edges", lambda e: [e[0], *e[:-1]]), "gamma", BAD_EDGES),
         (_edit_last_density("edges", lambda e: [*e[:-1], float("nan")]), "lognormal", BAD_EDGES),
+        (_edit_last_density("edges", lambda e: [v - 0.5 for v in e]), "lognormal",
+         f"{LAST}: edges must lie in the domain unit_interval, got a first edge of -0.5"),
+        (lambda p: p["ensemble"]["sides"]["sell"]["pdf_rel_level"].update(domain="positive_ray"),
+         "gamma", f"{LAST}: edges must lie in the domain positive_ray, got a first edge of 0.0"),
         (_edit_last_density("density", lambda d: [math.inf, *d[1:]]), "lognormal", BAD_DENSITY),
         (_edit_last_density("density", lambda d: [-0.5, *d[1:]]), "gamma", BAD_DENSITY),
         (_edit_last_density("count", lambda c: -5), "lognormal",
@@ -537,7 +541,7 @@ BAD_DENSITY = f"{LAST}: densities must be finite and >= 0"
          f"{LAST}: missing or not an object"),
     ],
     ids=["density_length", "unknown_domain", "reversed_edges", "repeated_edge", "nan_edge",
-         "inf_density", "negative_density", "negative_count", "zero_count", "fractional_count",
+         "negative_edge", "zero_edge_on_the_ray", "inf_density", "negative_density", "negative_count", "zero_count", "fractional_count",
          "boolean_count", "side_not_an_object"],
 )
 def test_fit_malformed_density_is_schema_error(

@@ -815,10 +815,9 @@ def test_batched_gof_equals_a_serial_loop(monkeypatch, maxfev):
     assert (df.OptimizerDidNotConverge in kinds) == (maxfev == 100)
 
 
-def test_gof_memory_does_not_grow_with_repeats(monkeypatch):
+def test_gof_memory_does_not_grow_with_repeats():
     import tracemalloc
 
-    monkeypatch.setattr(df, "_BATCH", 256)  # a quarter of the default, to keep the test short
     pdf = _lognormal_pdf(2000, -2.14, 1.11, 18)
     fit = df.fit_lognormal_lsq(pdf)
     peaks = []
@@ -829,7 +828,7 @@ def test_gof_memory_does_not_grow_with_repeats(monkeypatch):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    # a batch holds a few arrays of _BATCH x 50 floats, 0.1 MB each here;
-    # the two peaks read 0.82 and 0.83 MB
+    # a batch holds a few arrays of _BATCH x 50 floats, 0.1 MB each at 256;
+    # the two peaks read 0.82 and 0.83 MB there
     assert max(peaks) < 12 * df._BATCH * len(pdf.density) * 8
     assert peaks[1] < 1.1 * peaks[0]
