@@ -36,7 +36,6 @@ from .orderflow import (
 )
 from .profiles import (
     DEFAULT_UNIT_BINS,
-    POSITIVE_RAY,
     UNIT_INTERVAL,
     DayReplay,
     EmpiricalPdf,
@@ -465,9 +464,10 @@ def _profile_blocks(path: str) -> list:
 def _pdf_from_payload(payload: dict | None, where: str) -> EmpiricalPdf | None:
     """The density ``profile`` wrote at ``where``, or None where it wrote null.
 
-    Edges must be finite, strictly increasing and inside the domain (>= 0 on
-    the unit interval, > 0 on the positive ray), densities finite and >= 0,
-    and the count an integer >= 1; anything else is a schema error.
+    The body laws live on (0, 1], so the domain must be the unit interval
+    and the edges finite, strictly increasing and inside [0, 1]; densities
+    must be finite and >= 0, and the count an integer >= 1. Anything else
+    is a schema error.
     """
     if payload is None:
         return None
@@ -485,14 +485,15 @@ def _pdf_from_payload(payload: dict | None, where: str) -> EmpiricalPdf | None:
     edges, density = pdf.bin_edges, pdf.density
     if edges.ndim != 1 or density.shape != (edges.size - 1,):
         problem = f"{density.size} density values for {edges.size} edges"
-    elif pdf.domain not in (UNIT_INTERVAL, POSITIVE_RAY):
-        problem = f"unknown domain {pdf.domain!r}"
+    elif pdf.domain != UNIT_INTERVAL:
+        problem = f"domain must be {UNIT_INTERVAL}, got {pdf.domain!r}"
     elif not (np.isfinite(edges).all() and (np.diff(edges) > 0).all()):
         problem = "edges must be finite and strictly increasing"
-    elif edges.size and not edges[0] >= (0.0 if pdf.domain == UNIT_INTERVAL else 5e-324):
-        # a bin center at or below 0 has no log-normal or gamma density: every
-        # sum of squares of the fit would be NaN
-        problem = f"edges must lie in the domain {pdf.domain}, got a first edge of {float(edges[0])!r}"
+    elif edges.size and not (edges[0] >= 0.0 and edges[-1] <= 1.0):
+        # a bin center at or below 0 has no log-normal or gamma density (every
+        # sum of squares of the fit would be NaN), and none of the laws has mass above 1
+        end, edge = ("first", float(edges[0])) if edges[0] < 0.0 else ("last", float(edges[-1]))
+        problem = f"edges must lie in the domain {UNIT_INTERVAL}, got a {end} edge of {edge!r}"
     elif not ((density >= 0) & (density < np.inf)).all():
         problem = "densities must be finite and >= 0"
     elif type(pdf.count) is not int or pdf.count < 1:
@@ -611,19 +612,23 @@ _BODY_MODELS = {
 }
 
 
-def _powerlaw_outcome(instrument: str, side: str, norm_samples: dict | None):
-    """The power-law tail entry's params, or its error text."""
+def _block_samples(norm_samples: dict, instrument: str, side: str):
+    """The norm_level samples of one block's side; the ensemble pools every instrument's."""
     import numpy as np
 
+    code = "B" if side == "buy" else "S"
+    if instrument == "__ensemble__":
+        return np.concatenate([np.empty(0), *(v for (_, s), v in norm_samples.items() if s == code)])
+    return norm_samples.get((instrument, code), np.empty(0))
+
+
+def _powerlaw_outcome(instrument: str, side: str, norm_samples: dict | None):
+    """The power-law tail entry's params, or its error text."""
     from . import distfit
 
     if norm_samples is None:
         return "cancels.csv with raw samples not available"
-    code = "B" if side == "buy" else "S"
-    if instrument == "__ensemble__":
-        xs = np.concatenate([np.empty(0), *(v for (_, s), v in norm_samples.items() if s == code)])
-    else:
-        xs = norm_samples.get((instrument, code), [])
+    xs = _block_samples(norm_samples, instrument, side)
     try:
         return dataclasses.asdict(distfit.fit_powerlaw_tail(xs))
     except distfit.FitError as exc:
@@ -709,6 +714,15 @@ def cmd_fit(args) -> int:
                 raise InputDataError(f"schema error at {where}: missing or not an object")
             pdfs = {key: _pdf_from_payload(side_data.get(key), where) for key in keys}
             jobs.append((instrument, side, pdfs))
+            norm = side_data.get("pdf_norm_level")
+            if norm_samples is not None and norm is not None:
+                # the tail fits pool cancels.csv's rows: they must be the ones profiles.json counts
+                rows = _block_samples(norm_samples, instrument, side).size
+                count = norm.get("count") if isinstance(norm, dict) else None
+                if count != rows:
+                    raise InputDataError(
+                        f"{cancels_path} does not match {args.profiles} at {where}: {rows} "
+                        f"in-profile rows, but pdf_norm_level counts {count!r}")
     entries = _fit_entries(jobs, models, norm_samples, args.repeats, args.seed)
     config = {"models": models, "repeats": args.repeats, "seed": args.seed}
     with _writing(args.out):

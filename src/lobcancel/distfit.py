@@ -17,11 +17,12 @@ A gamma alternative restricted to (0, 1] shares the least-squares machinery
 so the two body fits can be compared by their rms values. All three body
 laws run one path: a start-grid scan, then a bounded Nelder-Mead search.
 
-That path is batched. ``fit_batch`` fits one law to many densities, and
-``gof_pvalues`` runs the bootstrap refits of many fits, as the rows of one
-lockstep Nelder-Mead whose simplices live in arrays; at each step the
-candidates of every live row are scored by one numpy pass. A row takes the
-steps it would take alone, so the single fitters (``fit_lognormal_lsq``,
+That path is batched, and it is the only one. ``fit_batch`` fits one law to
+many densities as the rows of one lockstep Nelder-Mead whose simplices live
+in arrays; at each step the candidates of every live row are scored by one
+numpy pass. ``gof_pvalues`` hands the bootstrap's synthetic densities to the
+same path, each search started at its job's fit. A row takes the steps it
+would take alone, so the single fitters (``fit_lognormal_lsq``,
 ``gof_pvalue_mc``, ...) are batches of one and agree with the batch bit for
 bit. Batches hold at most ``_BATCH`` problems, so memory does not grow with
 the number of densities or repeats.
@@ -78,6 +79,7 @@ _NM_MAXFEV = 4000  # Nelder-Mead's limit on both iterations and evaluations
 # entries' grids as fit in it, and at least one. Larger batches were no
 # faster and raised fit's peak RSS (1024: +1.7 MB on the panel benchmark).
 _BATCH = 256
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -135,7 +137,7 @@ def _lognormal_pdf_over(x, mu, sigma, mass) -> np.ndarray:
     """
     x = np.asarray(x, float)
     out = np.exp(-((np.log(x) - mu) ** 2) / _by_row(lambda s: 2.0 * s**2, sigma))
-    out /= _by_row(lambda s: math.sqrt(2.0 * math.pi) * s, sigma) * x * mass
+    out /= _SQRT_2PI * sigma * x * mass
     return out
 
 
@@ -240,12 +242,6 @@ def sample_exp_profile(n: int, beta: float, rng) -> np.ndarray:
 
 
 # -- least-squares body fits --------------------------------------------------
-
-
-def _require_bins(pdf: EmpiricalPdf) -> tuple[np.ndarray, np.ndarray]:
-    if pdf.nonempty_bins() < MIN_FIT_BINS:
-        raise TooFewBins(f"need >= {MIN_FIT_BINS} non-empty bins, got {pdf.nonempty_bins()}")
-    return pdf.centers(), np.asarray(pdf.density, float)
 
 
 def _at_bound(x: np.ndarray, bounds, tol: float) -> np.ndarray:
@@ -405,39 +401,41 @@ def _sse(law: _Law, centers: np.ndarray, density: np.ndarray):
     return fun
 
 
-def _fit_law(law: _Law, pdfs, start=None) -> list:
+def _fit_law(law: _Law, pdfs, starts=None) -> list:
     """Least-squares fits of ``law`` to each density: its record, or the FitError that stopped it.
 
-    Each search starts at ``start`` when given, else at the first grid point
-    of least sum of squares, and bounded Nelder-Mead refines it. The
-    densities on the same bins are fitted together: the grid scans in array
-    passes of as many whole grids as ``_BATCH`` candidates hold (at least
-    one), and the searches in lockstep batches of up to ``_BATCH`` problems.
+    A density with fewer than ``MIN_FIT_BINS`` non-empty bins is TooFewBins.
+    Each search starts at ``starts[i]`` when given, else at the first grid
+    point of least sum of squares, and bounded Nelder-Mead refines it. The
+    densities on the same bins are fitted together, at bin centers computed
+    once: the grid scans in array passes of as many whole grids as
+    ``_BATCH`` candidates hold (at least one), and the searches in lockstep
+    batches of up to ``_BATCH`` problems.
     """
     out: list = [None] * len(pdfs)
-    groups: dict = {}  # (domain, edges) -> (centers, [(index, density)])
+    groups: dict = {}  # (domain, edges) -> indices of the densities binned on them
     for i, pdf in enumerate(pdfs):
-        try:
-            centers, density = _require_bins(pdf)
-        except TooFewBins as exc:
-            out[i] = exc
-            continue
-        key = (pdf.domain, np.asarray(pdf.bin_edges, float).tobytes())
-        groups.setdefault(key, (centers, []))[1].append((i, density))
+        bins = pdf.nonempty_bins()
+        if bins < MIN_FIT_BINS:
+            out[i] = TooFewBins(f"need >= {MIN_FIT_BINS} non-empty bins, got {bins}")
+        else:
+            groups.setdefault((pdf.domain, np.asarray(pdf.bin_edges, float).tobytes()), []).append(i)
     grid = law.grid
-    for centers, members in groups.values():
+    for members in groups.values():
+        centers = pdfs[members[0]].centers()
         for lo in range(0, len(members), _BATCH):
-            index, density = zip(*members[lo:lo + _BATCH])
-            fun = _sse(law, centers, np.array(density))
-            x0 = np.empty((len(index), grid.shape[1]))
-            if start is not None:
-                x0[:] = [float(v) for v in start]
-            per = max(1, _BATCH // len(grid))  # problems per grid-scan pass
-            for k in range(0, len(index) if start is None else 0, per):
-                rows = np.arange(k, min(k + per, len(index)))
-                sse = fun(np.repeat(rows, len(grid)), np.tile(grid, (rows.size, 1)))
-                # no value is NaN, so argmin's first minimum is min(grid, key=sse)'s
-                x0[rows] = grid[sse.reshape(rows.size, len(grid)).argmin(axis=1)]
+            index = members[lo:lo + _BATCH]
+            fun = _sse(law, centers, np.array([pdfs[i].density for i in index], float))
+            if starts is not None:
+                x0 = np.array([starts[i] for i in index], float)
+            else:
+                x0 = np.empty((len(index), grid.shape[1]))
+                per = max(1, _BATCH // len(grid))  # problems per grid-scan pass
+                for k in range(0, len(index), per):
+                    rows = np.arange(k, min(k + per, len(index)))
+                    sse = fun(np.repeat(rows, len(grid)), np.tile(grid, (rows.size, 1)))
+                    # no value is NaN, so argmin's first minimum is min(grid, key=sse)'s
+                    x0[rows] = grid[sse.reshape(rows.size, len(grid)).argmin(axis=1)]
             x, f, converged = _nelder_mead_batch(fun, x0, law.bounds, _XATOL, 1e-12, _NM_MAXFEV)
             at_bound = _at_bound(x, law.bounds, _XATOL).tolist()
             for row, i in enumerate(index):
@@ -492,7 +490,7 @@ def fit_batch(law: str, pdfs) -> list:
 
 
 def _fit_one(law: str, pdf: EmpiricalPdf, start=None):
-    result = _fit_law(BODY_LAWS[law], [pdf], start)[0]
+    result = _fit_law(BODY_LAWS[law], [pdf], None if start is None else [start])[0]
     if isinstance(result, FitError):
         raise result
     return result
@@ -625,71 +623,39 @@ def _trunc_lognormal_bin_masses(edges, mu: float, sigma: float) -> list[float]:
             / unit for za, zb in zip(zs, zs[1:])]
 
 
-def _bootstrap_refits(jobs, repeats: int):
-    """The parametric-bootstrap refits of ``gof_pvalues``, in lockstep batches.
+def gof_pvalues(jobs, repeats: int = 1000) -> list[tuple[float, int]]:
+    """Parametric-bootstrap p-values of truncated log-normal fits, all in one batch.
 
     ``jobs`` holds (pdf, fit, seed) triples. Repeat ``rep`` of a job bins
     one multinomial draw of the empirical count over the fitted bin masses,
     from ``np.random.default_rng([seed, rep])``, and refits the log-normal
-    from the fitted parameters. Yields one tuple of arrays per batch of at
-    most ``_BATCH`` refits, over jobs binned alike: the job and repeat of
-    each refit, its parameters and sum of squares (NaN when the draw has
-    fewer than ``MIN_FIT_BINS`` non-empty bins), and whether its search
-    converged. So the memory held does not grow with ``repeats``.
-    """
-    law = BODY_LAWS["lognormal"]
-    groups: dict = {}  # (domain, edges) -> the jobs binned on them
-    for j, (pdf, _, _) in enumerate(jobs):
-        groups.setdefault((pdf.domain, np.asarray(pdf.bin_edges, float).tobytes()), []).append(j)
-    for members in groups.values():
-        pdf = jobs[members[0]][0]
-        edges = np.asarray(pdf.bin_edges, float)
-        centers, widths = pdf.centers(), np.diff(edges)
-        # numpy's last category takes what the bins leave of 1: the mass outside the edges
-        masses = {j: _trunc_lognormal_bin_masses(edges, jobs[j][1].mu, jobs[j][1].sigma) + [0.0]
-                  for j in members}
-        for lo in range(0, len(members) * repeats, _BATCH):
-            k = np.arange(lo, min(lo + _BATCH, len(members) * repeats))
-            job, rep = np.array(members)[k // repeats], k % repeats
-            counts = np.empty((k.size, widths.size), np.int64)
-            for row, (j, r) in enumerate(zip(job.tolist(), rep.tolist())):
-                rng = np.random.default_rng([jobs[j][2], r])
-                counts[row] = rng.multinomial(jobs[j][0].count, masses[j])[:-1]
-            # as pdf_from_counts, row by row; a draw of nothing has no non-empty bin
-            n = counts.sum(axis=1, keepdims=True)
-            density = counts / (np.maximum(n, 1) * widths)
-            fittable = (density != 0).sum(axis=1) >= MIN_FIT_BINS
-            x, f = np.full((k.size, 2), np.nan), np.full(k.size, np.nan)
-            converged = np.zeros(k.size, bool)
-            rows = np.flatnonzero(fittable)
-            if rows.size:
-                x0 = [(jobs[j][1].mu, jobs[j][1].sigma) for j in job[rows].tolist()]
-                x[rows], f[rows], converged[rows] = _nelder_mead_batch(
-                    _sse(law, centers, density[rows]), x0, law.bounds, _XATOL, 1e-12, _NM_MAXFEV)
-            yield job, rep, x, f, converged
-
-
-def gof_pvalues(jobs, repeats: int = 1000) -> list[tuple[float, int]]:
-    """Parametric-bootstrap p-values of truncated log-normal fits, all in one batch.
-
-    ``jobs`` holds (pdf, fit, seed) triples. For each job returns the
-    p-value, ``gof_pvalue_mc(pdf, fit, repeats, seed)`` exactly, and the
-    number of its draws that could not be refitted: those with fewer than
-    ``MIN_FIT_BINS`` non-empty bins and those whose refit ran out of
-    evaluations, each counted as a hit. The refits of every job and repeat
-    run in lockstep Nelder-Mead batches of at most ``_BATCH`` problems (see
-    ``_bootstrap_refits``).
+    to it from the fitted parameters. For each job returns the p-value,
+    ``gof_pvalue_mc(pdf, fit, repeats, seed)`` exactly, and the number of
+    its draws that could not be refitted (TooFewBins or
+    OptimizerDidNotConverge), each counted as a hit. The draws of every job
+    and repeat go to ``_fit_law`` up to ``_BATCH`` at a time, so the memory
+    held does not grow with ``repeats``.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     jobs = list(jobs)
-    hits, unfittable = np.zeros(len(jobs), np.int64), np.zeros(len(jobs), np.int64)
-    for job, _, _, f, converged in _bootstrap_refits(jobs, repeats):
-        # an unfittable draw counts as at least as extreme; a batch is binned alike
-        rms = np.sqrt(np.where(converged, f, np.inf) / jobs[job[0]][0].density.size)
-        np.add.at(hits, job, rms >= np.array([jobs[j][1].rms for j in job.tolist()]))
-        np.add.at(unfittable, job, ~converged)
-    return [(h / repeats, u) for h, u in zip(hits.tolist(), unfittable.tolist())]
+    # numpy's last category takes what the bins leave of 1: the mass outside the edges
+    masses = [_trunc_lognormal_bin_masses(np.asarray(pdf.bin_edges, float), fit.mu, fit.sigma)
+              + [0.0] for pdf, fit, _ in jobs]
+    hits, unfittable = [0] * len(jobs), [0] * len(jobs)
+    for lo in range(0, len(jobs) * repeats, _BATCH):
+        draws = [divmod(k, repeats) for k in range(lo, min(lo + _BATCH, len(jobs) * repeats))]
+        synth = []
+        for j, rep in draws:
+            pdf, _, seed = jobs[j]
+            counts = np.random.default_rng([seed, rep]).multinomial(pdf.count, masses[j])[:-1]
+            synth.append(pdf_from_counts(counts, pdf.bin_edges, pdf.domain))
+        starts = [(jobs[j][1].mu, jobs[j][1].sigma) for j, _ in draws]
+        for (j, _), refit in zip(draws, _fit_law(BODY_LAWS["lognormal"], synth, starts)):
+            failed = isinstance(refit, FitError)
+            hits[j] += failed or refit.rms >= jobs[j][1].rms
+            unfittable[j] += failed
+    return [(h / repeats, u) for h, u in zip(hits, unfittable)]
 
 
 def gof_pvalue_mc(

@@ -510,6 +510,12 @@ def _edit_last_density(field, change):
     return edit
 
 
+def _queue_density_on_the_ray(payload):
+    # relabelled as on the positive ray, with edges that all lie on it
+    pdf = payload["instruments"][1]["sides"]["buy"]["pdf_queue_frac"]
+    pdf.update(domain="positive_ray", edges=[v + 0.5 for v in pdf["edges"]])
+
+
 LAST = "$.sides.sell of __ensemble__"
 BAD_EDGES = f"{LAST}: edges must be finite and strictly increasing"
 BAD_DENSITY = f"{LAST}: densities must be finite and >= 0"
@@ -519,14 +525,21 @@ BAD_DENSITY = f"{LAST}: densities must be finite and >= 0"
     "edit, model, expected",
     [
         (_drop_last_bin, "exp", "$.sides.buy of SYNA: 49 density values for 51 edges"),
-        (_rename_domain, "gamma", f"{LAST}: unknown domain 'unit-interval'"),
+        (_rename_domain, "gamma", f"{LAST}: domain must be unit_interval, got 'unit-interval'"),
         (_edit_last_density("edges", lambda e: e[::-1]), "lognormal", BAD_EDGES),
         (_edit_last_density("edges", lambda e: [e[0], *e[:-1]]), "gamma", BAD_EDGES),
         (_edit_last_density("edges", lambda e: [*e[:-1], float("nan")]), "lognormal", BAD_EDGES),
         (_edit_last_density("edges", lambda e: [v - 0.5 for v in e]), "lognormal",
          f"{LAST}: edges must lie in the domain unit_interval, got a first edge of -0.5"),
         (lambda p: p["ensemble"]["sides"]["sell"]["pdf_rel_level"].update(domain="positive_ray"),
-         "gamma", f"{LAST}: edges must lie in the domain positive_ray, got a first edge of 0.0"),
+         "gamma", f"{LAST}: domain must be unit_interval, got 'positive_ray'"),
+        # laws on (0, 1] fitted to a density that runs past 1, or that claims the whole ray
+        (_edit_last_density("edges", lambda e: [2 * v for v in e]), "lognormal",
+         f"{LAST}: edges must lie in the domain unit_interval, got a last edge of 2.0"),
+        (_edit_last_density("edges", lambda e: [*e[:-1], 1.0 + 2**-52]), "gamma",
+         f"{LAST}: edges must lie in the domain unit_interval, got a last edge of {1.0 + 2**-52!r}"),
+        (_queue_density_on_the_ray, "exp",
+         "$.sides.buy of SYNB: domain must be unit_interval, got 'positive_ray'"),
         (_edit_last_density("density", lambda d: [math.inf, *d[1:]]), "lognormal", BAD_DENSITY),
         (_edit_last_density("density", lambda d: [-0.5, *d[1:]]), "gamma", BAD_DENSITY),
         (_edit_last_density("count", lambda c: -5), "lognormal",
@@ -541,8 +554,9 @@ BAD_DENSITY = f"{LAST}: densities must be finite and >= 0"
          f"{LAST}: missing or not an object"),
     ],
     ids=["density_length", "unknown_domain", "reversed_edges", "repeated_edge", "nan_edge",
-         "negative_edge", "zero_edge_on_the_ray", "inf_density", "negative_density", "negative_count", "zero_count", "fractional_count",
-         "boolean_count", "side_not_an_object"],
+         "negative_edge", "zero_edge_on_the_ray", "edges_to_two", "last_edge_past_one",
+         "queue_density_on_the_ray", "inf_density", "negative_density", "negative_count",
+         "zero_count", "fractional_count", "boolean_count", "side_not_an_object"],
 )
 def test_fit_malformed_density_is_schema_error(
     profile_dir, tmp_path, capsys, monkeypatch, edit, model, expected
@@ -817,6 +831,50 @@ def test_fit_cancels_bad_flag_or_side_is_schema_error(profile_dir, tmp_path, cap
     err = capsys.readouterr().err
     assert f"bad cancels schema: line {at + 2}: {column}" in err and repr(value) in err
     assert "Traceback" not in err and not (tmp_path / "fits.json").exists()
+
+
+def _drop_from_profile(rows, names, code):
+    """``rows`` with the last in-profile sell row of ``code`` marked out of profile."""
+    at = max(i for i, row in enumerate(rows) if row.split(",")[0] == code
+             and row.split(",")[names.index("in_profile")] == "1"
+             and row.split(",")[names.index("side")] == "S")
+    cells = rows[at].split(",")
+    cells[names.index("in_profile")] = "0"
+    return [*rows[:at], ",".join(cells), *rows[at + 1:]]
+
+
+@pytest.mark.parametrize("change, where", [
+    (lambda rows, names: [*rows, rows[0].replace("SYNA,", "SYNC,", 1)], "sell of __ensemble__"),
+    (lambda rows, names: _drop_from_profile(rows, names, "SYNB"), "sell of SYNB"),
+], ids=["rows_of_another_instrument", "row_left_out_of_profile"])
+def test_fit_cancels_rows_that_profiles_json_does_not_count_exit_1(
+    profile_dir, tmp_path, capsys, monkeypatch, change, where
+):
+    # The tail fits pool cancels.csv's in-profile rows, so a cancels.csv of
+    # another run was fitted without a word; each side's rows must be the
+    # ones its pdf_norm_level counts, and that is checked before any fit.
+    from lobcancel import distfit
+
+    _, _, out = profile_dir
+    header, *rows = (out / "cancels.csv").read_text().splitlines()
+    assert rows[0].startswith("SYNA,") and rows[0].split(",")[4] == "S"
+    assert rows[0].split(",")[header.split(",").index("in_profile")] == "1"
+    cancels = tmp_path / "cancels.csv"
+    cancels.write_text("\n".join([header, *change(rows, header.split(","))]) + "\n")
+    monkeypatch.setattr(distfit, "fit_batch", _must_not_run)
+    monkeypatch.setattr(distfit, "fit_powerlaw_tail", _must_not_run)
+    block, side = where.split(" of ")[1], where.split(" ")[0]
+    payload = json.loads((out / "profiles.json").read_text())
+    count = next(b for b in [*payload["instruments"], payload["ensemble"]]
+                 if b["instrument"] == block)["sides"][side]["pdf_norm_level"]["count"]
+    rows_now = count + 1 if block == "__ensemble__" else count - 1
+    argv = ["fit", "--profiles", str(out / "profiles.json"), "--cancels", str(cancels),
+            "--out", str(tmp_path / "fits.json"), "--models", "powerlaw,exp"]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cancels} does not match {out / 'profiles.json'} at $.sides.{where}: "
+        f"{rows_now} in-profile rows, but pdf_norm_level counts {count}\n")
+    assert not (tmp_path / "fits.json").exists()
 
 
 @pytest.mark.parametrize(

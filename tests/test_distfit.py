@@ -744,10 +744,14 @@ def _corner_pdf():
 
 
 def _serial_gof(pdf, fit, repeats, seed):
-    """The bootstrap one refit at a time, through the public fitter."""
+    """The bootstrap one refit at a time, through the public fitter.
+
+    Returns the p-value, and each draw's density and refit (or the type of
+    the FitError that stopped it).
+    """
     edges = np.asarray(pdf.bin_edges, float)
     masses = df._trunc_lognormal_bin_masses(edges, fit.mu, fit.sigma) + [0.0]
-    hits, refits = 0, []
+    hits, draws = 0, []
     for rep in range(repeats):
         rng = np.random.default_rng([seed, rep])
         synth = pdf_from_counts(rng.multinomial(pdf.count, masses)[:-1], edges, pdf.domain)
@@ -755,11 +759,11 @@ def _serial_gof(pdf, fit, repeats, seed):
             refit = df.fit_lognormal_lsq(synth, start=(fit.mu, fit.sigma))
         except df.FitError as exc:
             hits += 1
-            refits.append(type(exc))
+            draws.append((synth, type(exc)))
             continue
-        refits.append(refit)
+        draws.append((synth, refit))
         hits += refit.rms >= fit.rms
-    return hits / repeats, refits
+    return hits / repeats, draws
 
 
 @pytest.mark.parametrize("maxfev", [df._NM_MAXFEV, 100])
@@ -788,28 +792,37 @@ def test_batched_gof_equals_a_serial_loop(monkeypatch, maxfev):
 
         return scored
 
+    calls = []  # each _fit_law call of the bootstrap: its law, densities, starts and results
+    fit_law = df._fit_law
+
+    def fit_law_spy(law, pdfs, starts=None):
+        results = fit_law(law, pdfs, starts)
+        calls.append((law, pdfs, starts, results))
+        return results
+
     monkeypatch.setattr(df, "_sse", spy)
-    got = {}
-    for job, rep, x, f, converged in df._bootstrap_refits(jobs, repeats):
-        for row, key in enumerate(zip(job.tolist(), rep.tolist())):
-            got[key] = (x[row], f[row], converged[row])
-    assert sum(underflows) > 0
+    monkeypatch.setattr(df, "_fit_law", fit_law_spy)
     bootstrap = df.gof_pvalues(jobs, repeats)
+    monkeypatch.setattr(df, "_fit_law", fit_law)
+    assert sum(underflows) > 0
+    assert [len(pdfs) for _, pdfs, _, _ in calls] == [64, 64, 32]
+    assert all(law is df.BODY_LAWS["lognormal"] for law, _, _, _ in calls)
+    got = [draw for _, *batch in calls for draw in zip(*batch)]  # (pdf, start, result), in order
     kinds = set()
     for j, (pdf, fit, seed) in enumerate(jobs):
-        p_value, refits = _serial_gof(pdf, fit, repeats, seed)
+        p_value, draws = _serial_gof(pdf, fit, repeats, seed)
         assert bootstrap[j][0] == p_value == df.gof_pvalue_mc(pdf, fit, repeats, seed)
-        assert bootstrap[j][1] == sum(isinstance(r, type) for r in refits)  # refits that raised
-        for rep, refit in enumerate(refits):
-            x, f, converged = got[j, rep]
-            if refit is df.TooFewBins:
-                assert np.isnan(x).all() and not converged
-            elif refit is df.OptimizerDidNotConverge:
-                assert np.isfinite(x).all() and not converged
+        assert bootstrap[j][1] == sum(isinstance(r, type) for _, r in draws)  # refits that raised
+        for rep, (synth, refit) in enumerate(draws):
+            drawn, start, result = got[j * repeats + rep]
+            assert drawn.density.tobytes() == synth.density.tobytes()
+            assert (drawn.count, drawn.domain) == (synth.count, synth.domain)
+            assert drawn.bin_edges.tobytes() == synth.bin_edges.tobytes()
+            assert start == (fit.mu, fit.sigma)
+            if isinstance(refit, type):
+                assert type(result) is refit
             else:
-                at_bound = df._at_bound(x[None], df.BODY_LAWS["lognormal"].bounds, df._XATOL)[0]
-                assert converged and (refit.mu, refit.sigma) == tuple(x.tolist())
-                assert refit.rms == math.sqrt(f / len(pdf.density)) and refit.at_bound == at_bound
+                assert type(result) is df.LogNormalFit and result == refit
             kinds.add(refit if isinstance(refit, type) else type(refit))
     assert df.TooFewBins in kinds and df.LogNormalFit in kinds
     assert (df.OptimizerDidNotConverge in kinds) == (maxfev == 100)

@@ -73,7 +73,8 @@ def test_record_fields_cannot_be_assigned(kind):
 
 
 def test_cancel_observation_survives_a_pickle_round_trip():
-    # --workers N ships observations from the pool workers this way.
+    # `profile --workers N` ships each job's InstrumentProfile and part-file path,
+    # not its observations; an observation still pickles as its tuple does.
     obs = _observation()
     back = pickle.loads(pickle.dumps(obs))
     assert back == obs
