@@ -35,6 +35,7 @@ from .orderflow import (
     split_lines,
 )
 from .profiles import (
+    CANCELLABLE_CLASSES,
     DEFAULT_UNIT_BINS,
     UNIT_INTERVAL,
     DayReplay,
@@ -287,82 +288,65 @@ def cmd_validate(args) -> int:
 # -- profile --------------------------------------------------------------------
 
 
-def _replay_files(
-    paths: list[str], instrument: str | None, parts_dir: str, in_date_order: bool
-) -> tuple[dict[str, InstrumentProfile], dict[str, list[str]], int, list[list[str]]]:
-    os.mkdir(parts_dir)
-    errors: list[list[str]] = []
-    failed = False
-    n_events = 0
-
-    def events() -> Iterator[OrderEvent]:
-        nonlocal failed, n_events
-        days = DayChecks()  # an instrument-day split across files is checked as one
-        for path in paths:
-            path_errors: list[str] = []
-            errors.append(path_errors)
-            for item in iter_parse(_read_lines(path), in_date_order=in_date_order, days=days):
-                if type(item) is ParseError:
-                    path_errors.append(f"{path}:{item}")
-                    failed = True
-                elif not failed and (instrument is None or item.instrument == instrument):
-                    n_events += 1
-                    yield item
-
-    day_parts: dict[tuple[str, date], str] = {}
-
-    def open_day(code: str, day: date) -> DayReplay:
-        part = day_parts[code, day] = os.path.join(parts_dir, f"{len(day_parts)}.csv")
-        return DayReplay(partial(reportio.cancels_csv, part), reportio.CHUNK_LINES)
-
-    run = ProfileRun()
-    for day in replay_days(events(), in_date_order=in_date_order, open_day=open_day):
-        if not failed:  # once a row fails the command fails: parse on, count no more
-            run.add_day(day)
-        del day  # its book goes before the next day's fills
-    parts: dict[str, list[str]] = {}
-    for key in sorted(day_parts):
-        parts.setdefault(key[0], []).append(day_parts[key])
-    return run.per_instrument, parts, n_events, errors
-
-
 def _profile_job(
     paths: list[str], instrument: str | None, parts_dir: str
-) -> tuple[dict[str, InstrumentProfile], dict[str, list[str]], int, list[list[str]]]:
+) -> tuple[dict[str, InstrumentProfile], dict[tuple[str, date], str], int, list[list[str]]]:
     """Parse and replay ``paths`` as one unit of profile work, row by row.
 
     Returns the profile of each instrument, the header-less cancels.csv part
-    files of each in day order (in the new directory ``parts_dir``), the
-    number of events replayed, and each path's parse errors as
-    ``path:error`` strings. The parse checks of an instrument-day span the
-    files, so a day split across two of them is checked as one day. Files
-    are read lazily, and each parsed row goes straight to its
-    instrument-day's live replay (``profiles.replay_days``), which appends
-    its cancels to the day's part file every ``reportio.CHUNK_LINES`` rows;
-    a day is finished once a later date of its instrument arrives, or at the
-    end. An input that takes an instrument back to an earlier date is run
-    again from the start, with fresh checks and every day's replay kept live
-    to the end, so its days are grouped as a whole-input read groups them. A
-    pool worker runs this on its own paths, so only file names, counts and
-    part paths cross the process boundary.
+    file of each instrument-day (in the new directory ``parts_dir``) keyed by
+    (instrument, day), the number of events replayed, and one list per path
+    of its parse errors as ``path:error`` strings. An instrument-day's parse
+    checks span the files. Each parsed row goes straight to its day's live
+    replay (``profiles.replay_days``), which appends its cancels to the
+    day's part file every ``reportio.CHUNK_LINES`` rows. An input that takes
+    an instrument back to an earlier date is run again from the start, with
+    fresh checks and every day kept live to the end. A pool worker runs this
+    on its own paths, so only file names, counts and part paths cross the
+    process boundary.
     """
     with gc_paused():
-        try:
-            return _replay_files(paths, instrument, parts_dir, in_date_order=True)
-        except DaysOutOfOrder:
-            shutil.rmtree(parts_dir)
-            return _replay_files(paths, instrument, parts_dir, in_date_order=False)
+        for in_date_order in (True, False):
+            os.mkdir(parts_dir)
+            errors: list[list[str]] = []
+            failed = False
+            n_events = 0
+
+            def events() -> Iterator[OrderEvent]:
+                nonlocal failed, n_events
+                days = DayChecks()  # an instrument-day split across files is checked as one
+                for path in paths:
+                    path_errors: list[str] = []
+                    errors.append(path_errors)
+                    for item in iter_parse(_read_lines(path), in_date_order=in_date_order,
+                                           days=days):
+                        if type(item) is ParseError:
+                            path_errors.append(f"{path}:{item}")
+                            failed = True
+                        elif not failed and (instrument is None or item.instrument == instrument):
+                            n_events += 1
+                            yield item
+
+            day_parts: dict[tuple[str, date], str] = {}
+
+            def open_day(code: str, day: date) -> DayReplay:
+                part = day_parts[code, day] = os.path.join(parts_dir, f"{len(day_parts)}.csv")
+                return DayReplay(partial(reportio.cancels_csv, part), reportio.CHUNK_LINES)
+
+            run = ProfileRun()
+            try:
+                for day in replay_days(events(), in_date_order=in_date_order, open_day=open_day):
+                    if not failed:  # once a row fails the command fails: parse on, count no more
+                        run.add_day(day)
+                    del day  # its book goes before the next day's fills
+                break
+            except DaysOutOfOrder:
+                shutil.rmtree(parts_dir)
+    return run.per_instrument, day_parts, n_events, errors
 
 
-def _instrument_codes(path: str) -> set[str]:
-    """Instrument column of every row, read into lines as `_read_lines` reads them."""
-    lines = _read_lines(path)
-    next(lines, None)
-    return {parts[2] for parts in (line.split(",", 3) for line in lines) if len(parts) > 2}
-
-
-def _disjoint_groups(paths: list[str]) -> list[list[str]]:
-    """Group paths, in argument order, so that no instrument spans two groups."""
+def _disjoint_groups(paths: list[str]) -> list[list[int]]:
+    """Group argument indices, in order, so that no instrument spans two groups."""
     root = list(range(len(paths)))
 
     def find(i: int) -> int:
@@ -372,12 +356,14 @@ def _disjoint_groups(paths: list[str]) -> list[list[str]]:
 
     first: dict[str, int] = {}
     for i, path in enumerate(paths):
-        for code in _instrument_codes(path):
+        lines = _read_lines(path)
+        next(lines, None)  # the header
+        for code in {cells[2] for cells in (line.split(",", 3) for line in lines) if len(cells) > 2}:
             a, b = sorted((find(i), find(first.setdefault(code, i))))
             root[b] = a
-    groups: dict[int, list[str]] = {}
-    for i, path in enumerate(paths):
-        groups.setdefault(find(i), []).append(path)
+    groups: dict[int, list[int]] = {}
+    for i in range(len(paths)):
+        groups.setdefault(find(i), []).append(i)
     return list(groups.values())
 
 
@@ -385,28 +371,26 @@ def _run_profile_jobs(
     paths: list[str], instrument: str | None, workers: int, parts_dir: str
 ) -> tuple[ProfileRun, list[str], int]:
     """The run, its part files in (instrument, day) order, and the events replayed."""
-    groups = _disjoint_groups(paths) if workers > 1 and len(paths) > 1 else [paths]
+    groups = _disjoint_groups(paths) if workers > 1 and len(paths) > 1 else [[*range(len(paths))]]
     dirs = [os.path.join(parts_dir, str(i)) for i in range(len(groups))]
     if len(groups) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a fan-out pays its import
 
         with ProcessPoolExecutor(max_workers=min(workers, len(groups))) as pool:
-            results = list(pool.map(_profile_job, groups, [instrument] * len(groups), dirs))
+            results = list(pool.map(_profile_job, [[paths[i] for i in group] for group in groups],
+                                    repeat(instrument), dirs))
     else:
-        results = [_profile_job(groups[0], instrument, dirs[0])]
-    errors: dict[str, list[list[str]]] = {}  # a path given twice is in one group, twice
-    for group, (_, _, _, group_errors) in zip(groups, results):
-        for path, path_errors in zip(group, group_errors):
-            errors.setdefault(path, []).append(path_errors)
-    bad = [err for path in paths for err in errors[path].pop(0)]  # in argument order
+        results = [_profile_job(paths, instrument, dirs[0])]
+    per_instrument, day_parts, errors = {}, {}, [()] * len(paths)
+    for group, (profiles, job_parts, _, job_errors) in zip(groups, results):
+        per_instrument.update(profiles)  # groups share no instrument
+        day_parts.update(job_parts)
+        for i, path_errors in zip(group, job_errors):
+            errors[i] = path_errors
+    bad = list(chain.from_iterable(errors))  # in argument order
     if bad:
         raise InputDataError("\n".join(bad))
-    per_instrument = {}
-    parts = {}
-    for profiles, job_parts, _, _ in results:  # groups share no instrument
-        per_instrument.update(profiles)
-        parts.update(job_parts)
-    return (ProfileRun(per_instrument), [part for code in sorted(parts) for part in parts[code]],
+    return (ProfileRun(per_instrument), [day_parts[key] for key in sorted(day_parts)],
             sum(n for _, _, n, _ in results))
 
 
@@ -822,15 +806,14 @@ def cmd_report(args) -> int:
     fits = _load_json(args.fits) if args.fits else None
     if fits is not None and fits.get("kind") != "fits":
         raise InputDataError(f"schema error at $.kind in {args.fits}: expected 'fits'")
+    if fits is not None and not isinstance(fits.get("fits"), list):
+        raise InputDataError(f"schema error at $.fits in {args.fits}: expected a list")
     lines = ["instrument  side  orders  cancelled  r      r1     r2     r3     r4"]
     for block in blocks:
         for side in ("buy", "sell"):
             try:
                 data = block["sides"][side]
-                ratios = [
-                    data["class_ratios"][k]["ratio"]
-                    for k in ("partially_filled", "inside_spread", "at_best", "inside_book")
-                ]
+                ratios = [data["class_ratios"][k.value]["ratio"] for k in CANCELLABLE_CLASSES]
                 cells = "  ".join(f"{_fmt_ratio(r):<5}" for r in ratios)
                 lines.append(
                     f"{block['instrument']:<11} {side:<5} {data['orders']:<7} "
@@ -842,7 +825,7 @@ def cmd_report(args) -> int:
                 ) from exc
     if fits is not None:
         lines += ["", "fits:"]
-        for i, entry in enumerate(fits.get("fits", [])):
+        for i, entry in enumerate(fits["fits"]):
             try:
                 label = f"{entry['instrument']}/{entry['side']}/{entry['model']}"
                 if "error" in entry:

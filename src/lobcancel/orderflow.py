@@ -156,13 +156,12 @@ class DayChecks:
     checks treat an instrument-day split across the files as one day.
     """
 
-    # Each live instrument-day's last timestamp.
-    last_ts: dict[tuple[str, date], datetime] = field(default_factory=dict)
-    # Submitted order ids per instrument-day. Those above every earlier id
-    # of the day, as a day's ids mostly are, go in ascending order into an
-    # array of 8 bytes each, searched by bisection; the others into a set,
-    # whose entries cost about 100 bytes each.
-    seen_ids: dict[tuple[str, date], tuple[array, set[int]]] = field(default_factory=dict)
+    # Each live instrument-day's [last timestamp, rising ids, other ids]. The
+    # submitted order ids above every earlier id of the day, as a day's ids
+    # mostly are, go in ascending order into an array of 8 bytes each,
+    # searched by bisection; the others into a set, whose entries cost about
+    # 100 bytes each.
+    live: dict[tuple[str, date], list] = field(default_factory=dict)
     # In date order: each instrument's day.
     current_day: dict[str, date] = field(default_factory=dict)
 
@@ -204,7 +203,7 @@ def iter_parse(
     share = {}.setdefault
     last_seq: int | None = None
     days = DayChecks() if days is None else days
-    last_ts, seen_ids, current_day = days.last_ts, days.seen_ids, days.current_day
+    live, current_day = days.live, days.current_day
 
     for line_no, raw in enumerate(lines, start=2):
         line = raw.strip()
@@ -254,9 +253,8 @@ def iter_parse(
 
         instrument = intern(instrument)
         day = ts.date()
-        day_key = (instrument, day)
-        prev_ts = last_ts.get(day_key)
-        if prev_ts is None:
+        entry = live.get((instrument, day))
+        if entry is None:  # the day's first row: its time and id pass
             if in_date_order:
                 prev_day = current_day.get(instrument)
                 if prev_day is not None:
@@ -264,12 +262,12 @@ def iter_parse(
                         raise DaysOutOfOrder(
                             f"line {line_no}: {instrument} goes back from {prev_day} to {day}"
                         )
-                    last_ts.pop((instrument, prev_day), None)
-                    seen_ids.pop((instrument, prev_day), None)
+                    live.pop((instrument, prev_day), None)
                 current_day[instrument] = day
+            entry = live[instrument, day] = [ts, array("q"), set()]
         else:
             try:
-                earlier = ts < prev_ts
+                earlier = ts < entry[0]
             except TypeError:  # one of the two carries a UTC offset, the other not
                 yield ParseError(
                     line_no, MIXED_UTC_OFFSET,
@@ -282,10 +280,7 @@ def iter_parse(
                 continue
 
         if kind is not cancel:
-            ids = seen_ids.get(day_key)
-            if ids is None:
-                ids = seen_ids[day_key] = (array("q"), set())
-            rising, rest = ids
+            _, rising, rest = entry
             if rising and order_id <= rising[-1]:
                 seen = order_id in rest or rising[bisect_left(rising, order_id)] == order_id
                 if not seen:
@@ -304,7 +299,7 @@ def iter_parse(
                 continue
 
         last_seq = seq
-        last_ts[day_key] = ts
+        entry[0] = ts
         yield OrderEvent(
             seq, ts, instrument, order_id, kind, side,
             share(price_ticks, price_ticks), share(size, size),

@@ -1132,8 +1132,11 @@ def test_report_side_without_class_ratios_is_schema_error(profile_dir, tmp_path,
         ({"kind": "fits", "fits": [{"instrument": "X", "side": "buy"}]}, "$.fits[0]"),
         ({"kind": "fits", "fits": [{"instrument": "X", "side": "buy", "model": "exp",
                                     "params": {"beta": "steep"}}]}, "$.fits[0]"),
+        ({"kind": "fits", "fits": 5}, "$.fits in"),
+        ({"kind": "fits"}, "$.fits in"),
     ],
-    ids=["wrong_kind", "entry_without_model", "non_numeric_param"],
+    ids=["wrong_kind", "entry_without_model", "non_numeric_param", "fits_not_a_list",
+         "fits_missing"],
 )
 def test_report_malformed_fits_is_schema_error(profile_dir, tmp_path, capsys, fits, expected):
     _, _, out = profile_dir

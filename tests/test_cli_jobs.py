@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+from datetime import date
 
 import pytest
 
@@ -220,7 +221,7 @@ def _two_instruments_in_one_file(streams, tmp_path):
 )
 def test_profile_workers_2_bytes_equal_workers_1(streams, tmp_path, inputs, groups):
     paths = inputs(streams, tmp_path)
-    assert cli._disjoint_groups(paths) == [[paths[i] for i in group] for group in groups]
+    assert cli._disjoint_groups(paths) == groups
     serial = _profile_bytes(paths, tmp_path / "w1", 1)
     assert _profile_bytes(paths, tmp_path / "w2", 2) == serial
     codes = [b["instrument"] for b in json.loads(serial["profiles.json"])["instruments"]]
@@ -336,4 +337,4 @@ def test_profile_job_parses_with_the_collector_paused(fixture_csv, tmp_path, mon
     finally:
         (gc.enable if was_enabled else gc.disable)()
     assert seen == [False] and n_events == 28 and errors == [[]]
-    assert list(profiles) == ["000777"] and list(parts) == ["000777"]
+    assert list(profiles) == ["000777"] and list(parts) == [("000777", date(2003, 6, 2))]

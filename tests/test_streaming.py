@@ -85,26 +85,44 @@ def split_day_input(tmp_path) -> list[str]:
             _write(tmp_path / "split_b.csv", first[900:] + second)]
 
 
+def reappearing_day_and_other_input(tmp_path) -> list[str]:
+    """The reappearing input, then a file of RAPC: two jobs under ``--workers 2``,
+    so the first one's rerun in full-input order happens inside a pool worker."""
+    other = _day_rows("RAPC", date(2003, 3, 3), seed=34)
+    return [*reappearing_day_input(tmp_path), _write(tmp_path / "other.csv", other)]
+
+
+# name: (input builder, the argument indices of each `--workers 2` job, digests)
 GOLDEN = {
-    "reappearing": (reappearing_day_input, {
+    "reappearing": (reappearing_day_input, [[0]], {
         "profiles.json": "f2e7fcd9595b0435cf2bd7e82c1abb804881a141034aab71f919b91f0eefd134",
         "cancels.csv": "874872465b6e64b233fafaf6d7c0302786ad21ab6b4e770f8cc8c3a87490eb25",
     }),
-    "split": (split_day_input, {
+    "split": (split_day_input, [[0, 1]], {
         "profiles.json": "be79f1f9e341d6c4fe88dcd82bc914c600ee0069036b964aab982a192905840a",
         "cancels.csv": "4825a56f510ea3fcbc9ab0d831f84b0f19e875ab78c5fb76dd0a6fc0ca6d7c9e",
+    }),
+    # taken from the profile path that grouped part files by instrument code
+    "reappearing_and_other": (reappearing_day_and_other_input, [[0], [1]], {
+        "profiles.json": "488fec381b0cba7fc814f091dbb959eb8a6d5d86812c83697a683d0f678c3100",
+        "cancels.csv": "0da9504e71533d64474407e450acf94f76edba4b70d3e98b287d2dd303630fc2",
     }),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_out_of_order_inputs_keep_their_bytes(tmp_path, name):
-    build, want = GOLDEN[name]
+def test_out_of_order_inputs_keep_their_bytes(tmp_path, monkeypatch, name):
+    build, jobs, want = GOLDEN[name]
     paths = build(tmp_path)
+    assert cli._disjoint_groups(paths) == jobs
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
     for workers in ("1", "2"):
         out = tmp_path / f"w{workers}"
         assert main(["profile", *paths, "--out", str(out), "--workers", workers]) == 0
         assert _digests(out) == want
+        assert not list(scratch.iterdir())  # no part file outlives the run
 
 
 # -- counts binned at payload time ------------------------------------------------
