@@ -880,7 +880,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # here, so that a closed pipe is seen inside the try
+    except BrokenPipeError:
+        # The reader left early (`lobcancel report ... | head -1`). End as a
+        # filter killed by SIGPIPE does, quietly; the interpreter's own flush
+        # at exit goes to devnull (the recipe of Python's signal docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -8,8 +8,10 @@ Three model families, each with its own estimator:
 * power-law right tail, threshold chosen by minimizing the Kolmogorov-Smirnov
   distance over candidate thresholds and the exponent set by closed-form
   maximum likelihood on the surviving tail; the scan prunes candidates by a
-  strided lower bound on their distance, exactly, so it returns the full
-  scan's fit after a few full-tail passes instead of one per candidate;
+  lower bound on their distance, their distance at a fixed number of their
+  own tail points, taken for all candidates in a few array passes whatever
+  the sample size; it is exact, so it returns the full scan's fit after a
+  few full-tail passes instead of one per candidate;
 * saturating-exponential queue profile (1 - e^(beta*y)) / norm on (0, 1],
   fitted by the same bounded least squares as the log-normal.
 
@@ -71,7 +73,11 @@ GAMMA_SCALE_BOUNDS = (1e-3, 20.0)
 MIN_FIT_BINS = 10
 MIN_TAIL_SIZE = 50
 MAX_TAIL_CANDIDATES = 500
-_KS_STRIDE = 32  # fit_powerlaw_tail bounds each candidate's KS distance on every 32nd tail point
+_KS_POINTS = 128  # fit_powerlaw_tail bounds each candidate's KS distance on 128 of its tail points
+# Values per array of the bound pass, which takes its candidates in blocks of
+# whole rows: 64 KB arrays stay on malloc's heap, where one array of all 500
+# candidates (0.5 MB each) raised fit's peak RSS by 2 MB on the panel benchmark.
+_KS_BLOCK = 8192
 EXP_SAMPLE_GRID = 4096  # points of sample_exp_profile's tabulated inverse CDF
 _XATOL = 1e-7  # Nelder-Mead refinement tolerance in parameter space
 _NM_MAXFEV = 4000  # Nelder-Mead's limit on both iterations and evaluations
@@ -375,28 +381,43 @@ class _Law:
     record: object    # (params, rms, at_bound) -> the fit's dataclass
 
 
+def _models(law: _Law, centers: np.ndarray, params: np.ndarray):
+    """The model densities of ``law`` at bin ``centers``, one row per usable parameter row.
+
+    Each row of ``params``' (0, 1] mass is computed once with ``law.mass``
+    and handed to ``law.pdf_over``: bit for bit the public ``trunc_*_pdf``.
+    Returns which rows' mass exceeds 1e-300, and those rows' densities.
+    """
+    mass = np.array([law.mass(*p) for p in params.tolist()])
+    ok = mass > 1e-300
+    return ok, law.pdf_over(centers, *params[ok].T[:, :, None], mass[ok, None])
+
+
+def _sums_of_squares(ok: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """Least-squares scores: row by row of ``diff``, where ``ok`` holds, else 1e300.
+
+    ``diff`` holds model minus empirical density for the rows ``ok`` marks,
+    in order; the other rows' mass underflowed. The model densities are
+    finite or +inf at a positive center, so a sum of squares is never NaN
+    there; a bin center at or below 0 (or so close to 0 that the
+    log-normal's normalizer underflows) gives 0/0, and such a sum scores
+    +inf so that every value is ordered. Each row's sum is ``d @ d``: the
+    stacked matmul below runs numpy's vector dot per row (pinned by a test).
+    """
+    out = np.full(ok.shape, 1e300)
+    out[ok] = np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
+    return np.where(np.isnan(out), np.inf, out)
+
+
 def _sse(law: _Law, centers: np.ndarray, density: np.ndarray):
     """The batch objective of ``law`` at bin ``centers``, for `_nelder_mead_batch`.
 
-    Problem i fits the empirical density ``density[i]``. Each candidate's (0, 1]
-    mass is computed once with ``law.mass`` and handed to ``law.pdf_over``:
-    bit for bit the public ``trunc_*_pdf``. A candidate whose mass
-    underflows scores 1e300. The model densities are finite or +inf at a
-    positive center, so a sum of squares is never NaN there; a bin center at
-    or below 0 (or so close to 0 that the log-normal's normalizer
-    underflows) gives 0/0, and such a sum scores +inf so that every value is
-    ordered. Each row's sum is ``diff[i] @ diff[i]``: the stacked matmul
-    below runs numpy's vector dot per row (pinned by a test).
+    Problem i fits the empirical density ``density[i]``; each candidate is
+    scored by `_sums_of_squares`.
     """
     def fun(ids, params):
-        mass = np.array([law.mass(*p) for p in params.tolist()])
-        out = np.full(mass.size, 1e300)
-        ok = mass > 1e-300
-        if ok.any():
-            columns = params[ok].T[:, :, None]
-            diff = law.pdf_over(centers, *columns, mass[ok, None]) - density[ids[ok]]
-            out[ok] = np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
-        return np.where(np.isnan(out), np.inf, out)
+        ok, model = _models(law, centers, params)
+        return _sums_of_squares(ok, model - density[ids[ok]])
 
     return fun
 
@@ -408,9 +429,11 @@ def _fit_law(law: _Law, pdfs, starts=None) -> list:
     Each search starts at ``starts[i]`` when given, else at the first grid
     point of least sum of squares, and bounded Nelder-Mead refines it. The
     densities on the same bins are fitted together, at bin centers computed
-    once: the grid scans in array passes of as many whole grids as
-    ``_BATCH`` candidates hold (at least one), and the searches in lockstep
-    batches of up to ``_BATCH`` problems.
+    once, and so are the grid's model densities when no ``starts`` are given:
+    the grid scans then form only each density's differences from them, in
+    array passes of as many whole grids as ``_BATCH`` candidates hold (at
+    least one), and the searches run in lockstep batches of up to ``_BATCH``
+    problems.
     """
     out: list = [None] * len(pdfs)
     groups: dict = {}  # (domain, edges) -> indices of the densities binned on them
@@ -421,21 +444,25 @@ def _fit_law(law: _Law, pdfs, starts=None) -> list:
         else:
             groups.setdefault((pdf.domain, np.asarray(pdf.bin_edges, float).tobytes()), []).append(i)
     grid = law.grid
+    per = max(1, _BATCH // len(grid))  # densities per grid-scan pass
     for members in groups.values():
         centers = pdfs[members[0]].centers()
+        if starts is None:  # the grid's model densities, once for every density on these bins
+            ok, model = _models(law, centers, grid)
         for lo in range(0, len(members), _BATCH):
             index = members[lo:lo + _BATCH]
-            fun = _sse(law, centers, np.array([pdfs[i].density for i in index], float))
+            density = np.array([pdfs[i].density for i in index], float)
+            fun = _sse(law, centers, density)
             if starts is not None:
                 x0 = np.array([starts[i] for i in index], float)
             else:
                 x0 = np.empty((len(index), grid.shape[1]))
-                per = max(1, _BATCH // len(grid))  # problems per grid-scan pass
                 for k in range(0, len(index), per):
-                    rows = np.arange(k, min(k + per, len(index)))
-                    sse = fun(np.repeat(rows, len(grid)), np.tile(grid, (rows.size, 1)))
+                    rows = density[k:k + per]
+                    diff = (model - rows[:, None, :]).reshape(-1, centers.size)
+                    sse = _sums_of_squares(np.tile(ok, len(rows)), diff)
                     # no value is NaN, so argmin's first minimum is min(grid, key=sse)'s
-                    x0[rows] = grid[sse.reshape(rows.size, len(grid)).argmin(axis=1)]
+                    x0[k:k + len(rows)] = grid[sse.reshape(len(rows), len(grid)).argmin(axis=1)]
             x, f, converged = _nelder_mead_batch(fun, x0, law.bounds, _XATOL, 1e-12, _NM_MAXFEV)
             at_bound = _at_bound(x, law.bounds, _XATOL).tolist()
             for row, i in enumerate(index):
@@ -531,16 +558,35 @@ def pareto_alpha_mle(tail: np.ndarray, xmin: float) -> float:
     return 1.0 + tail.size / float(np.sum(np.log(tail / xmin)))
 
 
-def _ks_distance(xs: np.ndarray, i: int, xmin: float, alpha: float, stride: int = 1) -> float:
+def _ks_distance(xs: np.ndarray, i: int, xmin: float, alpha: float) -> float:
     """KS distance between the sorted tail ``xs[i:]`` and the fitted power law.
 
-    The empirical CDF is rank/m, evaluated at the tail points only. With
-    ``stride`` > 1 only every ``stride``-th tail point is compared, so the
-    result is a lower bound on the distance.
+    The empirical CDF is rank/m, evaluated at the tail points only.
     """
     m = xs.size - i
-    model = 1.0 - (xmin / xs[i::stride]) ** (alpha - 1.0)
-    return float(np.max(np.abs(np.arange(1, m + 1, stride) / m - model)))
+    model = 1.0 - (xmin / xs[i:]) ** (alpha - 1.0)
+    return float(np.max(np.abs(np.arange(1, m + 1) / m - model)))
+
+
+def _ks_lower_bounds(xs: np.ndarray, first: np.ndarray, xmin: np.ndarray,
+                     alpha: np.ndarray) -> np.ndarray:
+    """Lower bounds on ``_ks_distance(xs, first[j], xmin[j], alpha[j])`` for every j.
+
+    Candidate j's tail ``xs[first[j]:]`` of m points is compared at the
+    ``_KS_POINTS`` ranks ``r = k * m // _KS_POINTS``, with the empirical CDF
+    (r + 1) / m: a subset of the points of its full distance. The arrays
+    are (candidates x ``_KS_POINTS``), at most ``_KS_BLOCK`` values at a
+    time, whatever the size of ``xs``.
+    """
+    out = np.empty(first.size)
+    rows = max(1, _KS_BLOCK // _KS_POINTS)
+    for lo in range(0, first.size, rows):
+        i, x, a = (v[lo:lo + rows, None] for v in (first, xmin, alpha))
+        m = xs.size - i
+        r = np.arange(_KS_POINTS) * m // _KS_POINTS
+        model = 1.0 - (x / xs[i + r]) ** (a - 1.0)
+        out[lo:lo + rows] = np.abs((r + 1) / m - model).max(axis=1)
+    return out
 
 
 def pareto_ks(tail: np.ndarray, xmin: float, alpha: float) -> float:
@@ -561,13 +607,15 @@ def fit_powerlaw_tail(samples) -> PowerLawFit:
     and the candidate minimizing the KS distance wins; among equal distances
     the smallest threshold does.
 
-    The scan is exact but pruned. The distance over every ``_KS_STRIDE``-th
-    tail point bounds each candidate's distance from below, at 1/32 of the
-    cost of a full pass. Candidates are then visited in ascending order of bound, and
-    the full distance is computed only while a bound can still beat the best
-    distance found (a 1e-12 slack absorbs last-bit differences between
-    numpy's strided and contiguous loops). Where a scan of k candidates over
-    n samples cost O(k * n), it costs O(k * n / 32) plus a few full passes.
+    The scan is exact but pruned. Each candidate's distance over
+    ``_KS_POINTS`` of its own tail points bounds its distance from below;
+    `_ks_lower_bounds` takes every candidate's in array passes of
+    ``_KS_BLOCK`` values. Candidates are then visited in ascending
+    order of bound, and the full distance is computed only while a bound can
+    still beat the best distance found (a 1e-12 slack absorbs last-bit
+    differences between numpy's loops over the bound's array and a tail).
+    Where a scan of k candidates over n samples cost O(k * n), it costs
+    O(k * _KS_POINTS) plus a few full passes.
     """
     xs = np.sort(np.asarray(samples, dtype=float))
     n = xs.size
@@ -577,23 +625,25 @@ def fit_powerlaw_tail(samples) -> PowerLawFit:
         raise ValueError("samples must be finite")
     if np.any(xs <= 0.0):
         raise ValueError("samples must be positive")
-    uniq = np.unique(xs)
-    tail_sizes = n - np.searchsorted(xs, uniq, side="right")
-    candidates = uniq[tail_sizes >= MIN_TAIL_SIZE]
-    if candidates.size == 0:
+    # the index past each distinct value's last copy: the first of its strict tail
+    first = np.append(np.flatnonzero(xs[1:] != xs[:-1]) + 1, n)
+    first = first[n - first >= MIN_TAIL_SIZE]
+    if first.size == 0:
         raise TailTooSmall(f"no threshold leaves >= {MIN_TAIL_SIZE} tail points")
-    if candidates.size > MAX_TAIL_CANDIDATES:
-        keep = np.unique(np.round(np.linspace(0, candidates.size - 1, MAX_TAIL_CANDIDATES)).astype(int))
-        candidates = candidates[keep]
+    if first.size > MAX_TAIL_CANDIDATES:
+        keep = np.unique(np.round(np.linspace(0, first.size - 1, MAX_TAIL_CANDIDATES)).astype(int))
+        first = first[keep]
+    candidates = xs[first - 1]
 
     log_xs = np.log(xs)
     suffix_log = np.concatenate((np.cumsum(log_xs[::-1])[::-1], [0.0]))
-    scan = []  # (xmin, alpha, first tail index), in ascending xmin
-    for xmin, i in zip(candidates.tolist(), np.searchsorted(xs, candidates, side="right").tolist()):
-        m = n - i
-        scan.append((xmin, float(1.0 + m / (suffix_log[i] - m * math.log(xmin))), i))
-    bounds = [_ks_distance(xs, i, xmin, alpha, _KS_STRIDE) for xmin, alpha, i in scan]
+    m = n - first
+    # math.log, not np.log, whose last bit may differ: alpha is written to fits.json
+    log_xmin = np.array(list(map(math.log, candidates.tolist())))
+    alphas = 1.0 + m / (suffix_log[first] - m * log_xmin)
+    bounds = _ks_lower_bounds(xs, first, candidates, alphas).tolist()
 
+    scan = list(zip(candidates.tolist(), alphas.tolist(), first.tolist()))
     best_ks, best = math.inf, len(scan)
     for j in sorted(range(len(scan)), key=bounds.__getitem__):
         if bounds[j] > best_ks + 1e-12:

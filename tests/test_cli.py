@@ -4,6 +4,8 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -1112,6 +1114,26 @@ def test_report_prints_unfittable_draws_beside_the_p_value(profile_dir, tmp_path
     path.write_text(json.dumps(fits))
     assert run(["report", "--profiles", str(out / "profiles.json"), "--fits", str(path)]) == 1
     assert "schema error at $.fits[0]" in capsys.readouterr().err
+
+
+def test_report_into_a_closed_pipe_exits_141_quietly(profile_dir, tmp_path):
+    # the reader of stdout is gone before the first write, as after `| head -1`
+    # or `| true`: the exit status of a filter killed by SIGPIPE, and no traceback
+    _, _, out = profile_dir
+    assert run(["fit", "--profiles", str(out / "profiles.json"), "--out",
+                str(tmp_path / "fits.json"), "--models", "exp"]) == 0
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lobcancel.cli", "report", "--profiles",
+             str(out / "profiles.json"), "--fits", str(tmp_path / "fits.json")],
+            stdout=write_end, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+            timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_report_side_without_class_ratios_is_schema_error(profile_dir, tmp_path, capsys):

@@ -351,17 +351,20 @@ _TAIL_DRAWS = {
 }
 
 
+# The bound compares _KS_POINTS of each tail's points: "stride_1" sets it to
+# n, so every tail point is compared, and "stride_above_n" to 1, the loosest
+# bound, each tail's first point alone.
 @pytest.mark.parametrize("setting", ["default", "candidates_100", "stride_1", "stride_above_n"])
 @pytest.mark.parametrize("draw", sorted(_TAIL_DRAWS))
 def test_pruned_scan_equals_full_scan(draw, setting, monkeypatch):
     if setting == "candidates_100":
         monkeypatch.setattr(df, "MAX_TAIL_CANDIDATES", 100)
-    elif setting == "stride_1":
-        monkeypatch.setattr(df, "_KS_STRIDE", 1)
     elif setting == "stride_above_n":
-        monkeypatch.setattr(df, "_KS_STRIDE", 10**7)
+        monkeypatch.setattr(df, "_KS_POINTS", 1)
     for seed in range(3):
         xs = _TAIL_DRAWS[draw](RNG(seed))
+        if setting == "stride_1":
+            monkeypatch.setattr(df, "_KS_POINTS", xs.size)
         want = _full_scan(xs)
         got = df.fit_powerlaw_tail(xs)
         assert got == want
@@ -380,10 +383,9 @@ def test_the_equivalence_draws_have_ties_and_thinning():
 def test_pruned_scan_breaks_ties_toward_the_smallest_threshold(monkeypatch):
     # every full distance ties and the bounds fall with xmin, so the scan
     # visits the largest threshold first and must still return the smallest
-    def ks_distance(xs, i, xmin, alpha, stride=1):
-        return 0.5 if stride == 1 else 0.5 - 1e-3 * i / xs.size
-
-    monkeypatch.setattr(df, "_ks_distance", ks_distance)
+    monkeypatch.setattr(df, "_ks_distance", lambda xs, i, xmin, alpha: 0.5)
+    monkeypatch.setattr(df, "_ks_lower_bounds",
+                        lambda xs, first, xmin, alpha: 0.5 - 1e-3 * first / xs.size)
     xs = df.sample_pareto(2_000, 2.5, 1.0, RNG(34))
     fit = df.fit_powerlaw_tail(xs)
     assert (fit.xmin, fit.ks) == (float(np.min(xs)), 0.5)
@@ -393,10 +395,9 @@ def test_pruned_scan_makes_few_full_ks_passes(monkeypatch):
     full_passes = []
     ks_distance = df._ks_distance
 
-    def counting(xs, i, xmin, alpha, stride=1):
-        if stride == 1:
-            full_passes.append(xmin)
-        return ks_distance(xs, i, xmin, alpha, stride)
+    def counting(xs, i, xmin, alpha):
+        full_passes.append(xmin)
+        return ks_distance(xs, i, xmin, alpha)
 
     monkeypatch.setattr(df, "_ks_distance", counting)
     rng = RNG(33)
@@ -404,6 +405,28 @@ def test_pruned_scan_makes_few_full_ks_passes(monkeypatch):
     fit = df.fit_powerlaw_tail(xs)
     assert fit.xmin in full_passes
     assert 1 <= len(full_passes) <= 10  # of MAX_TAIL_CANDIDATES = 500 candidates
+
+
+def test_the_bound_pass_memory_does_not_grow_with_the_tail():
+    import tracemalloc
+
+    peaks = []
+    for n in (10_000, 1_000_000):
+        xs = np.sort(df.sample_pareto(n, 2.5, 1.0, RNG(35)))
+        first = np.round(np.linspace(0, n - df.MIN_TAIL_SIZE, df.MAX_TAIL_CANDIDATES)).astype(int)
+        xmin, alpha = xs[np.maximum(first - 1, 0)], np.full(first.size, 2.5)
+        tracemalloc.start()
+        try:
+            bounds = df._ks_lower_bounds(xs, first, xmin, alpha)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert bounds.shape == first.shape
+    # a few blocks of _KS_BLOCK floats, 64 KB each, whatever n is: the peaks
+    # read 6.1 blocks with numpy 2.4, where one float per sample of a 1M tail
+    # would take 122, and one (candidates x _KS_POINTS) array 8
+    assert max(peaks) < 10 * df._KS_BLOCK * 8
+    assert peaks[1] < 1.1 * peaks[0]
 
 
 # -- exponential queue profile -----------------------------------------------------
@@ -733,6 +756,32 @@ def test_stacked_matmul_is_numpys_row_dot():
         stacked = np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
         alone = [float(r.copy() @ r.copy()) for r in rows]
         assert stacked.tolist() == alone == [float(rows[i] @ rows[i]) for i in range(len(rows))]
+
+
+_SINGLE_FITTERS = {"lognormal": df.fit_lognormal_lsq, "gamma": df.fit_gamma_lsq,
+                   "exp": df.fit_exp_profile}
+
+
+@pytest.mark.parametrize("law", sorted(_SINGLE_FITTERS))
+def test_a_batch_equals_fitting_each_density_alone(law):
+    # the grid's model densities are built once per bin layout and shared by
+    # every density on it; each result must still be the single fitter's
+    fine = [_lognormal_pdf(400 + 300 * k, -2.5 + 0.2 * k, 0.4 + 0.1 * k, 40 + k)
+            for k in range(df._BATCH // len(df.BODY_LAWS["exp"].grid) + 3)]
+    coarse = [accumulate_pdf(df.sample_exp_profile(5_000, -5.0 - 10 * k, RNG(50 + k)),
+                             BinSpec("uniform", 20)) for k in range(3)]
+    too_few = accumulate_pdf(np.full(100, 0.55), BinSpec("uniform", 50))
+    pdfs = [fine[0], coarse[0], _corner_pdf(), too_few, *fine[1:], *coarse[1:], _uniform_pdf()]
+    assert len({pdf.bin_edges.tobytes() for pdf in pdfs}) == 3
+    got = df.fit_batch(law, pdfs)
+    for pdf, result in zip(pdfs, got):
+        try:
+            want = _SINGLE_FITTERS[law](pdf)
+        except df.FitError as exc:
+            assert type(result) is type(exc)
+        else:
+            assert type(result) is type(want) and result == want
+    assert isinstance(got[3], df.TooFewBins)
 
 
 def _corner_pdf():
