@@ -20,8 +20,8 @@ from collections import defaultdict
 from contextlib import contextmanager
 from datetime import date
 from functools import partial
-from itertools import chain, count, repeat
-from typing import Iterator
+from itertools import chain, count, groupby, repeat
+from typing import Iterable, Iterator
 
 from . import reportio
 from .lob import LobError, gc_paused, norm_level
@@ -308,24 +308,19 @@ def _profile_job(
     with gc_paused():
         for in_date_order in (True, False):
             os.mkdir(parts_dir)
-            errors: list[list[str]] = []
-            failed = False
-            n_events = 0
+            errors: list[list[str]] = [[] for _ in paths]
+            days = DayChecks()  # an instrument-day split across files is checked as one
 
-            def events() -> Iterator[OrderEvent]:
-                nonlocal failed, n_events
-                days = DayChecks()  # an instrument-day split across files is checked as one
-                for path in paths:
-                    path_errors: list[str] = []
-                    errors.append(path_errors)
-                    for item in iter_parse(_read_lines(path), in_date_order=in_date_order,
-                                           days=days):
-                        if type(item) is ParseError:
-                            path_errors.append(f"{path}:{item}")
-                            failed = True
-                        elif not failed and (instrument is None or item.instrument == instrument):
-                            n_events += 1
-                            yield item
+            def runs(path: str, path_errors: list[str]) -> Iterator[Iterable[OrderEvent]]:
+                """``path``'s events as runs of consecutive rows; its parse errors go
+                to ``path_errors``, and once a row has failed no run is replayed."""
+                parsed = iter_parse(_read_lines(path), in_date_order=in_date_order, days=days)
+                for kind, items in groupby(parsed, type):
+                    if kind is ParseError:
+                        path_errors.extend(f"{path}:{error}" for error in items)
+                    elif not any(errors):
+                        yield items if instrument is None else filter(
+                            lambda ev: ev.instrument == instrument, items)
 
             day_parts: dict[tuple[str, date], str] = {}
 
@@ -334,10 +329,14 @@ def _profile_job(
                 return DayReplay(partial(reportio.cancels_csv, part), reportio.CHUNK_LINES)
 
             run = ProfileRun()
+            n_events = 0
+            # Only C iterators pass each event from the parse to its replay.
+            stream = chain.from_iterable(chain.from_iterable(map(runs, paths, errors)))
             try:
-                for day in replay_days(events(), in_date_order=in_date_order, open_day=open_day):
-                    if not failed:  # once a row fails the command fails: parse on, count no more
+                for day in replay_days(stream, in_date_order=in_date_order, open_day=open_day):
+                    if not any(errors):  # once a row fails the command fails: count no more
                         run.add_day(day)
+                        n_events += day.events
                     del day  # its book goes before the next day's fills
                 break
             except DaysOutOfOrder:
@@ -823,6 +822,13 @@ def cmd_report(args) -> int:
                 raise InputDataError(
                     f"schema error at $.sides.{side} in {args.profiles}: {exc!r}"
                 ) from exc
+        counts = block.get("diagnostics", {})  # what the replay dropped or held
+        if not isinstance(counts, dict) or any(type(n) is not int or n < 0 for n in counts.values()):
+            raise InputDataError(f"schema error at $.diagnostics in {args.profiles}: "
+                                 "expected an object of counts")
+        if any(counts.values()):
+            lines.append("  diagnostics: " + ", ".join(
+                f"{name}={n}" for name, n in sorted(counts.items()) if n))
     if fits is not None:
         lines += ["", "fits:"]
         for i, entry in enumerate(fits["fits"]):

@@ -18,6 +18,7 @@ from bisect import bisect_left, insort
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple
 
 from .orderflow import EventKind, OrderEvent, Side
@@ -27,6 +28,10 @@ from .orderflow import EventKind, OrderEvent, Side
 # compare against these module names instead.
 _BUY = Side.BUY
 _CANCEL = EventKind.CANCEL
+# The per-event paths build tuple records with tuple.__new__, at a fraction of
+# the cost of a NamedTuple's own __new__, a Python function on 3.11.
+_new = tuple.__new__
+_ARRIVAL = attrgetter("arrival_seq")
 
 
 class LobError(Exception):
@@ -71,7 +76,7 @@ class RestingOrder:
     side: Side
     price_ticks: int
     remaining_size: int
-    arrival_seq: int
+    arrival_seq: int    # the book's count of rested orders when it rested: rises along a queue
     tag: object = None  # the caller's per-order state; the book never reads it
 
 
@@ -199,10 +204,6 @@ class _BookSide:
     def best_price(self) -> int | None:
         return self.sign * self.keys[0] if self.keys else None
 
-    def rank(self, price: int) -> int:
-        """1-based rank of an occupied price level under price priority."""
-        return bisect_left(self.keys, self.sign * price) + 1
-
     def price_at(self, rank: int) -> int:
         """Price of the level with this 1-based rank under price priority."""
         return self.sign * self.keys[rank - 1]
@@ -212,26 +213,18 @@ class _BookSide:
         sign = self.sign
         return [sign * key for key in self.keys]
 
-    def add_order(self, order: RestingOrder) -> None:
-        queue = self.levels.get(order.price_ticks)
-        if queue is None:
-            queue = self.levels[order.price_ticks] = deque()
-            insort(self.keys, self.sign * order.price_ticks)
-        queue.append(order)
-        self.order_count += 1
-        self.total_size += order.remaining_size
-
 
 class LimitOrderBook:
     """Order book for a single instrument-day."""
 
-    __slots__ = ("buy", "sell", "index", "cancel_count")
+    __slots__ = ("buy", "sell", "index", "cancel_count", "rested_count")
 
     def __init__(self) -> None:
         self.buy = _BookSide(Side.BUY)
         self.sell = _BookSide(Side.SELL)
         self.index: dict[int, RestingOrder] = {}
         self.cancel_count = 0
+        self.rested_count = 0
 
     def _side(self, side: Side) -> _BookSide:
         return self.buy if side is Side.BUY else self.sell
@@ -247,13 +240,20 @@ class LimitOrderBook:
 
         Raises DanglingCancel / CancelSideMismatch / CancelExceedsRemaining /
         DuplicateOrderId on bad input; the book is left unchanged in those
-        cases.
+        cases. ``submit`` and ``cancel`` are the two paths it dispatches to.
         """
         if event.kind is _CANCEL:
-            return self._apply_cancel(event)
-        return self._apply_submission(event)
+            return ApplyOutcome([], self.cancel(event), None)
+        trades, order = self.submit(event)
+        return ApplyOutcome(trades, None, None if order is None else order.order_id)
 
-    def _apply_submission(self, event: OrderEvent) -> ApplyOutcome:
+    def submit(self, event: OrderEvent) -> tuple[list[Trade], RestingOrder | None]:
+        """Match a limit or marketable order, then rest what is left of it.
+
+        Returns the trades, best price and oldest maker first, and the resting
+        order of the remainder, None when nothing is left. Raises
+        DuplicateOrderId, leaving the book unchanged, when the id is resting.
+        """
         index = self.index
         order_id = event.order_id
         if order_id in index:
@@ -279,7 +279,7 @@ class LimitOrderBook:
                 maker.remaining_size -= take
                 remaining -= take
                 opp.total_size -= take
-                trades.append(Trade(maker.order_id, order_id, best, take))
+                trades.append(_new(Trade, (maker.order_id, order_id, best, take)))
                 if maker.remaining_size == 0:
                     queue.popleft()
                     del index[maker.order_id]
@@ -288,53 +288,65 @@ class LimitOrderBook:
                 del opp.levels[best]
                 del opp_keys[0]
 
-        rested = None
-        if remaining > 0:
-            order = RestingOrder(order_id, side, price, remaining, event.seq)
-            own.add_order(order)
-            index[order_id] = order
-            rested = order_id
-            if opp_keys and opp_keys[0] <= cross_key:
-                raise CrossedBookInvariantViolation(
-                    f"book crossed after resting {order_id} at {price}"
-                )
-        return ApplyOutcome(trades, None, rested)
+        if remaining == 0:
+            return trades, None
+        self.rested_count += 1
+        order = index[order_id] = RestingOrder(order_id, side, price, remaining, self.rested_count)
+        queue = own.levels.get(price)
+        if queue is None:
+            queue = own.levels[price] = deque()
+            insort(own.keys, own.sign * price)
+        queue.append(order)
+        own.order_count += 1
+        own.total_size += remaining
+        if opp_keys and opp_keys[0] <= cross_key:
+            raise CrossedBookInvariantViolation(f"book crossed after resting {order_id} at {price}")
+        return trades, order
 
-    def _apply_cancel(self, event: OrderEvent) -> ApplyOutcome:
+    def cancel(self, event: OrderEvent) -> CancellationRecord:
+        """Take a cancel's quantity off the order it names; return the order's
+        book coordinates as they were just before. Raises DanglingCancel /
+        CancelSideMismatch / CancelExceedsRemaining, leaving the book unchanged,
+        and ValueError for an inconsistent record."""
         order = self.index.get(event.order_id)
         if order is None:
             raise DanglingCancel(event.order_id)
-        if event.side is not order.side:
+        side = order.side
+        if event.side is not side:
             raise CancelSideMismatch(
-                f"cancel of {event.side.name} side names {order.side.name} order {order.order_id}"
+                f"cancel of {event.side.name} side names {side.name} order {order.order_id}"
             )
-        qty = event.size if event.size > 0 else order.remaining_size
-        if qty > order.remaining_size:
+        remaining = order.remaining_size
+        qty = event.size if event.size > 0 else remaining
+        if qty > remaining:
             raise CancelExceedsRemaining(
-                f"cancel {qty} > remaining {order.remaining_size} for order {order.order_id}"
+                f"cancel {qty} > remaining {remaining} for order {order.order_id}"
             )
-        book_side = self.buy if order.side is _BUY else self.sell
+        book_side = self.buy if side is _BUY else self.sell
         keys = book_side.keys
         price = order.price_ticks
         queue = book_side.levels[price]
-        rank = book_side.rank(price)
-        pos = queue.index(order) + 1
+        rank = bisect_left(keys, book_side.sign * price) + 1
+        # Arrival counts rise along a queue, so a bisection finds the order.
+        pos = bisect_left(queue, order.arrival_seq, key=_ARRIVAL) + 1
+        side_levels, level_orders, side_orders = len(keys), len(queue), book_side.order_count
         self.cancel_count += 1
-        record = CancellationRecord(
-            self.cancel_count, order.side, rank, len(keys), len(queue),
-            book_side.order_count, pos, qty,
-        )
+        record = _new(CancellationRecord, (self.cancel_count, side, rank, side_levels,
+                                           level_orders, side_orders, pos, qty))
+        # CancellationRecord's own check, inline.
+        if not (1 <= rank <= side_levels and 1 <= pos <= level_orders <= side_orders and qty > 0):
+            raise ValueError(f"inconsistent cancellation record: {record}")
 
-        order.remaining_size -= qty
+        order.remaining_size = remaining - qty
         book_side.total_size -= qty
-        if order.remaining_size == 0:
+        if qty == remaining:
             del queue[pos - 1]
             del self.index[order.order_id]
             book_side.order_count -= 1
             if not queue:
                 del book_side.levels[price]
                 del keys[rank - 1]
-        return ApplyOutcome([], record, None)
+        return record
 
     # -- position queries ---------------------------------------------------
 
@@ -343,7 +355,7 @@ class LimitOrderBook:
         book_side = self._side(side)
         if price_ticks not in book_side.levels:
             raise UnknownLevel(f"no {side.name} level at {price_ticks}")
-        return book_side.rank(price_ticks)
+        return bisect_left(book_side.keys, book_side.sign * price_ticks) + 1
 
     def queue_position(self, order_id: int) -> int:
         """1-based FIFO position of a resting order within its level."""

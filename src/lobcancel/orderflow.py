@@ -198,6 +198,7 @@ def iter_parse(
         return
 
     cancel = EventKind.CANCEL  # bound once: a lookup on the Enum class runs Python code
+    new = tuple.__new__  # OrderEvent's own __new__ is a Python function on 3.11
     # A day repeats few prices and sizes, so each distinct value is one shared
     # int object, not a fresh one per buffered event.
     share = {}.setdefault
@@ -300,10 +301,10 @@ def iter_parse(
 
         last_seq = seq
         entry[0] = ts
-        yield OrderEvent(
+        yield new(OrderEvent, (
             seq, ts, instrument, order_id, kind, side,
             share(price_ticks, price_ticks), share(size, size),
-        )
+        ))
 
 
 def parse_stream(source: str | Iterable[str]) -> ParseResult:

@@ -15,9 +15,10 @@ tallied in diagnostics but excluded from profiles and ratios.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from datetime import date, datetime
+from datetime import date, datetime, time
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
@@ -31,6 +32,8 @@ from .lob import (
     gc_paused,
 )
 from .orderflow import (
+    _PHASE_BOUNDS,
+    _PHASES,
     DaysOutOfOrder,
     EventKind,
     OrderEvent,
@@ -62,6 +65,13 @@ class AggressivenessClass(Enum):
     __hash__ = object.__hash__
 
 
+# The members, bound once for classify_submission (see _BUY).
+_FULLY_FILLED = AggressivenessClass.FULLY_FILLED
+_PARTIALLY_FILLED = AggressivenessClass.PARTIALLY_FILLED
+_INSIDE_SPREAD = AggressivenessClass.INSIDE_SPREAD
+_AT_BEST = AggressivenessClass.AT_BEST
+_INSIDE_BOOK = AggressivenessClass.INSIDE_BOOK
+
 # Classes that can hold resting quantity, in reporting order (r1..r4).
 CANCELLABLE_CLASSES = (
     AggressivenessClass.PARTIALLY_FILLED,
@@ -89,20 +99,16 @@ def classify_submission(
     exists, INSIDE_BOOK when the whole book is empty.
     """
     if traded_on_arrival:
-        return (
-            AggressivenessClass.PARTIALLY_FILLED if rested else AggressivenessClass.FULLY_FILLED
-        )
+        return _PARTIALLY_FILLED if rested else _FULLY_FILLED
     buy = side is _BUY
     same_best = pre_best_bid if buy else pre_best_ask
     opp_best = pre_best_ask if buy else pre_best_bid
     if same_best is None:
-        if opp_best is None:
-            return AggressivenessClass.INSIDE_BOOK
-        return AggressivenessClass.INSIDE_SPREAD
+        return _INSIDE_BOOK if opp_best is None else _INSIDE_SPREAD
     if price_ticks == same_best:
-        return AggressivenessClass.AT_BEST
+        return _AT_BEST
     better = price_ticks > same_best if buy else price_ticks < same_best
-    return AggressivenessClass.INSIDE_SPREAD if better else AggressivenessClass.INSIDE_BOOK
+    return _INSIDE_SPREAD if better else _INSIDE_BOOK
 
 
 # -- replay -------------------------------------------------------------------
@@ -110,7 +116,8 @@ def classify_submission(
 
 @dataclass(slots=True)
 class OrderLifecycle:
-    """What the accounting needs of a resting order; kept as its ``RestingOrder.tag``."""
+    """What the accounting knows of a resting order. The replay keeps the three
+    fields, in order, as a list in its ``RestingOrder.tag``, which costs less."""
 
     klass: AggressivenessClass
     in_scope: bool               # submitted during a continuous session
@@ -172,11 +179,12 @@ class DayResult:
     diagnostics: Counter
     buy: SideAccumulator
     sell: SideAccumulator
+    events: int  # events fed to the day's replay
 
     @property
     def lifecycles(self) -> dict[int, OrderLifecycle]:
         """Lifecycle of each order still resting at the end, by order id."""
-        return {order_id: order.tag for order_id, order in self.book.index.items()}
+        return {order_id: OrderLifecycle(*order.tag) for order_id, order in self.book.index.items()}
 
 
 class DayReplay:
@@ -207,6 +215,7 @@ class DayReplay:
         diagnostics: Counter = Counter()
         buy_acc, sell_acc = SideAccumulator(), SideAccumulator()
         instrument = ""
+        events = 0
         held: list[OrderEvent] | None = []  # None once the held events are released
         if flush is None:
             chunk = 0  # len(observations) is never 0 after an append
@@ -219,7 +228,13 @@ class DayReplay:
         call, cool = SessionPhase.OPENING_CALL, SessionPhase.COOL
         cancel = EventKind.CANCEL
         resting = book.index
-        apply = book.apply
+        submit, cancel_order = book.submit, book.cancel
+        buy_keys, sell_keys = book.buy.keys, book.sell.keys
+        new = tuple.__new__  # a NamedTuple's own __new__ runs in Python
+        # The phase of the last event and the times of day it spans, [lo, hi);
+        # an event outside them is bisected into orderflow.phase_of's bounds.
+        edges = (time.min, *_PHASE_BOUNDS, time.max)
+        phase, lo, hi = None, time.max, time.min
 
         # No closure here refers to itself or to one that refers back to it:
         # such a cycle would keep each finished day alive while the
@@ -229,7 +244,7 @@ class DayReplay:
             if ev.kind is cancel:
                 order = resting.get(ev.order_id)  # a full cancel takes it out of the index
                 try:
-                    outcome = apply(ev)
+                    rec = cancel_order(ev)
                 except DanglingCancel:
                     diagnostics["dangling_cancels"] += 1
                     return
@@ -242,50 +257,51 @@ class DayReplay:
                 price = ev.price_ticks
                 if price and price != order.price_ticks:  # the order id decides: still applied
                     diagnostics["cancel_price_mismatch"] += 1
-                rec = outcome.cancellation
-                life = order.tag
-                acc = buy_acc if rec.side is _BUY else sell_acc
-                in_ratio = continuous and life.in_scope
+                life = order.tag  # [klass, in_scope, cancelled_in_scope]
+                _, side, level_rank, side_levels, level_orders, side_orders, queue_rank, _ = rec
+                acc = buy_acc if side is _BUY else sell_acc
+                in_ratio = continuous and life[1]
                 if in_ratio:
                     acc.cancel_events += 1
-                    if not life.cancelled_in_scope:
-                        life.cancelled_in_scope = True
-                        acc.cancelled_by_class[life.klass] += 1
+                    if not life[2]:
+                        life[2] = True
+                        counts, key = acc.cancelled_by_class, life[0]
+                        counts[key] = counts.get(key, 0) + 1
                 elif not continuous:
                     diagnostics["cancels_outside_continuous"] += 1
                 else:
                     diagnostics["cancels_of_precontinuous_orders"] += 1
                 if continuous:
-                    _, _, level_rank, side_levels, level_orders, _, queue_rank, _ = rec
-                    acc.rel_level_counts[level_rank, side_levels] += 1
-                    acc.queue_frac_counts[queue_rank, level_orders] += 1
-                    acc.norm_levels.append(rec.norm_level)
-                observations.append(
-                    CancelObservation(
-                        ev.instrument, ev.seq, ev.timestamp, phase, rec,
-                        life.klass, continuous, in_ratio,
-                    )
-                )
+                    # get, not `+= 1`: a Counter runs its Python __missing__ on a new key
+                    counts, key = acc.rel_level_counts, (level_rank, side_levels)
+                    counts[key] = counts.get(key, 0) + 1
+                    counts, key = acc.queue_frac_counts, (queue_rank, level_orders)
+                    counts[key] = counts.get(key, 0) + 1
+                    # lob.norm_level, inline: the same expression, so the same bits
+                    acc.norm_levels.append((level_rank * side_orders) / (side_levels * level_orders))
+                observations.append(new(CancelObservation, (
+                    ev.instrument, ev.seq, ev.timestamp, phase, rec, life[0], continuous, in_ratio
+                )))
                 if len(observations) == chunk:
                     flush(observations)
                     observations.clear()
             else:
-                pre_bid = book.best_bid()
-                pre_ask = book.best_ask()
+                # The quotes before the order arrives; buy keys are negated prices.
+                pre_bid = -buy_keys[0] if buy_keys else None
+                pre_ask = sell_keys[0] if sell_keys else None
                 try:
-                    outcome = apply(ev)
+                    trades, order = submit(ev)
                 except DuplicateOrderId:
                     diagnostics["duplicate_order_ids"] += 1
                     return
-                rested = outcome.rested is not None
                 klass = classify_submission(
-                    ev.side, ev.price_ticks, pre_bid, pre_ask, bool(outcome.trades), rested
+                    ev.side, ev.price_ticks, pre_bid, pre_ask, bool(trades), order is not None
                 )
                 if continuous:
-                    acc = buy_acc if ev.side is _BUY else sell_acc
-                    acc.orders_by_class[klass] += 1
-                if rested:
-                    resting[ev.order_id].tag = OrderLifecycle(klass, continuous)
+                    counts = (buy_acc if ev.side is _BUY else sell_acc).orders_by_class
+                    counts[klass] = counts.get(klass, 0) + 1
+                if order is not None:
+                    order.tag = [klass, continuous, False]
 
         def release() -> None:
             """Apply the held events, in arrival order, each in its own phase."""
@@ -295,8 +311,12 @@ class DayReplay:
                 apply_one(held_ev, phase_of(held_ev.timestamp))
 
         def feed(ev: OrderEvent) -> None:
-            nonlocal instrument
-            phase = phase_of(ev.timestamp)
+            nonlocal instrument, events, phase, lo, hi
+            events += 1
+            tod = ev.timestamp.time()
+            if not lo <= tod < hi:
+                i = bisect_right(_PHASE_BOUNDS, tod)
+                phase, lo, hi = _PHASES[i], edges[i], edges[i + 1]
             if held is not None:
                 if not instrument:
                     instrument = ev.instrument
@@ -313,7 +333,8 @@ class DayReplay:
             if flush is not None:
                 flush(observations)
                 observations.clear()
-            return DayResult(instrument, book, observations, diagnostics, buy_acc, sell_acc)
+            return DayResult(instrument, book, observations, diagnostics, buy_acc, sell_acc,
+                             events)
 
         self.feed = feed
         self.finish = finish
@@ -351,14 +372,16 @@ def replay_days(
     """
     live: dict[tuple[str, date], DayReplay] = {}
     current_day: dict[str, date] = {}
-    key = feed = None  # the last event's day and its replay's feed
+    instrument = day = feed = None  # the last event's instrument-day and its replay's feed
     for ev in events:
-        ev_key = (ev.instrument, ev.timestamp.date())
-        if ev_key != key:
-            key = ev_key
+        # The parser interns instrument codes, so an identity test settles
+        # the code for a stream it made; an equal code of another object
+        # only costs the lookup below.
+        ev_day = ev.timestamp.date()
+        if ev.instrument is not instrument or ev_day != day:
+            instrument, day = key = ev.instrument, ev_day
             replay = live.get(key)
             if replay is None:
-                instrument, day = key
                 if in_date_order:
                     prev_day = current_day.get(instrument)
                     if prev_day is not None:

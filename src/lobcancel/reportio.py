@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+from itertools import islice
 from typing import Iterable
 
 from .profiles import (
@@ -52,14 +53,9 @@ CHUNK_LINES = 1024
 
 def write_lines(path: str | os.PathLike, lines: Iterable[str], *, append: bool = False) -> None:
     """Write each line and a newline, CHUNK_LINES lines joined per write."""
+    lines = iter(lines)
     with open(path, "a" if append else "w", encoding="utf-8", newline="\n") as fh:
-        chunk: list[str] = []
-        for line in lines:
-            chunk.append(line)
-            if len(chunk) == CHUNK_LINES:
-                fh.write("\n".join(chunk) + "\n")
-                chunk.clear()
-        if chunk:
+        while chunk := list(islice(lines, CHUNK_LINES)):
             fh.write("\n".join(chunk) + "\n")
 
 

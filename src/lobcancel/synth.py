@@ -190,7 +190,7 @@ def iter_stream(config: GenConfig) -> Iterator[OrderEvent]:
         ev = OrderEvent(
             emitted, clock.next(), config.instrument, order_id, kind, side, price, size
         )
-        book.apply(ev)
+        (book.cancel if kind is cancel else book.submit)(ev)
         return ev
 
     def emit_limit(side: Side) -> OrderEvent:

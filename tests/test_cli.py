@@ -14,6 +14,7 @@ import pytest
 from lobcancel import cli, reportio
 from lobcancel.cli import main
 from lobcancel.lob import norm_level
+from lobcancel.orderflow import HEADER
 
 
 def run(argv):
@@ -1134,6 +1135,45 @@ def test_report_into_a_closed_pipe_exits_141_quietly(profile_dir, tmp_path):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_report_prints_nonzero_diagnostics_under_the_ratio_rows(profile_dir, tmp_path, capsys):
+    rows = [
+        "1,2003-06-02T09:31:00.000,DIAG01,1,L,B,1000,100",
+        "2,2003-06-02T09:31:01.000,DIAG01,2,L,S,1010,100",
+        "3,2003-06-02T09:31:02.000,DIAG01,99,C,B,0,0",  # names no resting order
+        "4,2003-06-02T09:31:03.000,DIAG01,2,C,B,0,0",   # names the sell order 2 from the buy side
+        "5,2003-06-02T09:31:04.000,DIAG01,1,C,B,0,0",
+    ]
+    path = tmp_path / "diag.csv"
+    path.write_text("\n".join([HEADER, *rows]) + "\n")
+    assert run(["profile", str(path), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert run(["report", "--profiles", str(tmp_path / "out" / "profiles.json")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    counts = "  diagnostics: cancel_side_mismatch=1, dangling_cancels=1"
+    assert [line.split()[0] for line in lines[1:]] == [
+        "DIAG01", "DIAG01", "diagnostics:", "__ensemble__", "__ensemble__", "diagnostics:"]
+    assert lines[3] == lines[6] == counts
+    # A clean input's report has no diagnostics line, and zero counters print nothing.
+    _, _, out = profile_dir
+    assert run(["report", "--profiles", str(out / "profiles.json")]) == 0
+    assert "diagnostics" not in capsys.readouterr().out
+    zeros = _profiles_with(out, tmp_path, lambda p: p["ensemble"].update(
+        diagnostics={"dangling_cancels": 0}))
+    assert run(["report", "--profiles", str(zeros)]) == 0
+    assert "diagnostics" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("counters", [[1], {"dangling_cancels": "1"},
+                                      {"dangling_cancels": -1}, {"held_events": True}])
+def test_report_malformed_diagnostics_is_schema_error(profile_dir, tmp_path, capsys, counters):
+    _, _, out = profile_dir
+    path = _profiles_with(out, tmp_path, lambda p: p["instruments"][0].update(
+        diagnostics=counters))
+    assert run(["report", "--profiles", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "schema error at $.diagnostics" in captured.err and captured.out == ""
 
 
 def test_report_side_without_class_ratios_is_schema_error(profile_dir, tmp_path, capsys):

@@ -343,6 +343,20 @@ def test_cancellation_record_validates_on_construction():
         )
 
 
+def test_the_record_check_fires_on_the_cancel_path():
+    # The cancel path builds its record with tuple.__new__ and the check of
+    # CancellationRecord.__new__ inline; a book whose counts cannot hold must
+    # still fail that check, and lose nothing to the cancel.
+    book = LimitOrderBook()
+    apply_rows(book, [("L", "B", 1000, 10, 1), ("L", "B", 1000, 10, 2), ("L", "B", 1000, 10, 3)])
+    book.buy.order_count = 2  # below the level's queue of 3
+    before = book.to_state_dict()
+    for cancel in (book.apply, book.cancel):
+        with pytest.raises(ValueError, match="inconsistent cancellation record"):
+            cancel(make_event(4, "C", "B", 0, 0, 2))
+    assert book.to_state_dict() == before and book.buy.order_count == 2
+
+
 # -- position queries ---------------------------------------------------------
 
 

@@ -2,7 +2,7 @@ import gc
 import math
 import random
 from collections import Counter
-from datetime import datetime, timedelta
+from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -13,7 +13,15 @@ from conftest import (
     FIXTURE_TRADES,
 )
 from lobcancel.lob import CrossedBookInvariantViolation, LimitOrderBook
-from lobcancel.orderflow import EventKind, OrderEvent, SessionPhase, Side
+from lobcancel.orderflow import (
+    _PHASE_BOUNDS,
+    CONTINUOUS_PHASES,
+    EventKind,
+    OrderEvent,
+    SessionPhase,
+    Side,
+    phase_of,
+)
 from lobcancel.profiles import (
     AggressivenessClass,
     BinSpec,
@@ -235,6 +243,41 @@ def phased_events():
         OrderEvent(5, at(9, 31, 0), "P", 1, EventKind.CANCEL, B, 0, 0),
         OrderEvent(6, at(9, 32, 0), "P", 3, EventKind.CANCEL, B, 0, 0),
     ]
+
+
+def _placed_and_cancelled(stamps):
+    """A buy limit and its full cancel at each timestamp, in order."""
+    events = []
+    for i, ts in enumerate(stamps):
+        events.append(OrderEvent(2 * i + 1, ts, "PH", i + 1, EventKind.LIMIT, B, 1000 - i, 100))
+        events.append(OrderEvent(2 * i + 2, ts, "PH", i + 1, EventKind.CANCEL, B, 0, 0))
+    return events
+
+
+@pytest.mark.parametrize("tz", [None, timezone(timedelta(hours=8))], ids=["naive", "offset"])
+def test_replay_phases_match_phase_of_around_every_bound(tz):
+    ms = timedelta(milliseconds=1)
+    stamps = [datetime.combine(date(2003, 6, 2), bound, tzinfo=tz) + step
+              for bound in _PHASE_BOUNDS for step in (-ms, 0 * ms, ms)]
+    call_or_cool = [ts for ts in stamps if phase_of(ts) in (SessionPhase.OPENING_CALL,
+                                                            SessionPhase.COOL)]
+    assert stamps[0] < call_or_cool[0] and len(call_or_cool) == 6
+    streams = {
+        # The first event is closed, so nothing is held.
+        "direct": (stamps, 0),
+        # Opening-call and cool events, held until 09:30 releases them.
+        "released": (stamps[1:], 12),
+        # Only held events, released when the day finishes.
+        "finished": (call_or_cool, 12),
+    }
+    for name, (day_stamps, held) in streams.items():
+        day = replay_day(_placed_and_cancelled(day_stamps))
+        assert day.diagnostics["held_events"] == held, name
+        assert [o.timestamp for o in day.observations] == day_stamps, name
+        assert [o.phase for o in day.observations] == list(map(phase_of, day_stamps)), name
+        # The order's phase decides its scope: both events of a pair share a stamp.
+        assert [o.in_ratio for o in day.observations] == [
+            phase_of(ts) in CONTINUOUS_PHASES for ts in day_stamps], name
 
 
 def test_call_and_cool_events_held_then_flushed():
@@ -493,7 +536,9 @@ def test_replay_loops_restore_collector_state_when_book_raises(
         seen.append(gc.isenabled())
         raise CrossedBookInvariantViolation("synthetic failure")
 
-    monkeypatch.setattr(LimitOrderBook, "apply", boom)
+    # Both streams open with a submission, and the replay and the generator
+    # call the book's submission path directly.
+    monkeypatch.setattr(LimitOrderBook, "submit", boom)
     collector_state(enabled)
     with pytest.raises(CrossedBookInvariantViolation):
         replay_day(fixture_events)

@@ -1,13 +1,22 @@
-"""The record types' contract and the bytes of a small seeded pipeline.
+"""The record types' contract and the bytes of small seeded pipelines.
 
-The golden digests were taken from the dataclass-based records that the
-tuple records replaced; the cancels.csv digest is that of the same file with
-its three ratio columns cut (`cut -d, -f1-11,15-`), which the integer-only
-layout writes. Both files are pure-Python formatting, so they do not depend
-on the numpy version.
+The golden stream and cancels.csv digests were taken from the
+dataclass-based records that the tuple records replaced; the cancels.csv
+digest is that of the same file with its three ratio columns cut
+(`cut -d, -f1-11,15-`), which the integer-only layout writes. Both files are
+pure-Python formatting, so they do not depend on the numpy version. The
+profiles.json digests, and those of the deeper book, were taken before the
+replay built its records with tuple.__new__ and found queue positions by
+bisection. profiles.json is numpy's binning, and the log-uniform bins'
+edges and densities differ in their last bits from one CPU to another
+(np.geomspace runs numpy's SIMD log10 and power: with and without AVX-512
+they differ), so its digest is taken with those floats cut to 10 significant
+digits (`_profiles_sha256`).
 """
 import hashlib
+import json
 import pickle
+import re
 from datetime import datetime
 
 import pytest
@@ -16,6 +25,7 @@ from lobcancel.cli import main
 from lobcancel.lob import CancellationRecord, Trade
 from lobcancel.orderflow import EventKind, OrderEvent, SessionPhase, Side
 from lobcancel.profiles import AggressivenessClass, CancelObservation
+from lobcancel.reportio import render_json
 
 GOLDEN_GEN = [
     "--events", "5000", "--seed", "7", "--instrument", "GOLD01",
@@ -24,18 +34,74 @@ GOLDEN_GEN = [
 ]
 GOLDEN_CSV_SHA256 = "a25cfa2c5a3b7ff4d8191b105037e159be3215c249c9715a2fbea6892da6a335"
 GOLDEN_CANCELS_SHA256 = "9c89be088439886643f1fcfe668d09725e65c5e3dffa67e647af333ad6d7ae03"
+GOLDEN_PROFILES_SHA256 = "ab2156b36fd664c39c8783f36616215410e209c6c40a47c162ac99e480bca052"
+
+# A deeper book: 60 levels of about 40 orders, where cancels meet long
+# queues and ladders, as on the benchmark's deep_book.
+DEEP_GEN = [
+    "--events", "20000", "--seed", "7", "--instrument", "DEEP02",
+    "--level-law", "lognormal:-2.14,1.11", "--queue-law", "exp:-25",
+    "--mix", "0.6,0.0,0.4", "--levels", "60", "--queue-depth", "40",
+]
+DEEP_CSV_SHA256 = "bba4f39aa444a2d6ceccc9b0d219cd29ccc04771b95df2e91da622ea5422589b"
+DEEP_CANCELS_SHA256 = "7718ed62e82a2a501ae4e2a3f6bd9d6de3fc26dda92b584440f2676f874b46c6"
+DEEP_PROFILES_SHA256 = "59e51c6d5ba537fd08d0460854e6f88cf56459f18f59d7ce12e21cdd89acdbe8"
 
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _profiles_sha256(path) -> str:
+    """sha256 of profiles.json rendered again with each log-uniform density's
+    edges and values cut to 10 significant digits (see the module docstring)."""
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    for block in (*payload["instruments"], payload["ensemble"]):
+        for side in block["sides"].values():
+            pdf = side["pdf_norm_level"]
+            if pdf is not None:
+                for key in ("edges", "density"):
+                    pdf[key] = [float(f"{x:.10g}") for x in pdf[key]]
+    return hashlib.sha256(render_json(payload).encode("utf-8")).hexdigest()
+
+
+def _pipeline_digests(tmp_path, gen: list[str]) -> tuple[str, str, str]:
+    """sha256 of the `gen` stream, then of the cancels.csv and profiles.json of its profile."""
+    stream = tmp_path / "gold.csv"
+    assert main(["gen", "--out", str(stream), *gen]) == 0
+    assert main(["profile", str(stream), "--out", str(tmp_path / "prof")]) == 0
+    return (_sha256(stream), _sha256(tmp_path / "prof" / "cancels.csv"),
+            _profiles_sha256(tmp_path / "prof" / "profiles.json"))
+
+
 def test_golden_gen_csv_and_cancels_csv_bytes(tmp_path):
+    assert _pipeline_digests(tmp_path, GOLDEN_GEN) == (
+        GOLDEN_CSV_SHA256, GOLDEN_CANCELS_SHA256, GOLDEN_PROFILES_SHA256)
+
+
+def test_golden_deep_book_bytes(tmp_path):
+    assert _pipeline_digests(tmp_path, DEEP_GEN) == (
+        DEEP_CSV_SHA256, DEEP_CANCELS_SHA256, DEEP_PROFILES_SHA256)
+
+
+def test_a_utc_offset_on_every_timestamp_leaves_profiles_json_unchanged(tmp_path):
+    # Phases and days are read off the local time of day, so "+08:00" on
+    # every timestamp changes cancels.csv's timestamps and nothing else.
     stream = tmp_path / "gold.csv"
     assert main(["gen", "--out", str(stream), *GOLDEN_GEN]) == 0
-    assert main(["profile", str(stream), "--out", str(tmp_path / "prof")]) == 0
-    assert _sha256(stream) == GOLDEN_CSV_SHA256
-    assert _sha256(tmp_path / "prof" / "cancels.csv") == GOLDEN_CANCELS_SHA256
+    header, *rows = stream.read_text(encoding="utf-8").splitlines()
+    offset = tmp_path / "offset.csv"
+    offset.write_text("\n".join([header, *(re.sub(r"^([^,]*,[^,]*)", r"\1+08:00", row)
+                                           for row in rows)]) + "\n", encoding="utf-8")
+    assert ",2003-06-02T09:30:00.000+08:00," in offset.read_text(encoding="utf-8")
+    for path in (stream, offset):
+        assert main(["profile", str(path), "--out", str(tmp_path / path.stem)]) == 0
+    assert _sha256(tmp_path / "offset" / "profiles.json") == _sha256(
+        tmp_path / "gold" / "profiles.json")
+    assert _profiles_sha256(tmp_path / "offset" / "profiles.json") == GOLDEN_PROFILES_SHA256
+    naive, aware = ((tmp_path / name / "cancels.csv").read_text(encoding="utf-8").splitlines()
+                    for name in ("gold", "offset"))
+    assert [re.sub(r"\+08:00,", ",", row) for row in aware] == naive
 
 
 def _record(**changes):
