@@ -51,7 +51,7 @@ from .synth import (
     QueueSimConfig,
     TruncLogNormalLaw,
     UniformLaw,
-    iter_stream,
+    iter_rows,
     simulate_uniform_queues,
 )
 
@@ -759,8 +759,7 @@ def cmd_gen(args) -> int:
     )
     _check_out(args.out)
     with gc_paused(), _writing(args.out):
-        rows = map(OrderEvent.to_row, iter_stream(config))
-        reportio.write_lines(args.out, chain((HEADER,), rows))
+        reportio.write_lines(args.out, chain((HEADER,), iter_rows(config)))
     print(f"wrote {config.n_events} events -> {args.out}")
     return 0
 

@@ -204,10 +204,6 @@ class _BookSide:
     def best_price(self) -> int | None:
         return self.sign * self.keys[0] if self.keys else None
 
-    def price_at(self, rank: int) -> int:
-        """Price of the level with this 1-based rank under price priority."""
-        return self.sign * self.keys[rank - 1]
-
     def sorted_prices(self) -> list[int]:
         """Prices in priority order (descending for buys, ascending for sells)."""
         sign = self.sign
@@ -337,16 +333,33 @@ class LimitOrderBook:
         if not (1 <= rank <= side_levels and 1 <= pos <= level_orders <= side_orders and qty > 0):
             raise ValueError(f"inconsistent cancellation record: {record}")
 
-        order.remaining_size = remaining - qty
+        self._remove(book_side, queue, order, rank, pos, qty)
+        return record
+
+    def cancel_at(self, side: Side, level_rank: int, queue_rank: int) -> RestingOrder:
+        """Cancel all of the order at 1-based ``queue_rank`` in the level of 1-based ``level_rank``
+        on ``side`` and return it; raise UnknownOrder, changing nothing, if there is none."""
+        book_side = self.buy if side is _BUY else self.sell
+        keys = book_side.keys
+        queue = (book_side.levels[book_side.sign * keys[level_rank - 1]]
+                 if 0 < level_rank <= len(keys) else ())
+        order = queue[queue_rank - 1] if 0 < queue_rank <= len(queue) else None
+        if order is None or self.index.get(order.order_id) is not order or order.side is not side:
+            raise UnknownOrder(f"no {side.name} order at level {level_rank}, position {queue_rank}")
+        self._remove(book_side, queue, order, level_rank, queue_rank, order.remaining_size)
+        return order
+
+    def _remove(self, book_side, queue, order, rank, pos, qty) -> None:
+        # Take qty off order, the pos-th in queue, the level of rank; the callers checked each.
+        remaining = order.remaining_size = order.remaining_size - qty
         book_side.total_size -= qty
-        if qty == remaining:
+        if not remaining:
             del queue[pos - 1]
             del self.index[order.order_id]
             book_side.order_count -= 1
             if not queue:
-                del book_side.levels[price]
-                del keys[rank - 1]
-        return record
+                del book_side.levels[order.price_ticks]
+                del book_side.keys[rank - 1]
 
     # -- position queries ---------------------------------------------------
 

@@ -58,6 +58,9 @@ _PHASES = (
 )
 
 HEADER = "seq,timestamp,instrument,order_id,kind,side,price_ticks,size"
+# Timestamp text by value: TWO_DIGITS[7] == "07" and MS_TEXT[7] == ".007".
+TWO_DIGITS = tuple(f"{n:02d}" for n in range(60))
+MS_TEXT = tuple(f".{ms:03d}" for ms in range(1000))
 
 
 def phase_of(ts: datetime | time) -> SessionPhase:

@@ -14,6 +14,7 @@ import shutil
 from itertools import islice
 from typing import Iterable
 
+from .orderflow import MS_TEXT, TWO_DIGITS
 from .profiles import (
     BinSpec,
     CancelObservation,
@@ -113,13 +114,23 @@ def profiles_payload(run: ProfileRun, unit_bins: int, log_bins: int) -> dict:
 
 
 def _cancel_rows(observations: Iterable[CancelObservation]) -> Iterable[str]:
-    # Enum values are read from _value_ and isoformat takes its arguments by
-    # position, as in OrderEvent.to_row.
-    for instrument, seq, timestamp, phase, rec, order_class, in_profile, in_ratio in observations:
+    # A naive stamp is isoformat('T', 'milliseconds')'s text from a per-day prefix and
+    # table lookups; one with a UTC offset is isoformat's. Enum values are read from _value_.
+    two = TWO_DIGITS
+    day = prefix = None
+    for instrument, seq, ts, phase, rec, order_class, in_profile, in_ratio in observations:
         (cancel_index, side, level_rank, side_levels, level_orders, side_orders,
          queue_rank, cancelled_size) = rec
+        if ts.tzinfo is None:
+            if ts.date() != day:
+                day = ts.date()
+                prefix = f"{day.isoformat()}T"
+            stamp = (f"{prefix}{two[ts.hour]}:{two[ts.minute]}:{two[ts.second]}"
+                     f"{MS_TEXT[ts.microsecond // 1000]}")
+        else:
+            stamp = ts.isoformat("T", "milliseconds")
         yield (
-            f"{instrument},{seq},{timestamp.isoformat('T', 'milliseconds')},"
+            f"{instrument},{seq},{stamp},"
             f"{phase._value_},{side._value_},{cancel_index},{level_rank},{side_levels},"
             f"{level_orders},{side_orders},{queue_rank},{cancelled_size},"
             f"{order_class._value_},{'1' if in_profile else '0'},{'1' if in_ratio else '0'}"

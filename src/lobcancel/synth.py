@@ -18,10 +18,11 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta
+from itertools import count
 from typing import TYPE_CHECKING, Iterator
 
 from .lob import LimitOrderBook, gc_paused
-from .orderflow import EventKind, OrderEvent, Side
+from .orderflow import MS_TEXT, EventKind, OrderEvent, Side
 from .profiles import UNIT_BIN_SPEC, EmpiricalPdf, accumulate_pdf
 
 if TYPE_CHECKING:
@@ -104,6 +105,12 @@ class _RankSampler:
         return min(bisect_right(cum, r), n - 1) + 1
 
 
+# The two continuous sessions, in milliseconds: a stream stamps its events at
+# most one a millisecond, so it holds at most AM_MS + PM_MS of them.
+AM_MS = 7_200_000  # 09:30 - 11:30
+PM_MS = 7_200_000  # 13:00 - 15:00
+
+
 @dataclass(frozen=True)
 class GenConfig:
     """Stream generator settings; the seed fully determines the output."""
@@ -125,8 +132,9 @@ class GenConfig:
         shares = (self.limit_share, self.marketable_share, self.cancel_share)
         if not all(0.0 <= s < math.inf for s in shares) or abs(sum(shares) - 1.0) > 1e-9:
             raise ConfigInvalid(f"arrival mix must be finite, non-negative and sum to 1, got {shares}")
-        if self.n_events < 0:
-            raise ConfigInvalid("n_events must be >= 0")
+        if not 0 <= self.n_events <= AM_MS + PM_MS:
+            raise ConfigInvalid(f"n_events must be in 0..{AM_MS + PM_MS}, one a millisecond "
+                                f"of the two sessions, got {self.n_events}")
         code = self.instrument  # one CSV field: not empty, no comma, no line break
         if code.splitlines() != [code] or "," in code:
             raise ConfigInvalid(f"instrument code must be one CSV field, got {code!r}")
@@ -136,44 +144,35 @@ class GenConfig:
             raise ConfigInvalid("mid price too low for the requested initial depth")
 
 
-class _SessionClock:
-    """Millisecond clock that walks the two continuous sessions in order."""
-
-    AM_MS = 7_200_000  # 09:30 - 11:30
-    PM_MS = 7_200_000  # 13:00 - 15:00
-
-    def __init__(self, day: date, n_events: int):
-        self.base_am = datetime.combine(day, time(9, 30))
-        self.base_pm = datetime.combine(day, time(13, 0))
-        budget = self.AM_MS + self.PM_MS - 400_000  # leave headroom before the close
-        self.dt_ms = max(1, min(1000, budget // max(n_events, 1)))
-        self.pos_ms = 0
-
-    def next(self) -> datetime:
-        ms = self.pos_ms
-        self.pos_ms += self.dt_ms
-        if ms < self.AM_MS:
-            return self.base_am + timedelta(milliseconds=ms)
-        return self.base_pm + timedelta(milliseconds=ms - self.AM_MS)
+def session_stamps(day: date, dt_ms: int, text: bool) -> Iterator[datetime | str]:
+    """Datetimes, or with ``text`` their ``isoformat('T', 'milliseconds')``, of session
+    ms 0, ``dt_ms``, ``2 * dt_ms``, ..., where ms 0 is 09:30:00 and ``AM_MS`` 13:00:00.
+    Each second's stamp is made once; its milliseconds come from a 1000-entry table."""
+    am = datetime.combine(day, time(9, 30))
+    pm = datetime.combine(day, time(13, 0)) - timedelta(milliseconds=AM_MS)
+    fracs = MS_TEXT if text else [timedelta(milliseconds=f) for f in range(1000)]
+    second = -1
+    for ms in count(0, dt_ms):
+        s, f = divmod(ms, 1000)
+        if s != second:
+            second = s
+            base = (am if ms < AM_MS else pm) + timedelta(seconds=s)
+            base = base.isoformat() if text else base
+        yield base + fracs[f]
 
 
-def iter_stream(config: GenConfig) -> Iterator[OrderEvent]:
-    """Yield a replayable event stream of exactly ``config.n_events`` events.
-
-    The stream opens with non-crossing limits building ``initial_levels``
-    price levels of ``initial_queue`` orders per side, then mixes limits,
-    marketables, and full cancels per the configured shares. Sides starved of
-    resting orders fall back to limit submissions, which keeps the book deep
-    enough for the position laws to act on. Each event is made as it is
-    asked for, so the generator holds its book replica, not the stream.
-    """
+def _stream(config: GenConfig, text: bool) -> Iterator[OrderEvent]:
+    """The one generator loop: ``iter_stream``, with each stamp's text if ``text``."""
     rng = random.Random(config.seed)
     book = LimitOrderBook()
-    clock = _SessionClock(config.trading_day, config.n_events)
+    n_events, code = config.n_events, config.instrument
+    # Events spread over the sessions, leaving headroom before the close.
+    dt_ms = max(1, min(1000, (AM_MS + PM_MS - 400_000) // max(n_events, 1)))
+    stamps = session_stamps(config.trading_day, dt_ms, text)
     level_sampler = _RankSampler(config.level_law, rng)
     queue_sampler = _RankSampler(config.queue_law, rng)
-    emitted = 0
-    next_id = 1
+    seq = 0
+    next_id = 0
     target_depth = config.initial_levels * config.initial_queue
     min_side_orders = max(1, target_depth // 4)
     max_side_orders = target_depth + target_depth // 2
@@ -183,32 +182,14 @@ def iter_stream(config: GenConfig) -> Iterator[OrderEvent]:
     # code on 3.11, and the loop below makes several per event.
     buy, sell = Side.BUY, Side.SELL
     limit, marketable, cancel = EventKind.LIMIT, EventKind.MARKETABLE, EventKind.CANCEL
+    new = tuple.__new__  # OrderEvent's own __new__ is a Python function on 3.11
 
-    def emit(kind: EventKind, side: Side, price: int, size: int, order_id: int) -> OrderEvent:
-        nonlocal emitted
-        emitted += 1
-        ev = OrderEvent(
-            emitted, clock.next(), config.instrument, order_id, kind, side, price, size
-        )
-        (book.cancel if kind is cancel else book.submit)(ev)
-        return ev
-
-    def emit_limit(side: Side) -> OrderEvent:
-        # Placement depth follows the level law so per-level inflow balances
-        # the law-shaped cancellation outflow and queues keep their depth.
-        # Front placements step inside the spread when a gap is open. ``away``
-        # steps from the side's best price toward its worse ones.
-        nonlocal next_id
-        bid, ask = book.best_bid(), book.best_ask()
-        own, opp, away = (bid, ask, -1) if side is buy else (ask, bid, 1)
-        offset = level_sampler.draw(band) - 1
-        if offset == 0 and bid is not None and ask is not None and ask - bid > 1 and rng.random() < 0.5:
-            price = own - away
-        else:
-            anchor = own if own is not None else (opp + away if opp is not None else config.mid_price_ticks)
-            price = anchor + away * offset
-        ev = emit(limit, side, max(price, 1), rng.randrange(1, 11) * 100, next_id)
+    def submission(kind: EventKind, side: Side, price: int, size: int) -> OrderEvent:
+        nonlocal seq, next_id
+        seq += 1
         next_id += 1
+        ev = new(OrderEvent, (seq, next(stamps), code, next_id, kind, side, price, size))
+        book.submit(ev)
         return ev
 
     # Seed phase: two ladders of stacked non-crossing limits. Depths are
@@ -221,12 +202,11 @@ def iter_stream(config: GenConfig) -> Iterator[OrderEvent]:
     for level in range(config.initial_levels):
         for side, price in ((buy, mid - 1 - level), (sell, mid + 1 + level)):
             for _ in range(rng.randrange(lo_depth, hi_depth + 1)):
-                if emitted >= config.n_events:
+                if seq >= n_events:
                     return
-                yield emit(limit, side, price, rng.randrange(1, 11) * 100, next_id)
-                next_id += 1
+                yield submission(limit, side, price, rng.randrange(1, 11) * 100)
 
-    while emitted < config.n_events:
+    while seq < n_events:
         if rng.random() < 0.5:
             side, own, opp = buy, book.buy, book.sell
         else:
@@ -243,15 +223,48 @@ def iter_stream(config: GenConfig) -> Iterator[OrderEvent]:
         )
         if want_cancel and own.order_count > min_side_orders:
             rank = level_sampler.draw(len(own.keys))
-            queue = own.levels[own.price_at(rank)]
-            victim = queue[queue_sampler.draw(len(queue)) - 1]
-            yield emit(cancel, side, victim.price_ticks, 0, victim.order_id)
+            queue = own.levels[own.sign * own.keys[rank - 1]]
+            victim = book.cancel_at(side, rank, queue_sampler.draw(len(queue)))
+            seq += 1
+            yield new(OrderEvent, (seq, next(stamps), code, victim.order_id, cancel, side,
+                                   victim.price_ticks, 0))
         elif config.limit_share <= u < cancel_cut and opp.order_count > min_side_orders:
-            price = opp.best_price()
-            yield emit(marketable, side, price, rng.randrange(1, 23) * 100, next_id)
-            next_id += 1
+            yield submission(marketable, side, opp.best_price(), rng.randrange(1, 23) * 100)
         else:
-            yield emit_limit(side)
+            # Placement depth follows the level law so per-level inflow balances
+            # the law-shaped cancellation outflow and queues keep their depth.
+            # Front placements step inside the spread when a gap is open. ``away``
+            # steps from the side's best price toward its worse ones.
+            best, other = own.best_price(), opp.best_price()
+            away = -1 if side is buy else 1
+            offset = level_sampler.draw(band) - 1
+            if (offset == 0 and best is not None and other is not None
+                    and away * (best - other) > 1 and rng.random() < 0.5):
+                price = best - away
+            else:
+                anchor = best if best is not None else (other + away if other is not None else mid)
+                price = anchor + away * offset
+            yield submission(limit, side, max(price, 1), rng.randrange(1, 11) * 100)
+
+
+def iter_stream(config: GenConfig) -> Iterator[OrderEvent]:
+    """Yield a replayable event stream of exactly ``config.n_events`` events.
+
+    The stream opens with non-crossing limits building ``initial_levels``
+    price levels of ``initial_queue`` orders per side, then mixes limits,
+    marketables, and full cancels per the configured shares. Sides starved of
+    resting orders fall back to limit submissions, which keeps the book deep
+    enough for the position laws to act on. Each event is made as it is
+    asked for, so the generator holds its book replica, not the stream.
+    """
+    return _stream(config, False)
+
+
+def iter_rows(config: GenConfig) -> Iterator[str]:
+    """``OrderEvent.to_row`` of each ``iter_stream(config)`` event, written from
+    the event's integers and its stamp's text, with no datetime made."""
+    for seq, stamp, code, order_id, kind, side, price, size in _stream(config, True):
+        yield f"{seq},{stamp},{code},{order_id},{kind._value_},{side._value_},{price},{size}"
 
 
 @gc_paused()

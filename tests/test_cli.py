@@ -641,7 +641,7 @@ def test_unwritable_output_is_a_usage_error(profile_dir, tmp_path, capsys, monke
     """A bad --out fails before any input is read or any work is done, and
     leaves nothing behind."""
     _, streams, artifacts = profile_dir
-    for name in ("_read_lines", "_load_json", "replay_days", "iter_stream",
+    for name in ("_read_lines", "_load_json", "replay_days", "iter_rows",
                  "simulate_uniform_queues"):
         monkeypatch.setattr(cli, name, _must_not_run)
     (tmp_path / "taken").write_text("")

@@ -357,6 +357,37 @@ def test_the_record_check_fires_on_the_cancel_path():
     assert book.to_state_dict() == before and book.buy.order_count == 2
 
 
+def test_cancel_at_removes_the_order_at_its_coordinates():
+    rows = [("L", "B", 1005, 10, 1), ("L", "B", 1003, 10, 2), ("L", "B", 1003, 20, 3),
+            ("L", "B", 1000, 10, 4), ("L", "S", 1010, 10, 5)]
+    book, by_id = LimitOrderBook(), LimitOrderBook()
+    apply_rows(book, rows)
+    apply_rows(by_id, rows)
+    order = book.cancel_at(Side.BUY, 2, 2)  # the second order at the second-best bid
+    assert (order.order_id, order.price_ticks) == (3, 1003)
+    assert book.cancel_at(Side.BUY, 2, 1).order_id == 2  # the level goes with its last order
+    apply_rows(by_id, [("C", "B", 1003, 0, 3), ("C", "B", 1003, 0, 2)], start_seq=6)
+    assert book.to_state_dict() == by_id.to_state_dict()
+    assert book.buy.total_size == by_id.buy.total_size == 20
+    book.check_invariants()
+
+
+def test_cancel_at_out_of_range_or_out_of_sync_changes_nothing():
+    book = LimitOrderBook()
+    apply_rows(book, [("L", "B", 1005, 10, 1), ("L", "B", 1003, 10, 2), ("L", "B", 1003, 10, 3)])
+    before = book.to_state_dict()
+    for side, level_rank, queue_rank in [(Side.BUY, 0, 1), (Side.BUY, 3, 1), (Side.BUY, -1, 1),
+                                         (Side.BUY, 2, 0), (Side.BUY, 2, 3), (Side.SELL, 1, 1)]:
+        with pytest.raises(UnknownOrder):
+            book.cancel_at(side, level_rank, queue_rank)
+    book.buy.levels[1003][1].side = Side.SELL  # a book whose own records disagree
+    del book.index[1]
+    for level_rank in (1, 2):
+        with pytest.raises(UnknownOrder):
+            book.cancel_at(Side.BUY, level_rank, level_rank)
+    assert book.to_state_dict() == before and book.buy.order_count == 3
+
+
 # -- position queries ---------------------------------------------------------
 
 

@@ -17,7 +17,7 @@ import hashlib
 import json
 import pickle
 import re
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -25,7 +25,7 @@ from lobcancel.cli import main
 from lobcancel.lob import CancellationRecord, Trade
 from lobcancel.orderflow import EventKind, OrderEvent, SessionPhase, Side
 from lobcancel.profiles import AggressivenessClass, CancelObservation
-from lobcancel.reportio import render_json
+from lobcancel.reportio import cancels_csv, render_json
 
 GOLDEN_GEN = [
     "--events", "5000", "--seed", "7", "--instrument", "GOLD01",
@@ -167,6 +167,23 @@ def test_inconsistent_cancellation_record_raises(changes):
         _record(**changes)
     with pytest.raises(ValueError, match="inconsistent cancellation record"):
         _record()._replace(**changes)
+
+
+def test_cancels_csv_writes_each_stamp_as_isoformat_does(tmp_path):
+    # Naive stamps are written from a per-day prefix and tables, others by isoformat.
+    stamps = [
+        datetime(2003, 6, 2, 9, 30), datetime(2003, 6, 2, 9, 30, 0, 999),
+        datetime(2003, 6, 2, 11, 29, 59, 999_999), datetime(2003, 6, 3, 0, 0, 0, 1_000),
+        datetime(2003, 6, 2, 23, 59, 1, 123_456), datetime(999, 1, 2, 3, 4, 5, 60_000),
+        datetime(2003, 6, 2, 9, 31, 6, 250_000, tzinfo=timezone(timedelta(hours=8))),
+        datetime(2003, 6, 2, 13, 0, 0, 7_000),
+    ]
+    path = tmp_path / "cancels.part"
+    cancels_csv(path, [_observation()._replace(timestamp=ts) for ts in stamps])
+    rows = path.read_text(encoding="utf-8").splitlines()
+    assert [row.split(",")[2] for row in rows] == [ts.isoformat("T", "milliseconds")
+                                                   for ts in stamps]
+    assert rows[6].split(",")[2] == "2003-06-02T09:31:06.250+08:00"
 
 
 def test_cancellation_record_keeps_its_derived_coordinates():

@@ -1,17 +1,23 @@
 import random
+from datetime import date, datetime, timedelta
+from itertools import islice
 
 import numpy as np
 import pytest
 
+from lobcancel.cli import main
 from lobcancel.lob import LimitOrderBook
 from lobcancel.orderflow import (
     CONTINUOUS_PHASES,
     EventKind,
+    SessionPhase,
     parse_stream,
     phase_of,
     serialize_events,
 )
 from lobcancel.synth import (
+    AM_MS,
+    PM_MS,
     ConfigInvalid,
     ExpProfileLaw,
     GenConfig,
@@ -20,6 +26,7 @@ from lobcancel.synth import (
     UniformLaw,
     _RankSampler,
     generate_stream,
+    session_stamps,
     simulate_uniform_queues,
 )
 
@@ -84,6 +91,73 @@ def test_config_validation():
         GenConfig(initial_levels=0)
     with pytest.raises(ConfigInvalid):
         GenConfig(initial_levels=50, mid_price_ticks=30)
+
+
+def test_event_count_is_capped_at_one_a_millisecond_of_the_sessions():
+    # Beyond the cap the stamps would run past 15:00, and then into the next day.
+    assert GenConfig(n_events=AM_MS + PM_MS).n_events == 14_400_000
+    with pytest.raises(ConfigInvalid, match="14400000"):
+        GenConfig(n_events=AM_MS + PM_MS + 1)
+
+
+def _session_datetime(day: date, ms: int) -> datetime:
+    """The wall-clock time of session millisecond ms, by timedelta arithmetic."""
+    if ms < AM_MS:
+        return datetime(day.year, day.month, day.day, 9, 30) + timedelta(milliseconds=ms)
+    return datetime(day.year, day.month, day.day, 13, 0) + timedelta(milliseconds=ms - AM_MS)
+
+
+def _stamp_at(day: date, ms: int, text: bool):
+    """The stamp of session millisecond ms: the second of a walk in steps of ms."""
+    return list(islice(session_stamps(day, ms, text), 2))[-1]
+
+
+@pytest.mark.parametrize("ms", [0, 999, 1000, 59_999, 60_000, AM_MS - 1, AM_MS, AM_MS + PM_MS - 1])
+def test_session_stamp_is_the_datetime_and_its_isoformat_text(ms):
+    day = date(2003, 6, 2)
+    want = _session_datetime(day, ms)
+    assert _stamp_at(day, ms, False) == want
+    assert _stamp_at(day, ms, True) == want.isoformat("T", "milliseconds")
+
+
+def test_session_stamps_of_the_session_edges():
+    day = date(2003, 6, 2)
+    edges = [0, AM_MS - 1, AM_MS, AM_MS + PM_MS - 1]
+    assert [_stamp_at(day, ms, True) for ms in edges] == [
+        "2003-06-02T09:30:00.000", "2003-06-02T11:29:59.999",
+        "2003-06-02T13:00:00.000", "2003-06-02T14:59:59.999",
+    ]
+
+
+@pytest.mark.parametrize("dt_ms", [1, 7, 333, 700, 1000])
+def test_session_stamps_step_across_seconds_and_the_lunch_break(dt_ms):
+    day = date(999, 12, 31)  # isoformat pads the year to four digits
+    n = AM_MS // dt_ms + 5 if dt_ms > 100 else 3000  # past 13:00, or past a few seconds
+    want = [_session_datetime(day, i * dt_ms) for i in range(n)]
+    assert list(islice(session_stamps(day, dt_ms, False), n)) == want
+    assert list(islice(session_stamps(day, dt_ms, True), n)) == [
+        ts.isoformat("T", "milliseconds") for ts in want
+    ]
+
+
+@pytest.mark.parametrize("n_events", [20_000, 5_000], ids=["crosses_lunch", "dt_1000ms"])
+def test_gen_writes_the_serialized_generate_stream(tmp_path, capsys, n_events):
+    out = tmp_path / "flow.csv"
+    assert main(["gen", "--out", str(out), "--events", str(n_events), "--seed", "11",
+                 "--levels", "10", "--queue-depth", "2", "--mix", "0.5,0.2,0.3"]) == 0
+    events = generate_stream(GenConfig(seed=11, n_events=n_events, initial_levels=10,
+                                       initial_queue=2, limit_share=0.5,
+                                       marketable_share=0.2, cancel_share=0.3))
+    if n_events == 5_000:
+        assert events[1].timestamp - events[0].timestamp == timedelta(seconds=1)
+    else:
+        assert {phase_of(ev.timestamp) for ev in events} == {
+            SessionPhase.CONTINUOUS_AM, SessionPhase.CONTINUOUS_PM}
+    text = out.read_text(encoding="utf-8")
+    # Lines, not the whole text: a failing list compare is reported at its first
+    # differing item, where a long string gets a slow line-by-line diff.
+    assert text.split("\n") == serialize_events(events).split("\n")
+    assert parse_stream(text).events == events
 
 
 @pytest.mark.parametrize("law,params", [
