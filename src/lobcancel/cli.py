@@ -32,7 +32,6 @@ from .orderflow import (
     OrderEvent,
     ParseError,
     iter_parse,
-    split_lines,
 )
 from .profiles import (
     CANCELLABLE_CLASSES,
@@ -210,45 +209,34 @@ def _writing(path: str):
 # -- validate -------------------------------------------------------------------
 
 
-# Bytes per read of an input file.
+# Characters per list of lines (a hint to ``readlines``) read from an input file.
 READ_BLOCK = 1 << 14
 
 
 def _line_blocks(path: str, size: int) -> Iterator[list[str]]:
-    """The lines of a UTF-8 file, one list for each ``size`` bytes read.
+    """The lines of a UTF-8 file, whole lines of about ``size`` characters at a time.
 
-    Lines end at ``\n``, ``\r\n`` and ``\r`` only (``orderflow.split_lines``).
-    Each read is cut after its last ``\n``, or after a later ``\r`` that is
-    not its final byte (so a ``\r\n`` split across reads stays one break),
-    and the rest is carried into the next read. Neither byte is ever part of
-    a multi-byte character and each ends a line there, so the lines are
-    those of the whole text, the text held stays near ``size`` bytes for LF,
-    CR and CRLF files alike, and a decoding error names its byte offset
-    within the file. A list is empty while a line runs on past a read.
+    The file is read as Python's universal-newline text files read it: lines
+    end at ``\n``, ``\r\n`` and ``\r`` only, and each keeps its ``\n``. A
+    decoding error names its byte offset within the file.
     """
     try:
-        with open(path, "rb") as fh:
-            offset, tail = 0, b""
-            while True:
-                block = fh.read(size)
-                data = tail + block
-                cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, -1)) + 1 if block else len(data)
-                try:
-                    text = data[:cut].decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise InputDataError(
-                        f"{path}: not valid UTF-8 at byte {offset + exc.start}: {exc.reason}"
-                    ) from exc
-                yield split_lines(text)
-                if not block:
-                    return
-                offset, tail = offset + cut, data[cut:]
+        with open(path, encoding="utf-8") as fh:
+            try:
+                while lines := fh.readlines(size):
+                    yield lines
+            except UnicodeDecodeError as exc:
+                # The decoder was handed the bytes it held back from the last read
+                # plus the chunk just read, which ends at the buffer's tell; a pipe
+                # has no tell, and its offset reads "?".
+                at = fh.buffer.tell() - len(exc.object) + exc.start if fh.seekable() else "?"
+                raise InputDataError(f"{path}: not valid UTF-8 at byte {at}: {exc.reason}") from exc
     except OSError as exc:
         raise InputDataError(f"{path}: {exc}") from exc
 
 
 def _read_lines(path: str) -> Iterator[str]:
-    """Lines of a UTF-8 file, read READ_BLOCK bytes at a time (`_line_blocks`)."""
+    """Lines of a UTF-8 file, read READ_BLOCK characters at a time (`_line_blocks`)."""
     return chain.from_iterable(_line_blocks(path, READ_BLOCK))
 
 
@@ -486,7 +474,7 @@ def _pdf_from_payload(payload: dict | None, where: str) -> EmpiricalPdf | None:
     raise InputDataError(f"schema error at {where}: {problem}")
 
 
-# Bytes of cancels.csv that `fit` reads, checks and parses at a time.
+# Characters of cancels.csv (whole lines) that `fit` reads, checks and parses at a time.
 CANCELS_BLOCK = 1 << 18
 
 # The cancels.csv columns that `fit` reads: the two texts and the in_profile
@@ -510,7 +498,7 @@ def _norm_level_block(lines: list[str], width: int, columns: list[int]):
 
     bad = np.fromiter(map(str.count, lines, repeat(",")), np.intp, len(lines)) != width - 1
     if bad.any():
-        line = lines[bad.argmax()]
+        line = lines[bad.argmax()].rstrip("\n")
         raise ValueError(f"{line.count(',') + 1 if line else 0} columns, the header {width}")
     try:
         with warnings.catch_warnings():
@@ -542,16 +530,16 @@ def _load_norm_level_samples(path: str) -> dict:
     """``lob.norm_level`` of the in-profile rows of cancels.csv, per (instrument, side).
 
     Each value is a float64 array in file order, and the keys come in the
-    order of their first row. The file is read CANCELS_BLOCK bytes at a time,
-    and the lines of each read are checked and parsed together by
+    order of their first row. The file is read CANCELS_BLOCK characters at a
+    time, and the lines of each read are checked and parsed together by
     `_norm_level_block`. A bad block is checked again row by row, and the
     error names the first bad line.
     """
     import numpy as np
 
-    blocks = filter(None, _line_blocks(path, CANCELS_BLOCK))  # empty while a line runs on
+    blocks = _line_blocks(path, CANCELS_BLOCK)
     head = next(blocks, [""])
-    header = head[0].split(",")
+    header = head[0].rstrip("\n").split(",")
     try:
         columns = [header.index(name) for name in _CANCELS_COLUMNS]
     except ValueError as exc:
@@ -595,23 +583,23 @@ _BODY_MODELS = {
 }
 
 
-def _block_samples(norm_samples: dict, instrument: str, side: str):
-    """The norm_level samples of one block's side; the ensemble pools every instrument's."""
-    import numpy as np
-
+def _block_samples(norm_samples: dict, instrument: str, side: str) -> list:
+    """The norm_level sample arrays of one block's side; the ensemble's are every instrument's."""
     code = "B" if side == "buy" else "S"
     if instrument == "__ensemble__":
-        return np.concatenate([np.empty(0), *(v for (_, s), v in norm_samples.items() if s == code)])
-    return norm_samples.get((instrument, code), np.empty(0))
+        return [v for (_, s), v in norm_samples.items() if s == code]
+    return [norm_samples[instrument, code]] if (instrument, code) in norm_samples else []
 
 
 def _powerlaw_outcome(instrument: str, side: str, norm_samples: dict | None):
     """The power-law tail entry's params, or its error text."""
+    import numpy as np
+
     from . import distfit
 
     if norm_samples is None:
         return "cancels.csv with raw samples not available"
-    xs = _block_samples(norm_samples, instrument, side)
+    xs = np.concatenate([np.empty(0), *_block_samples(norm_samples, instrument, side)])
     try:
         return dataclasses.asdict(distfit.fit_powerlaw_tail(xs))
     except distfit.FitError as exc:
@@ -700,7 +688,7 @@ def cmd_fit(args) -> int:
             norm = side_data.get("pdf_norm_level")
             if norm_samples is not None and norm is not None:
                 # the tail fits pool cancels.csv's rows: they must be the ones profiles.json counts
-                rows = _block_samples(norm_samples, instrument, side).size
+                rows = sum(xs.size for xs in _block_samples(norm_samples, instrument, side))
                 count = norm.get("count") if isinstance(norm, dict) else None
                 if count != rows:
                     raise InputDataError(

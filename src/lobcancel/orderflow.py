@@ -11,6 +11,7 @@ ticks (one tick = 0.01 CNY for Shenzhen A shares). A cancel with size 0 means
 """
 from __future__ import annotations
 
+import io
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -103,22 +104,6 @@ MIXED_UTC_OFFSET = "mixed_utc_offset"
 DUPLICATE_ORDER_ID = "duplicate_order_id"
 
 
-def split_lines(text: str) -> list[str]:
-    """The lines of ``text``, broken only at ``\n``, ``\r\n`` and ``\r``.
-
-    These are a CSV file's line ends. Unlike ``str.splitlines``, a form feed,
-    a vertical tab, ``\x1c``-``\x1e``, ``\x85``, U+2028 or U+2029 stays
-    inside its line. A final line end ends the last line; it does not start
-    an empty one.
-    """
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()
-    return lines
-
-
 class DaysOutOfOrder(Exception):
     """An instrument's trading day went back to an earlier date in a stream
     read in date order (see ``iter_parse`` and ``profiles.replay_days``)."""
@@ -174,8 +159,9 @@ def iter_parse(
 ) -> Iterator[OrderEvent | ParseError]:
     """Parse an order-flow CSV lazily, yielding an OrderEvent or a ParseError per record.
 
-    ``source`` is the whole text, split into lines with ``split_lines``, or an
-    iterable of lines such as an open text file; every line is stripped.
+    ``source`` is the whole text, read as a universal-newline file reads it
+    (lines end at ``\n``, ``\r\n`` and ``\r`` only), or an iterable of lines
+    such as an open text file; every line is stripped.
 
     Every bad record yields a ParseError with its line number and is skipped;
     parsing continues. Validation covers the header, column count, field
@@ -192,7 +178,7 @@ def iter_parse(
     that takes its instrument back to an earlier date raises DaysOutOfOrder;
     the records yielded up to then are those of the default mode.
     """
-    lines = iter(split_lines(source) if isinstance(source, str) else source)
+    lines = iter(io.StringIO(source, newline=None) if isinstance(source, str) else source)
 
     header = next(lines, None)
     if header is None or header.strip() != HEADER:

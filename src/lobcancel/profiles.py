@@ -9,7 +9,7 @@ built from the accumulated counts.
 
 Only events stamped inside the continuous sessions feed the statistics.
 Opening-call and cool-period events are held and flushed into the book, in
-arrival order, when the first continuous-session event arrives; they are
+arrival order, when the first event of another phase arrives; they are
 tallied in diagnostics but excluded from profiles and ratios.
 """
 from __future__ import annotations
@@ -195,7 +195,7 @@ class DayReplay:
     the events are applied: a submission in a continuous session counts
     toward its class, a cancel toward the densities and ratios; an order's
     lifecycle is its resting order's ``tag``. Opening-call and cool-period
-    events are held until the first continuous-session event, or to
+    events are held until the first event of another phase, or to
     ``finish()`` if none arrives.
 
     With ``flush``, every ``chunk`` cancel observations are passed to

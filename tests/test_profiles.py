@@ -2,17 +2,29 @@ import gc
 import math
 import random
 from collections import Counter
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, datetime, time, timedelta, timezone
+from functools import partial
+from operator import itemgetter
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     FIXTURE_CANCEL_RECORDS,
     FIXTURE_CLASSES,
     FIXTURE_TRADES,
 )
-from lobcancel.lob import CrossedBookInvariantViolation, LimitOrderBook
+from lobcancel.lob import (
+    CancelExceedsRemaining,
+    CancelSideMismatch,
+    CrossedBookInvariantViolation,
+    DanglingCancel,
+    DuplicateOrderId,
+    LimitOrderBook,
+    norm_level,
+)
 from lobcancel.orderflow import (
     _PHASE_BOUNDS,
     CONTINUOUS_PHASES,
@@ -28,8 +40,10 @@ from lobcancel.profiles import (
     DayReplay,
     EmptySample,
     InstrumentProfile,
+    OrderLifecycle,
     PdfError,
     SampleOutsideDomain,
+    SideAccumulator,
     accumulate_pdf,
     classify_submission,
     profile_events,
@@ -37,6 +51,7 @@ from lobcancel.profiles import (
     replay_day,
 )
 from lobcancel.synth import GenConfig, generate_stream
+from test_lob import _cancel, _submission
 
 B, S = Side.BUY, Side.SELL
 AC = AggressivenessClass
@@ -410,6 +425,111 @@ def test_dangling_cancel_counted_not_raised():
     day = replay_day(events)
     assert day.diagnostics["dangling_cancels"] == 1
     assert not day.observations
+
+
+
+_REJECTED_CANCELS = {DanglingCancel: "dangling_cancels",
+                     CancelSideMismatch: "cancel_side_mismatch",
+                     CancelExceedsRemaining: "cancel_exceeds_remaining"}
+
+
+def _session_reference(events):
+    """A day's diagnostics and per-side counts, by the session rules, event by event.
+
+    Every event goes through ``LimitOrderBook.apply`` in stream order, in the
+    phase of its own stamp: holding opening-call and cool events only delays
+    them, it never reorders them. Held are the call and cool events before
+    the first event of any other phase.
+    """
+    book = LimitOrderBook()
+    diagnostics = Counter()
+    accs = {B: SideAccumulator(), S: SideAccumulator()}
+    lives = {}  # resting order id -> [class, submitted in a continuous session, cancelled in scope]
+    holding = True
+    for ev in events:
+        phase = phase_of(ev.timestamp)
+        continuous = phase in CONTINUOUS_PHASES
+        holding = holding and phase in (SessionPhase.OPENING_CALL, SessionPhase.COOL)
+        diagnostics["held_events"] += holding
+        if ev.kind is EventKind.CANCEL:
+            order = book.index.get(ev.order_id)
+            try:
+                rec = book.apply(ev).cancellation
+            except tuple(_REJECTED_CANCELS) as exc:
+                diagnostics[_REJECTED_CANCELS[type(exc)]] += 1
+                continue
+            diagnostics["cancel_price_mismatch"] += ev.price_ticks not in (0, order.price_ticks)
+            life, acc = lives[ev.order_id], accs[rec.side]
+            if not continuous:
+                diagnostics["cancels_outside_continuous"] += 1
+                continue
+            if not life[1]:
+                diagnostics["cancels_of_precontinuous_orders"] += 1
+            else:
+                acc.cancel_events += 1
+                if not life[2]:
+                    acc.cancelled_by_class[life[0]] += 1
+                    life[2] = True
+            acc.rel_level_counts[rec.level_rank, rec.side_levels] += 1
+            acc.queue_frac_counts[rec.queue_rank, rec.level_orders] += 1
+            acc.norm_levels.append(
+                norm_level(rec.level_rank, rec.side_levels, rec.level_orders, rec.side_orders))
+        else:
+            bid, ask = book.best_bid(), book.best_ask()
+            try:
+                outcome = book.apply(ev)
+            except DuplicateOrderId:
+                diagnostics["duplicate_order_ids"] += 1
+                continue
+            rested = outcome.rested is not None
+            klass = classify_submission(ev.side, ev.price_ticks, bid, ask, bool(outcome.trades),
+                                        rested)
+            if continuous:
+                accs[ev.side].orders_by_class[klass] += 1
+            if rested:
+                lives[ev.order_id] = [klass, continuous, False]
+    return book, +diagnostics, accs, lives
+
+
+def _stamps(lo: time, hi: time):
+    """Stamps in [lo, hi) of one day: a phase, then a time in it, often at one of its ends.
+
+    The continuous sessions are drawn three times as often as each other phase.
+    """
+    day = date(2003, 6, 2)
+    cuts = [datetime.combine(day, t) for t in (lo, *_PHASE_BOUNDS, hi) if lo <= t <= hi]
+    spans = list(zip(cuts, cuts[1:]))
+    spans += [span for span in spans if phase_of(span[0]) in CONTINUOUS_PHASES] * 2
+    return st.tuples(st.sampled_from(spans), st.floats(0, 1, exclude_max=True)).map(
+        lambda span_at: span_at[0][0] + (span_at[0][1] - span_at[0][0]) * span_at[1])
+
+
+# test_lob's cancels name no price; these name one, matching or not.
+_priced_cancel = st.tuples(_cancel, st.integers(995, 1005)).map(
+    lambda cancel_price: (*cancel_price[0][:2], cancel_price[1], *cancel_price[0][3:]))
+_row = st.one_of(_submission, _submission, _cancel, _priced_cancel)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None,
+          phases=[Phase.explicit, Phase.generate, Phase.shrink])
+@given(st.lists(st.tuples(_row, _stamps(time(9, 15), time(9, 30))), max_size=20),
+       st.lists(st.tuples(_row, _stamps(time(9, 0), time(15, 30))), min_size=20, max_size=60),
+       st.booleans())
+def test_day_replay_matches_the_session_rules_event_by_event(opening, rest, in_time_order):
+    # The day opens with up to 20 opening-call and cool events, in time
+    # order, and goes on with events stamped anywhere in 09:00-15:30, in time
+    # order or not.
+    by_time = partial(sorted, key=itemgetter(1))
+    pairs = [*by_time(opening), *(by_time(rest) if in_time_order else rest)]
+    events = [OrderEvent(seq, ts, "ORC", oid, EventKind(kind), Side(side), price, size)
+              for seq, ((kind, side, price, size, oid), ts) in enumerate(pairs, start=1)]
+    day = replay_day(events)
+    book, diagnostics, accs, lives = _session_reference(events)
+    assert day.diagnostics == diagnostics
+    for got, want in ((day.buy, accs[B]), (day.sell, accs[S])):
+        assert got == want
+    assert day.book.to_state_dict() == book.to_state_dict()
+    assert day.lifecycles == {oid: OrderLifecycle(*lives[oid]) for oid in book.index}
 
 
 # -- empirical densities --------------------------------------------------------------

@@ -15,7 +15,9 @@ import gc
 import hashlib
 import heapq
 import io
+import os
 import tempfile
+import threading
 import tracemalloc
 from datetime import date, timedelta
 
@@ -36,7 +38,6 @@ from lobcancel.orderflow import (
     iter_parse,
     parse_stream,
     split_days,
-    split_lines,
 )
 from lobcancel.profiles import (
     BinSpec,
@@ -155,23 +156,23 @@ def test_profile_accumulates_counts_not_samples(fixture_events):
 
 def test_lines_split_at_csv_line_ends_across_read_blocks(tmp_path, monkeypatch):
     # Lines end at LF, CRLF and CR, as a universal-newline text file reads
-    # them; the other `str.splitlines` breaks (VT, FF, FS, GS, RS, NEL,
-    # U+2028, U+2029) stay inside their line, as a CSV reader keeps them.
+    # them, and each line end reads as LF; the other `str.splitlines` breaks
+    # (VT, FF, FS, GS, RS, NEL, U+2028, U+2029) stay inside their line, as a
+    # CSV reader keeps them.
     mixed = "a,b\r\nc\rd\n\ne\x0bf\x0cg\x1ch\x1di\x1ej\x85k\u2028l\u2029m\r\n\r\nlém"
     cr_only, cr_crlf = "ab\rcd\r\ref\r\rlém\r", "ab\r\ncd\ref\r\n\r\rg\r\n"
     path = tmp_path / "lines.txt"
     for text in (mixed, cr_only, cr_crlf, "", "\n", "\x0c\n\u2028"):
-        expected = [line.rstrip("\r\n") for line in io.StringIO(text, newline="")]
-        assert split_lines(text) == expected
-        data = text.encode("utf-8")
-        path.write_bytes(data)
-        blocks = (1, 2, 3, 5, 64)
-        if "\r\n" in text:  # some block ends between the two bytes of a CRLF
-            assert any(data[k - 1:k + 1] == b"\r\n" for b in blocks for k in range(b, len(data), b))
-        for block in blocks:
+        expected = [line.rstrip("\r\n") + "\n" if line[-1] in "\r\n" else line
+                    for line in io.StringIO(text, newline="")]
+        # A str source splits as a file does: each row's error names its line.
+        assert list(iter_parse(f"{HEADER}\n{text}")) == list(iter_parse([HEADER, *expected]))
+        path.write_bytes(text.encode("utf-8"))
+        for block in (1, 2, 3, 5, 64):
             monkeypatch.setattr(cli, "READ_BLOCK", block)
             assert list(cli._read_lines(str(path))) == expected
-    assert split_lines(mixed)[4] == "e\x0bf\x0cg\x1ch\x1di\x1ej\x85k\u2028l\u2029m"
+        if text == mixed:
+            assert expected[4] == "e\x0bf\x0cg\x1ch\x1di\x1ej\x85k\u2028l\u2029m\n"
 
 
 def test_a_form_feed_inside_a_row_is_not_a_line_break():
@@ -209,6 +210,102 @@ def test_invalid_utf8_byte_names_its_offset_in_the_file(fixture_csv, tmp_path, m
         err = capsys.readouterr().err
         assert err == f"error: {path}: not valid UTF-8 at byte {bad}: invalid start byte\n"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.fixture(scope="module")
+def chunk_inputs(tmp_path_factory):
+    """An order-flow file and a cancels.csv (with its profiles.json) of about 24 KB each."""
+    root = tmp_path_factory.mktemp("chunks")
+    for name, events in (("flow.csv", 500), ("big.csv", 1100)):
+        assert main(["gen", "--out", str(root / name), "--events", str(events), "--seed", "3",
+                     "--instrument", "SYN", "--levels", "15", "--queue-depth", "4"]) == 0
+    assert main(["profile", str(root / "big.csv"), "--out", str(root / "big")]) == 0
+    return root
+
+
+def _at(data: bytes, at: int, part: bytes) -> bytes:
+    return data[:at] + part + data[at + len(part):]
+
+
+def _crlf_with_a_cr_at_8191(data: bytes, field: int) -> bytes:
+    """``data`` with CRLF rows, zeros put before the first row's ``field`` (a number
+    that nothing reads or that reads the same) so that a CR is byte 8191."""
+    crlf = data.replace(b"\n", b"\r\n")
+    at = crlf.index(b"\n") + 1
+    for _ in range(field):
+        at = crlf.index(b",", at) + 1
+    padded = crlf[:at] + b"0" * (8191 - crlf.rindex(b"\r", 0, 8192)) + crlf[at:]
+    assert padded[8191:8193] == b"\r\n"
+    return padded
+
+
+# Each input that Python's text reader decodes across its 8192-byte chunks,
+# made from an LF file of about 24 KB and the index of a number field of its
+# first row, with the decoding error it must report, or None where it must
+# read as the LF file does.
+CHUNK_CASES = {
+    "bad_byte_at_20000": (lambda data, _: _at(data, 20000, b"\xff"),
+                          "20000: invalid start byte"),
+    "two_byte_char_at_8191_then_bad_byte_at_9000": (
+        lambda data, _: _at(_at(data, 8191, "é".encode()), 9000, b"\xff"),
+        "9000: invalid start byte"),
+    "c3_at_8191_then_A": (lambda data, _: _at(data, 8191, b"\xc3A"),
+                          "8191: invalid continuation byte"),
+    "truncated_char_at_eof": (lambda data, _: data + b"\xe2\x82",
+                              "{size}: unexpected end of data"),
+    "crlf_with_its_cr_at_8191": (_crlf_with_a_cr_at_8191, None),
+    "cr_rows": (lambda data, _: data.replace(b"\n", b"\r"), None),
+}
+
+
+@pytest.mark.parametrize("case", CHUNK_CASES)
+def test_text_reader_chunks_keep_lines_and_error_offsets(chunk_inputs, tmp_path, capsys, case):
+    make, error = CHUNK_CASES[case]
+    big = chunk_inputs / "big"
+    commands = {  # each command's LF input, a number field of its first row, its outputs
+        "validate": (chunk_inputs / "flow.csv", 0, ["validate", "{path}"], []),
+        "profile": (chunk_inputs / "flow.csv", 0, ["profile", "{path}", "--out", "{out}"],
+                    ["profiles.json", "cancels.csv"]),
+        "fit": (big / "cancels.csv", 1,
+                ["fit", "--profiles", str(big / "profiles.json"), "--cancels", "{path}",
+                 "--out", "{out}", "--models", "powerlaw"], [""]),  # out is fits.json
+    }
+    for command, (lf, field, argv, outputs) in commands.items():
+        data = lf.read_bytes()
+        assert 20_000 < len(data) < 30_000
+        path = tmp_path / f"{command}.csv"
+        path.write_bytes(make(data, field))
+        runs = {}
+        for name in (lf, path):
+            out = tmp_path / f"{command}-{name.stem}.out"
+            code = main([arg.format(path=name, out=out) for arg in argv])
+            runs[name] = (code, *capsys.readouterr(), out)
+        code, stdout, stderr, out = runs[path]
+        if error:
+            at = error.format(size=len(data))
+            assert (code, stdout) == (1, "")
+            assert stderr == f"error: {path}: not valid UTF-8 at byte {at}\n"
+            assert not out.exists()
+        else:
+            lf_code, lf_stdout, _, lf_out = runs[lf]
+            assert (code, stderr) == (lf_code, "") == (0, "")
+            assert stdout == lf_stdout.replace(str(lf), str(path)).replace(str(lf_out), str(out))
+            for name in outputs:
+                assert (out / name).read_bytes() == (lf_out / name).read_bytes()
+
+
+def test_a_bad_byte_in_a_pipe_is_rejected_without_an_offset(tmp_path, capsys):
+    # A pipe has no position to take the byte offset from.
+    fifo = tmp_path / "flow.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(HEADER.encode() + b"\n1,\xff\n",),
+                              daemon=True)
+    writer.start()
+    assert main(["validate", str(fifo)]) == 1
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert capsys.readouterr().err == (
+        f"error: {fifo}: not valid UTF-8 at byte ?: invalid start byte\n")
 
 
 def test_failed_profile_leaves_no_part_files(fixture_csv, tmp_path, monkeypatch):
