@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import errno
+import io
 import json
 import os
 import shutil
@@ -213,23 +214,34 @@ def _writing(path: str):
 READ_BLOCK = 1 << 14
 
 
+class _CountingReader(io.BufferedReader):
+    """A buffered binary reader that counts the bytes its ``read1`` calls return:
+    those a text reader's line reads hand to its decoder, from a file or a pipe."""
+
+    consumed = 0
+
+    def read1(self, size: int = -1) -> bytes:
+        data = super().read1(size)
+        self.consumed += len(data)
+        return data
+
+
 def _line_blocks(path: str, size: int) -> Iterator[list[str]]:
     """The lines of a UTF-8 file, whole lines of about ``size`` characters at a time.
 
     The file is read as Python's universal-newline text files read it: lines
     end at ``\n``, ``\r\n`` and ``\r`` only, and each keeps its ``\n``. A
-    decoding error names its byte offset within the file.
+    decoding error names its byte offset within the file or pipe.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with io.TextIOWrapper(_CountingReader(io.FileIO(path)), encoding="utf-8") as fh:
             try:
                 while lines := fh.readlines(size):
                     yield lines
             except UnicodeDecodeError as exc:
                 # The decoder was handed the bytes it held back from the last read
-                # plus the chunk just read, which ends at the buffer's tell; a pipe
-                # has no tell, and its offset reads "?".
-                at = fh.buffer.tell() - len(exc.object) + exc.start if fh.seekable() else "?"
+                # plus the chunk just read, which ends the bytes read so far.
+                at = fh.buffer.consumed - len(exc.object) + exc.start
                 raise InputDataError(f"{path}: not valid UTF-8 at byte {at}: {exc.reason}") from exc
     except OSError as exc:
         raise InputDataError(f"{path}: {exc}") from exc
@@ -240,13 +252,25 @@ def _read_lines(path: str) -> Iterator[str]:
     return chain.from_iterable(_line_blocks(path, READ_BLOCK))
 
 
+def _reread_check(paths: list[str], opened: int, exc: DaysOutOfOrder) -> None:
+    """Fail (exit 1) unless the ``opened`` first paths can be read again from the start.
+
+    A pipe or FIFO cannot: what was read from it is gone.
+    """
+    for path in paths[:opened]:
+        if not os.path.isfile(path):
+            raise InputDataError(
+                f"{paths[opened - 1]}: {exc}: the inputs are then read again from the start, "
+                f"so {path} must be a regular file")
+
+
 def cmd_validate(args) -> int:
     """Report each file's parse errors, checking an instrument-day split across files as one.
 
     The checks keep one day per instrument, as `profile` does, until an
     input takes an instrument back to an earlier date; the files are then
     checked again from the start with every day kept, and the report goes on
-    from the file where that happened.
+    from the file where that happened. Only regular files can be read again.
     """
     total_errors = reported = 0
     for in_date_order in (True, False):
@@ -268,8 +292,8 @@ def cmd_validate(args) -> int:
                 total_errors += len(errors)
                 reported += 1
             break
-        except DaysOutOfOrder:
-            pass
+        except DaysOutOfOrder as exc:
+            _reread_check(args.inputs, i + 1, exc)
     return 0 if total_errors == 0 else 1
 
 
@@ -289,7 +313,8 @@ def _profile_job(
     replay (``profiles.replay_days``), which appends its cancels to the
     day's part file every ``reportio.CHUNK_LINES`` rows. An input that takes
     an instrument back to an earlier date is run again from the start, with
-    fresh checks and every day kept live to the end. A pool worker runs this
+    fresh checks and every day kept live to the end, if the inputs read so
+    far are regular files (`_reread_check`). A pool worker runs this
     on its own paths, so only file names, counts and part paths cross the
     process boundary.
     """
@@ -298,10 +323,13 @@ def _profile_job(
             os.mkdir(parts_dir)
             errors: list[list[str]] = [[] for _ in paths]
             days = DayChecks()  # an instrument-day split across files is checked as one
+            opened = 0  # paths whose reading has begun
 
             def runs(path: str, path_errors: list[str]) -> Iterator[Iterable[OrderEvent]]:
                 """``path``'s events as runs of consecutive rows; its parse errors go
                 to ``path_errors``, and once a row has failed no run is replayed."""
+                nonlocal opened
+                opened += 1
                 parsed = iter_parse(_read_lines(path), in_date_order=in_date_order, days=days)
                 for kind, items in groupby(parsed, type):
                     if kind is ParseError:
@@ -327,8 +355,9 @@ def _profile_job(
                         n_events += day.events
                     del day  # its book goes before the next day's fills
                 break
-            except DaysOutOfOrder:
+            except DaysOutOfOrder as exc:
                 shutil.rmtree(parts_dir)
+                _reread_check(paths, opened, exc)
     return run.per_instrument, day_parts, n_events, errors
 
 
@@ -358,7 +387,9 @@ def _run_profile_jobs(
     paths: list[str], instrument: str | None, workers: int, parts_dir: str
 ) -> tuple[ProfileRun, list[str], int]:
     """The run, its part files in (instrument, day) order, and the events replayed."""
-    groups = _disjoint_groups(paths) if workers > 1 and len(paths) > 1 else [[*range(len(paths))]]
+    # The grouping reads every input once before the jobs do, so pipes run as one job.
+    regroup = workers > 1 and len(paths) > 1 and all(map(os.path.isfile, paths))
+    groups = _disjoint_groups(paths) if regroup else [[*range(len(paths))]]
     dirs = [os.path.join(parts_dir, str(i)) for i in range(len(groups))]
     if len(groups) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a fan-out pays its import

@@ -8,9 +8,11 @@ position on (0, 1]. Binned densities and per-class cancellation ratios are
 built from the accumulated counts.
 
 Only events stamped inside the continuous sessions feed the statistics.
-Opening-call and cool-period events are held and flushed into the book, in
-arrival order, when the first event of another phase arrives; they are
-tallied in diagnostics but excluded from profiles and ratios.
+Every event is applied to the book as it arrives, in the phase of its own
+stamp, so opening-call and cool-period orders shape the book the continuous
+session opens on but never count in the profiles or the ratios. The call and
+cool events before a day's first event of another phase are tallied as
+``held_events`` in the diagnostics.
 """
 from __future__ import annotations
 
@@ -39,7 +41,6 @@ from .orderflow import (
     OrderEvent,
     SessionPhase,
     Side,
-    phase_of,
 )
 
 if TYPE_CHECKING:
@@ -194,15 +195,15 @@ class DayReplay:
     the day's DayResult. Counts go into the day's per-side accumulators as
     the events are applied: a submission in a continuous session counts
     toward its class, a cancel toward the densities and ratios; an order's
-    lifecycle is its resting order's ``tag``. Opening-call and cool-period
-    events are held until the first event of another phase, or to
-    ``finish()`` if none arrives.
+    lifecycle is its resting order's ``tag``. Each event is applied in the
+    phase of its own stamp; ``held_events`` counts the opening-call and
+    cool-period events before the day's first event of another phase.
 
     With ``flush``, every ``chunk`` cancel observations are passed to
     ``flush`` and dropped, and ``finish()`` passes the rest, so the result
-    holds none. The replay keeps the book, the held events and the counts,
-    not the day's events; a caller that wants the collector paused while it
-    feeds (see ``lob.gc_paused``) pauses it itself.
+    holds none. The replay keeps the book and the counts, not the day's
+    events; a caller that wants the collector paused while it feeds (see
+    ``lob.gc_paused``) pauses it itself.
     """
 
     __slots__ = ("feed", "finish")
@@ -216,14 +217,14 @@ class DayReplay:
         buy_acc, sell_acc = SideAccumulator(), SideAccumulator()
         instrument = ""
         events = 0
-        held: list[OrderEvent] | None = []  # None once the held events are released
+        holding = True  # until the first event that is neither opening call nor cool
         if flush is None:
             chunk = 0  # len(observations) is never 0 after an append
 
         # Members bound once, and identity tests against the members of
-        # orderflow.CONTINUOUS_PHASES and the held opening-call and cool
-        # phases: set membership would hash the phase through Enum.__hash__,
-        # which runs in Python.
+        # orderflow.CONTINUOUS_PHASES and the opening-call and cool phases:
+        # set membership would hash the phase through Enum.__hash__, which
+        # runs in Python.
         am, pm = SessionPhase.CONTINUOUS_AM, SessionPhase.CONTINUOUS_PM
         call, cool = SessionPhase.OPENING_CALL, SessionPhase.COOL
         cancel = EventKind.CANCEL
@@ -239,7 +240,20 @@ class DayReplay:
         # No closure here refers to itself or to one that refers back to it:
         # such a cycle would keep each finished day alive while the
         # collector is paused.
-        def apply_one(ev: OrderEvent, phase: SessionPhase) -> None:
+        def feed(ev: OrderEvent) -> None:
+            nonlocal instrument, events, phase, lo, hi, holding
+            events += 1
+            tod = ev.timestamp.time()
+            if not lo <= tod < hi:
+                i = bisect_right(_PHASE_BOUNDS, tod)
+                phase, lo, hi = _PHASES[i], edges[i], edges[i + 1]
+            if holding:
+                if not instrument:
+                    instrument = ev.instrument
+                if phase is call or phase is cool:
+                    diagnostics["held_events"] += 1
+                else:
+                    holding = False
             continuous = phase is am or phase is pm
             if ev.kind is cancel:
                 order = resting.get(ev.order_id)  # a full cancel takes it out of the index
@@ -303,33 +317,7 @@ class DayReplay:
                 if order is not None:
                     order.tag = [klass, continuous, False]
 
-        def release() -> None:
-            """Apply the held events, in arrival order, each in its own phase."""
-            nonlocal held
-            pending, held = held, None
-            for held_ev in pending:
-                apply_one(held_ev, phase_of(held_ev.timestamp))
-
-        def feed(ev: OrderEvent) -> None:
-            nonlocal instrument, events, phase, lo, hi
-            events += 1
-            tod = ev.timestamp.time()
-            if not lo <= tod < hi:
-                i = bisect_right(_PHASE_BOUNDS, tod)
-                phase, lo, hi = _PHASES[i], edges[i], edges[i + 1]
-            if held is not None:
-                if not instrument:
-                    instrument = ev.instrument
-                if phase is call or phase is cool:
-                    held.append(ev)
-                    diagnostics["held_events"] += 1
-                    return
-                release()
-            apply_one(ev, phase)
-
         def finish() -> DayResult:
-            if held is not None:  # no continuous event ever arrived
-                release()
             if flush is not None:
                 flush(observations)
                 observations.clear()

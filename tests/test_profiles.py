@@ -278,11 +278,11 @@ def test_replay_phases_match_phase_of_around_every_bound(tz):
                                                             SessionPhase.COOL)]
     assert stamps[0] < call_or_cool[0] and len(call_or_cool) == 6
     streams = {
-        # The first event is closed, so nothing is held.
+        # The first event is closed, so no event counts as held.
         "direct": (stamps, 0),
-        # Opening-call and cool events, held until 09:30 releases them.
+        # Opening-call and cool events before the day's first 09:30 event.
         "released": (stamps[1:], 12),
-        # Only held events, released when the day finishes.
+        # Only opening-call and cool events: every one counts as held.
         "finished": (call_or_cool, 12),
     }
     for name, (day_stamps, held) in streams.items():
@@ -298,7 +298,7 @@ def test_replay_phases_match_phase_of_around_every_bound(tz):
 def test_call_and_cool_events_held_then_flushed():
     day = replay_day(phased_events())
     assert day.diagnostics["held_events"] == 3
-    # the held submissions made it into the book before the 09:30 order;
+    # the call-phase submissions are in the book when the 09:30 order arrives;
     # orders 1 and 3 still rest before their cancels at seq 5 and 6
     day = replay_day(phased_events()[:4])
     assert day.lifecycles[3].klass is AC.INSIDE_SPREAD  # saw bid 1000 / ask 1010
@@ -437,9 +437,8 @@ def _session_reference(events):
     """A day's diagnostics and per-side counts, by the session rules, event by event.
 
     Every event goes through ``LimitOrderBook.apply`` in stream order, in the
-    phase of its own stamp: holding opening-call and cool events only delays
-    them, it never reorders them. Held are the call and cool events before
-    the first event of any other phase.
+    phase of its own stamp. ``held_events`` counts the opening-call and cool
+    events before the day's first event of any other phase.
     """
     book = LimitOrderBook()
     diagnostics = Counter()

@@ -11,7 +11,9 @@ bisection. profiles.json is numpy's binning, and the log-uniform bins'
 edges and densities differ in their last bits from one CPU to another
 (np.geomspace runs numpy's SIMD log10 and power: with and without AVX-512
 they differ), so its digest is taken with those floats cut to 10 significant
-digits (`_profiles_sha256`).
+digits (`_profiles_sha256`). The opening-call digests were taken while the
+replay still held a day's opening-call and cool events back and applied them
+at its first 09:30 event.
 """
 import hashlib
 import json
@@ -23,7 +25,7 @@ import pytest
 
 from lobcancel.cli import main
 from lobcancel.lob import CancellationRecord, Trade
-from lobcancel.orderflow import EventKind, OrderEvent, SessionPhase, Side
+from lobcancel.orderflow import HEADER, EventKind, OrderEvent, SessionPhase, Side
 from lobcancel.profiles import AggressivenessClass, CancelObservation
 from lobcancel.reportio import cancels_csv, render_json
 
@@ -46,6 +48,23 @@ DEEP_GEN = [
 DEEP_CSV_SHA256 = "bba4f39aa444a2d6ceccc9b0d219cd29ccc04771b95df2e91da622ea5422589b"
 DEEP_CANCELS_SHA256 = "7718ed62e82a2a501ae4e2a3f6bd9d6de3fc26dda92b584440f2676f874b46c6"
 DEEP_PROFILES_SHA256 = "59e51c6d5ba537fd08d0460854e6f88cf56459f18f59d7ce12e21cdd89acdbe8"
+
+
+# Two instruments whose first CALL_ROWS rows each are restamped across the
+# opening call and the cool period, 09:15:00.000 to 09:29:59.999, then merged
+# with the rest by timestamp: their books open before 09:30, as an exchange
+# day's do. `gen` itself stamps from 09:30.
+CALL_GENS = [
+    ["--events", "3000", "--seed", "11", "--instrument", "CALL01",
+     "--level-law", "lognormal:-2.14,1.11", "--queue-law", "exp:-25",
+     "--mix", "0.5,0.1,0.4", "--levels", "10", "--queue-depth", "4"],
+    ["--events", "3000", "--seed", "12", "--instrument", "CALL02",
+     "--mix", "0.6,0.1,0.3", "--levels", "8", "--queue-depth", "3"],
+]
+CALL_ROWS = 700
+CALL_CSV_SHA256 = "206c2425f39aba30459eb14d8ffef86652a04795e807cf479385640a81abfa17"
+CALL_CANCELS_SHA256 = "63c11306def3773b4cb3847377d6d69d607fe5089d7e2b9f1c903fab96ab688e"
+CALL_PROFILES_SHA256 = "72470e1e8313f5977eeffda5eda6058a37dec020fcf15a3f9bc8fd6db43ecbf5"
 
 
 def _sha256(path) -> str:
@@ -82,6 +101,36 @@ def test_golden_gen_csv_and_cancels_csv_bytes(tmp_path):
 def test_golden_deep_book_bytes(tmp_path):
     assert _pipeline_digests(tmp_path, DEEP_GEN) == (
         DEEP_CSV_SHA256, DEEP_CANCELS_SHA256, DEEP_PROFILES_SHA256)
+
+
+def test_golden_opening_call_and_cool_bytes(tmp_path):
+    # Every call/cool phase reaches the book before the day's first 09:30
+    # event, and none of it reaches the densities or the ratios.
+    opening = datetime(2003, 6, 2, 9, 15)
+    rows = []  # (timestamp, instrument's position, row without its seq)
+    for k, gen in enumerate(CALL_GENS):
+        stream = tmp_path / f"call{k}.csv"
+        assert main(["gen", "--out", str(stream), *gen]) == 0
+        for i, row in enumerate(stream.read_text(encoding="utf-8").splitlines()[1:]):
+            _, stamp, rest = row.split(",", 2)
+            if i < CALL_ROWS:
+                at = opening + timedelta(milliseconds=i * 899_999 // (CALL_ROWS - 1))
+                stamp = at.isoformat("T", "milliseconds")
+            rows.append((stamp, k, rest))
+    rows.sort(key=lambda row: row[:2])  # stable: each instrument keeps its row order
+    assert rows[0][0] == "2003-06-02T09:15:00.000"
+    assert rows[2 * CALL_ROWS - 1][0] == "2003-06-02T09:29:59.999"
+    merged = tmp_path / "merged.csv"
+    merged.write_text("\n".join([HEADER, *(f"{seq},{stamp},{rest}" for seq, (stamp, _, rest)
+                                           in enumerate(rows, start=1))]) + "\n",
+                      encoding="utf-8")
+    assert main(["profile", str(merged), "--out", str(tmp_path / "prof")]) == 0
+    profiles = json.loads((tmp_path / "prof" / "profiles.json").read_text(encoding="utf-8"))
+    assert [block["diagnostics"]["held_events"] for block in profiles["instruments"]] == [
+        CALL_ROWS, CALL_ROWS]
+    assert (_sha256(merged), _sha256(tmp_path / "prof" / "cancels.csv"),
+            _profiles_sha256(tmp_path / "prof" / "profiles.json")) == (
+        CALL_CSV_SHA256, CALL_CANCELS_SHA256, CALL_PROFILES_SHA256)
 
 
 def test_a_utc_offset_on_every_timestamp_leaves_profiles_json_unchanged(tmp_path):

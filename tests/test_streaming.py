@@ -16,6 +16,9 @@ import hashlib
 import heapq
 import io
 import os
+import signal
+import subprocess
+import sys
 import tempfile
 import threading
 import tracemalloc
@@ -294,18 +297,110 @@ def test_text_reader_chunks_keep_lines_and_error_offsets(chunk_inputs, tmp_path,
                 assert (out / name).read_bytes() == (lf_out / name).read_bytes()
 
 
-def test_a_bad_byte_in_a_pipe_is_rejected_without_an_offset(tmp_path, capsys):
-    # A pipe has no position to take the byte offset from.
-    fifo = tmp_path / "flow.fifo"
-    os.mkfifo(fifo)
-    writer = threading.Thread(target=fifo.write_bytes, args=(HEADER.encode() + b"\n1,\xff\n",),
-                              daemon=True)
+def _fed_fifo(path, data: bytes) -> threading.Thread:
+    """A FIFO made at ``path`` and a started thread that writes ``data`` into it once."""
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
     writer.start()
+    return writer
+
+
+def test_a_bad_byte_in_a_pipe_is_named_by_its_offset(tmp_path, capsys):
+    # The reader counts the bytes it hands the decoder, so a pipe, which has
+    # no position to ask for, names the byte as a file does.
+    fifo = tmp_path / "flow.fifo"
+    writer = _fed_fifo(fifo, HEADER.encode() + b"\n1,\xff\n")
     assert main(["validate", str(fifo)]) == 1
     writer.join(timeout=10)
     assert not writer.is_alive()
     assert capsys.readouterr().err == (
-        f"error: {fifo}: not valid UTF-8 at byte ?: invalid start byte\n")
+        f"error: {fifo}: not valid UTF-8 at byte 63: invalid start byte\n")
+
+
+@pytest.mark.parametrize("case", [case for case, (_, error) in CHUNK_CASES.items() if error])
+def test_a_pipe_names_the_byte_a_file_names(chunk_inputs, tmp_path, capsys, case):
+    make, error = CHUNK_CASES[case]
+    data = (chunk_inputs / "flow.csv").read_bytes()
+    fifo = tmp_path / "flow.fifo"
+    writer = _fed_fifo(fifo, make(data, 0))
+    assert main(["validate", str(fifo)]) == 1
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    at = error.format(size=len(data))
+    assert capsys.readouterr() == ("", f"error: {fifo}: not valid UTF-8 at byte {at}\n")
+
+
+def _cli(*argv: str) -> subprocess.CompletedProcess:
+    """Run the CLI in a new interpreter, killed with any pool workers after 60 s:
+    an open of a FIFO that no one will write again blocks for ever."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    with subprocess.Popen([sys.executable, "-m", "lobcancel.cli", *argv], text=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+                          env=dict(os.environ, PYTHONPATH=src)) as proc:
+        try:
+            stdout, stderr = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            raise
+    return subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)
+
+
+def test_profile_workers_over_fifos_writes_the_bytes_of_one_worker(tmp_path):
+    # The grouping pre-scan would read each pipe before its job does, so
+    # pipes run as one job.
+    rows = {code: _day_rows(code, date(2003, 6, 2), seed) for code, seed in (("FFA", 51),
+                                                                             ("FFB", 52))}
+    files = [_write(tmp_path / f"{code}.csv", code_rows) for code, code_rows in rows.items()]
+    assert main(["profile", *files, "--out", str(tmp_path / "files"), "--workers", "1"]) == 0
+    fifos = [tmp_path / f"{code}.fifo" for code in rows]
+    writers = [_fed_fifo(fifo, (tmp_path / f"{code}.csv").read_bytes())
+               for fifo, code in zip(fifos, rows)]
+    proc = _cli("profile", *map(str, fifos), "--out", str(tmp_path / "fifos"), "--workers", "2")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    for writer in writers:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+    assert _digests(tmp_path / "fifos") == _digests(tmp_path / "files")
+
+
+def test_a_fifo_that_goes_back_in_date_is_rejected_not_read_twice(tmp_path, capsys):
+    # As a file the input validates clean: it is read again with every day kept.
+    later = _day_rows("BACK", date(2003, 6, 3), seed=53, n_events=200)
+    back = _write(tmp_path / "back.csv", later + _day_rows("BACK", date(2003, 6, 2), seed=54,
+                                                           n_events=200))
+    data = (tmp_path / "back.csv").read_bytes()
+    assert len(data) < 60_000  # a pipe's buffer takes it whole, so no writer waits on a reader
+    assert main(["validate", back]) == 0
+    capsys.readouterr()
+    step = "line 202: BACK goes back from 2003-06-03 to 2003-06-02"
+    fifo = tmp_path / "back.fifo"
+    for argv in (["validate", str(fifo)], ["profile", str(fifo), "--out", str(tmp_path / "o")]):
+        writer = _fed_fifo(fifo, data)
+        proc = _cli(*argv)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", (
+            f"error: {fifo}: {step}: the inputs are then read again from the start, "
+            f"so {fifo} must be a regular file\n"))
+        fifo.unlink()
+    assert not (tmp_path / "o").exists()
+    # A pipe read before the step would be read again; one not yet opened is read once.
+    other = _write(tmp_path / "other.csv", _day_rows("OTHR", date(2003, 6, 3), seed=55,
+                                                     n_events=200))
+    for argv, code, stdout, stderr in (
+        ([str(fifo), back], 1, f"{fifo}: 200 events, 0 errors\n",
+         f"error: {back}: {step}: the inputs are then read again from the start, so {fifo} "
+         "must be a regular file\n"),
+        ([back, str(fifo)], 0, f"{back}: 400 events, 0 errors\n{fifo}: 200 events, 0 errors\n",
+         ""),
+    ):
+        writer = _fed_fifo(fifo, (tmp_path / "other.csv").read_bytes())
+        proc = _cli("validate", *argv)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, stderr)
+        fifo.unlink()
+    assert main(["validate", other, back]) == 0  # as files, both orders validate clean
 
 
 def test_failed_profile_leaves_no_part_files(fixture_csv, tmp_path, monkeypatch):
