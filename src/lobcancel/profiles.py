@@ -143,13 +143,14 @@ class SideAccumulator:
     """Per-side counts; merge is associative.
 
     The relative level and queue position of a cancel are ratios k/n of
-    book counts, so they are kept exactly, as counts per (k, n) pair, and
-    binned only when a density is built. The normalized level has no such
-    small lattice and is kept as one float per cancel.
+    book counts, so they are kept exactly, as one row of counts per
+    denominator, ``{n: {k: count}}``, and binned only when a density is
+    built. The normalized level has no such small lattice and is kept as
+    one float per cancel.
     """
 
-    rel_level_counts: Counter = field(default_factory=Counter)   # (level_rank, side_levels)
-    queue_frac_counts: Counter = field(default_factory=Counter)  # (queue_rank, level_orders)
+    rel_level_counts: dict = field(default_factory=dict)   # side_levels -> {level_rank: count}
+    queue_frac_counts: dict = field(default_factory=dict)  # level_orders -> {queue_rank: count}
     norm_levels: array = field(default_factory=lambda: array("d"))
     orders_by_class: Counter = field(default_factory=Counter)
     cancelled_by_class: Counter = field(default_factory=Counter)
@@ -164,8 +165,15 @@ class SideAccumulator:
         return self.cancelled_by_class.total()
 
     def merge(self, other: "SideAccumulator") -> None:
-        self.rel_level_counts.update(other.rel_level_counts)
-        self.queue_frac_counts.update(other.queue_frac_counts)
+        for table, rows in ((self.rel_level_counts, other.rel_level_counts),
+                            (self.queue_frac_counts, other.queue_frac_counts)):
+            for n, row in rows.items():
+                into = table.get(n)
+                if into is None:
+                    table[n] = row.copy()
+                else:
+                    for k, count in row.items():
+                        into[k] = into.get(k, 0) + count
         self.norm_levels.extend(other.norm_levels)
         self.orders_by_class.update(other.orders_by_class)
         self.cancelled_by_class.update(other.cancelled_by_class)
@@ -286,11 +294,14 @@ class DayReplay:
                 else:
                     diagnostics["cancels_of_precontinuous_orders"] += 1
                 if continuous:
-                    # get, not `+= 1`: a Counter runs its Python __missing__ on a new key
-                    counts, key = acc.rel_level_counts, (level_rank, side_levels)
-                    counts[key] = counts.get(key, 0) + 1
-                    counts, key = acc.queue_frac_counts, (queue_rank, level_orders)
-                    counts[key] = counts.get(key, 0) + 1
+                    row = acc.rel_level_counts.get(side_levels)
+                    if row is None:
+                        row = acc.rel_level_counts[side_levels] = {}
+                    row[level_rank] = row.get(level_rank, 0) + 1
+                    row = acc.queue_frac_counts.get(level_orders)
+                    if row is None:
+                        row = acc.queue_frac_counts[level_orders] = {}
+                    row[queue_rank] = row.get(queue_rank, 0) + 1
                     # lob.norm_level, inline: the same expression, so the same bits
                     acc.norm_levels.append((level_rank * side_orders) / (side_levels * level_orders))
                 observations.append(new(CancelObservation, (
@@ -586,11 +597,17 @@ def accumulate_pdf(samples, spec: BinSpec, weights=None) -> EmpiricalPdf:
     return pdf_from_counts(counts, edges, domain)
 
 
-def count_pdf(counts: dict[tuple[int, int], int], spec: BinSpec) -> EmpiricalPdf:
-    """Density of the ratios k/n of a (k, n) count table, each weighted by its count.
+def count_pdf(counts: dict[int, dict[int, int]], spec: BinSpec) -> EmpiricalPdf:
+    """Density of the ratios k/n of a count table ``{n: {k: count}}``, each
+    weighted by its count.
 
     Equal to ``accumulate_pdf`` of every ratio repeated by its count: the
     ratios are the same floats, and a weighted histogram bins each one by
     the same comparisons with the edges.
     """
-    return accumulate_pdf([k / n for k, n in counts], spec, list(counts.values()))
+    ratios: list[float] = []
+    weights: list[int] = []
+    for n, row in counts.items():
+        ratios += [k / n for k in row]
+        weights += row.values()
+    return accumulate_pdf(ratios, spec, weights)

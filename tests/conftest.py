@@ -1,10 +1,13 @@
 """Shared fixtures: the hand-enumerated 20-order stream and small helpers."""
 import gc
+import hashlib
+import json
 from datetime import datetime, timedelta
 
 import pytest
 
 from lobcancel.orderflow import EventKind, OrderEvent, Side, serialize_events
+from lobcancel.reportio import render_json
 
 # 20 submissions (ids 101-120) plus 8 full cancels, one instrument-day, all in
 # the morning continuous session. Classes were enumerated by hand while
@@ -120,3 +123,27 @@ def collector_state():
 
     yield set_state
     set_state(was_enabled)
+
+
+def table_total(table: dict[int, dict[int, int]]) -> int:
+    """The number of cancels a ``{n: {k: count}}`` count table holds."""
+    return sum(sum(row.values()) for row in table.values())
+
+
+def profiles_sha256(path) -> str:
+    """sha256 of profiles.json rendered again with each log-uniform density's
+    edges and values cut to 10 significant digits.
+
+    Those floats come from np.geomspace, which runs numpy's SIMD log10 and
+    power, and their last bits differ from one CPU to another (with and
+    without AVX-512 they differ). No other number of the file comes from
+    those kernels.
+    """
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    for block in (*payload["instruments"], payload["ensemble"]):
+        for side in block["sides"].values():
+            pdf = side["pdf_norm_level"]
+            if pdf is not None:
+                for key in ("edges", "density"):
+                    pdf[key] = [float(f"{x:.10g}") for x in pdf[key]]
+    return hashlib.sha256(render_json(payload).encode("utf-8")).hexdigest()

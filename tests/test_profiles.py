@@ -1,9 +1,11 @@
 import gc
 import math
+import pickle
 import random
 from collections import Counter
 from datetime import date, datetime, time, timedelta, timezone
 from functools import partial
+from itertools import product
 from operator import itemgetter
 
 import numpy as np
@@ -15,6 +17,7 @@ from conftest import (
     FIXTURE_CANCEL_RECORDS,
     FIXTURE_CLASSES,
     FIXTURE_TRADES,
+    table_total,
 )
 from lobcancel.lob import (
     CancelExceedsRemaining,
@@ -42,6 +45,7 @@ from lobcancel.profiles import (
     InstrumentProfile,
     OrderLifecycle,
     PdfError,
+    ProfileRun,
     SampleOutsideDomain,
     SideAccumulator,
     accumulate_pdf,
@@ -352,7 +356,10 @@ def test_order_cancelled_in_parts_counts_once():
     rr = ratio_report(day.buy)
     assert (rr["orders"], rr["cancelled_orders"], rr["cancel_events"]) == (2, 1, 3)
     assert rr["class_ratios"][AC.INSIDE_BOOK.value]["cancelled"] == 1  # both books were empty
-    assert sum(day.buy.rel_level_counts.values()) == len(day.buy.norm_levels) == 3
+    assert table_total(day.buy.rel_level_counts) == len(day.buy.norm_levels) == 3
+    # each part met order 1 first in its queue, on the better of two levels
+    assert day.buy.rel_level_counts == {2: {1: 3}}
+    assert day.buy.queue_frac_counts == {1: {1: 3}}
     assert set(day.lifecycles) == {2}
 
 
@@ -469,8 +476,10 @@ def _session_reference(events):
                 if not life[2]:
                     acc.cancelled_by_class[life[0]] += 1
                     life[2] = True
-            acc.rel_level_counts[rec.level_rank, rec.side_levels] += 1
-            acc.queue_frac_counts[rec.queue_rank, rec.level_orders] += 1
+            row = acc.rel_level_counts.setdefault(rec.side_levels, {})
+            row[rec.level_rank] = row.get(rec.level_rank, 0) + 1
+            row = acc.queue_frac_counts.setdefault(rec.level_orders, {})
+            row[rec.queue_rank] = row.get(rec.queue_rank, 0) + 1
             acc.norm_levels.append(
                 norm_level(rec.level_rank, rec.side_levels, rec.level_orders, rec.side_orders))
         else:
@@ -614,9 +623,63 @@ def test_ensemble_pools_by_raw_sample_count():
     assert pooled.buy.orders_total == 12
     assert pooled.buy.cancelled_orders == 5
     # raw samples concatenated, not reweighted
-    assert sum(pooled.buy.rel_level_counts.values()) == len(pooled.buy.norm_levels) == 5
+    assert table_total(pooled.buy.rel_level_counts) == len(pooled.buy.norm_levels) == 5
     assert run.per_instrument["AAA"].buy.cancelled_orders == 2
     assert run.per_instrument["BBB"].buy.cancelled_orders == 3
+
+
+def _tables(observations) -> dict[Side, tuple[dict, dict]]:
+    """Each side's relative-level and queue tables, counted from the in-profile cancels."""
+    tables = {B: ({}, {}), S: ({}, {})}
+    for obs in observations:
+        if obs.in_profile:
+            rec = obs.record
+            rel_level, queue_frac = tables[rec.side]
+            for table, n, k in ((rel_level, rec.side_levels, rec.level_rank),
+                                (queue_frac, rec.level_orders, rec.queue_rank)):
+                row = table.setdefault(n, {})
+                row[k] = row.get(k, 0) + 1
+    return tables
+
+
+def _side_tables(profile) -> dict[Side, tuple[dict, dict]]:
+    return {side: (acc.rel_level_counts, acc.queue_frac_counts)
+            for side, acc in ((B, profile.buy), (S, profile.sell))}
+
+
+def test_day_tables_merge_to_the_table_of_the_whole_stream():
+    # Two instruments over three days. However the day tables are pooled
+    # (by instrument, into the ensemble, or shipped back from a pool
+    # worker), they add up to the tables counted over all the cancels.
+    codes = ("MGA", "MGB")
+    days = [replay_day(generate_stream(GenConfig(
+        seed=70 + i, n_events=1500, instrument=code, trading_day=date(2003, 3, 3 + offset),
+        initial_levels=8, initial_queue=3)))
+        for i, (code, offset) in enumerate(product(codes, range(3)))]
+    each_day = [_tables(day.observations) for day in days]
+    by_code = {code: _tables(obs for day in days if day.instrument == code
+                             for obs in day.observations) for code in codes}
+    whole = _tables(obs for day in days for obs in day.observations)
+
+    run = ProfileRun()
+    for day in days:
+        run.add_day(day)
+    jobs = []  # one pool job per instrument, its profiles pickled back
+    for code in codes:
+        job = ProfileRun()
+        for day in days:
+            if day.instrument == code:
+                job.add_day(day)
+        jobs.append(pickle.loads(pickle.dumps(job.per_instrument)))
+    shipped = ProfileRun({code: profile for job in jobs for code, profile in job.items()})
+
+    assert _side_tables(run.ensemble()) == _side_tables(shipped.ensemble()) == whole
+    for code in codes:  # pooling copied the rows it took: nothing it read has changed
+        assert _side_tables(run.per_instrument[code]) == by_code[code]
+        assert _side_tables(shipped.per_instrument[code]) == by_code[code]
+    assert [_side_tables(day) for day in days] == each_day
+    assert sum(table_total(rel_level) for rel_level, _ in whole.values()) == sum(
+        len(day.buy.norm_levels) + len(day.sell.norm_levels) for day in days)
 
 
 def test_merge_is_order_independent():

@@ -11,7 +11,7 @@ bisection. profiles.json is numpy's binning, and the log-uniform bins'
 edges and densities differ in their last bits from one CPU to another
 (np.geomspace runs numpy's SIMD log10 and power: with and without AVX-512
 they differ), so its digest is taken with those floats cut to 10 significant
-digits (`_profiles_sha256`). The opening-call digests were taken while the
+digits (`conftest.profiles_sha256`). The opening-call digests were taken while the
 replay still held a day's opening-call and cool events back and applied them
 at its first 09:30 event.
 """
@@ -23,11 +23,12 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
+from conftest import profiles_sha256
 from lobcancel.cli import main
 from lobcancel.lob import CancellationRecord, Trade
 from lobcancel.orderflow import HEADER, EventKind, OrderEvent, SessionPhase, Side
 from lobcancel.profiles import AggressivenessClass, CancelObservation
-from lobcancel.reportio import cancels_csv, render_json
+from lobcancel.reportio import cancels_csv
 
 GOLDEN_GEN = [
     "--events", "5000", "--seed", "7", "--instrument", "GOLD01",
@@ -71,26 +72,13 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _profiles_sha256(path) -> str:
-    """sha256 of profiles.json rendered again with each log-uniform density's
-    edges and values cut to 10 significant digits (see the module docstring)."""
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    for block in (*payload["instruments"], payload["ensemble"]):
-        for side in block["sides"].values():
-            pdf = side["pdf_norm_level"]
-            if pdf is not None:
-                for key in ("edges", "density"):
-                    pdf[key] = [float(f"{x:.10g}") for x in pdf[key]]
-    return hashlib.sha256(render_json(payload).encode("utf-8")).hexdigest()
-
-
 def _pipeline_digests(tmp_path, gen: list[str]) -> tuple[str, str, str]:
     """sha256 of the `gen` stream, then of the cancels.csv and profiles.json of its profile."""
     stream = tmp_path / "gold.csv"
     assert main(["gen", "--out", str(stream), *gen]) == 0
     assert main(["profile", str(stream), "--out", str(tmp_path / "prof")]) == 0
     return (_sha256(stream), _sha256(tmp_path / "prof" / "cancels.csv"),
-            _profiles_sha256(tmp_path / "prof" / "profiles.json"))
+            profiles_sha256(tmp_path / "prof" / "profiles.json"))
 
 
 def test_golden_gen_csv_and_cancels_csv_bytes(tmp_path):
@@ -129,7 +117,7 @@ def test_golden_opening_call_and_cool_bytes(tmp_path):
     assert [block["diagnostics"]["held_events"] for block in profiles["instruments"]] == [
         CALL_ROWS, CALL_ROWS]
     assert (_sha256(merged), _sha256(tmp_path / "prof" / "cancels.csv"),
-            _profiles_sha256(tmp_path / "prof" / "profiles.json")) == (
+            profiles_sha256(tmp_path / "prof" / "profiles.json")) == (
         CALL_CSV_SHA256, CALL_CANCELS_SHA256, CALL_PROFILES_SHA256)
 
 
@@ -147,7 +135,7 @@ def test_a_utc_offset_on_every_timestamp_leaves_profiles_json_unchanged(tmp_path
         assert main(["profile", str(path), "--out", str(tmp_path / path.stem)]) == 0
     assert _sha256(tmp_path / "offset" / "profiles.json") == _sha256(
         tmp_path / "gold" / "profiles.json")
-    assert _profiles_sha256(tmp_path / "offset" / "profiles.json") == GOLDEN_PROFILES_SHA256
+    assert profiles_sha256(tmp_path / "offset" / "profiles.json") == GOLDEN_PROFILES_SHA256
     naive, aware = ((tmp_path / name / "cancels.csv").read_text(encoding="utf-8").splitlines()
                     for name in ("gold", "offset"))
     assert [re.sub(r"\+08:00,", ",", row) for row in aware] == naive

@@ -5,10 +5,11 @@ streaming path replaced, on inputs that stream out of date order: an
 instrument-day that comes back after a later date, and an instrument-day
 split across two files. The cancels.csv digests are those of the same files
 with their three ratio columns cut (`cut -d, -f1-11,15-`), which the
-integer-only layout writes. The profiles.json digests are those of the same
-files with each float printed as its shortest round-trip repr instead of 17
-significant digits: they load to equal values, and their text is equal once
-the numbers are masked.
+integer-only layout writes. The profiles.json digests are taken through
+`conftest.profiles_sha256`, which cuts the log-uniform bins' floats to 10
+significant digits: their last bits depend on the CPU's numpy kernels. They
+were taken from the `(k, n)`-tuple count tables that the by-n rows replaced,
+and read the same with numpy's AVX-512 kernels on and off.
 """
 import errno
 import gc
@@ -16,6 +17,7 @@ import hashlib
 import heapq
 import io
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -26,7 +28,10 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import profiles_sha256, table_total
 from lobcancel import cli, reportio
 from lobcancel.cli import main
 from lobcancel.orderflow import (
@@ -44,6 +49,7 @@ from lobcancel.orderflow import (
 )
 from lobcancel.profiles import (
     BinSpec,
+    PdfError,
     ProfileRun,
     accumulate_pdf,
     count_pdf,
@@ -51,7 +57,7 @@ from lobcancel.profiles import (
     replay_day,
     replay_days,
 )
-from lobcancel.synth import GenConfig, generate_stream
+from lobcancel.synth import ExpProfileLaw, GenConfig, TruncLogNormalLaw, generate_stream
 
 
 def _day_rows(code: str, day: date, seed: int, n_events: int = 1500) -> list[str]:
@@ -68,8 +74,8 @@ def _write(path, rows) -> str:
 
 
 def _digests(out) -> dict[str, str]:
-    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-            for name in ("profiles.json", "cancels.csv")}
+    return {"profiles.json": profiles_sha256(out / "profiles.json"),
+            "cancels.csv": hashlib.sha256((out / "cancels.csv").read_bytes()).hexdigest()}
 
 
 def reappearing_day_input(tmp_path) -> list[str]:
@@ -99,16 +105,16 @@ def reappearing_day_and_other_input(tmp_path) -> list[str]:
 # name: (input builder, the argument indices of each `--workers 2` job, digests)
 GOLDEN = {
     "reappearing": (reappearing_day_input, [[0]], {
-        "profiles.json": "f2e7fcd9595b0435cf2bd7e82c1abb804881a141034aab71f919b91f0eefd134",
+        "profiles.json": "61b8a8b61a0f2a7f638784f9f83fce8f3b8537ba17f7b887469e866c05fddcb8",
         "cancels.csv": "874872465b6e64b233fafaf6d7c0302786ad21ab6b4e770f8cc8c3a87490eb25",
     }),
     "split": (split_day_input, [[0, 1]], {
-        "profiles.json": "be79f1f9e341d6c4fe88dcd82bc914c600ee0069036b964aab982a192905840a",
+        "profiles.json": "382c6ecc8477a0f0acf4be63a99f0737712bad14576292f5b86a766d691ece70",
         "cancels.csv": "4825a56f510ea3fcbc9ab0d831f84b0f19e875ab78c5fb76dd0a6fc0ca6d7c9e",
     }),
     # taken from the profile path that grouped part files by instrument code
     "reappearing_and_other": (reappearing_day_and_other_input, [[0], [1]], {
-        "profiles.json": "488fec381b0cba7fc814f091dbb959eb8a6d5d86812c83697a683d0f678c3100",
+        "profiles.json": "75f8902cf38cbd77e78a13bce05cf0e83ea6aff6dcb82bc50087250a834b8b59",
         "cancels.csv": "0da9504e71533d64474407e450acf94f76edba4b70d3e98b287d2dd303630fc2",
     }),
 }
@@ -132,10 +138,16 @@ def test_out_of_order_inputs_keep_their_bytes(tmp_path, monkeypatch, name):
 # -- counts binned at payload time ------------------------------------------------
 
 
+def _repeated_ratios(counts: dict[int, dict[int, int]]) -> np.ndarray:
+    """Each ratio k/n of a count table, repeated by its count."""
+    return np.repeat([k / n for n, row in counts.items() for k in row],
+                     [count for row in counts.values() for count in row.values()])
+
+
 @pytest.mark.parametrize("bins", [50, 25])
 def test_count_binning_equals_histogram_of_the_ratios(bins):
-    counts = {(k, n): 1 + (k * n) % 3 for n in range(1, 401) for k in range(1, n + 1)}
-    ratios = np.repeat([k / n for k, n in counts], list(counts.values()))
+    counts = {n: {k: 1 + (k * n) % 3 for k in range(1, n + 1)} for n in range(1, 401)}
+    ratios = _repeated_ratios(counts)
     spec = BinSpec("uniform", bins)
     got = count_pdf(counts, spec)
     want = accumulate_pdf(ratios, spec)
@@ -146,10 +158,60 @@ def test_count_binning_equals_histogram_of_the_ratios(bins):
     assert got.count == want.count == ratios.size
 
 
+@st.composite
+def _by_n_tables(draw) -> dict[int, dict[int, int]]:
+    """A count table {n: {k: count}} with 1 <= k <= n <= 400."""
+    return {n: draw(st.dictionaries(st.integers(1, n), st.integers(1, 50),
+                                    min_size=1, max_size=20))
+            for n in draw(st.lists(st.integers(1, 400), max_size=12, unique=True))}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_by_n_tables(), st.sampled_from(["uniform", "log_uniform"]), st.integers(1, 60))
+def test_count_pdf_is_the_histogram_of_the_repeated_ratios(counts, kind, bins):
+    spec = BinSpec(kind, bins)
+    ratios = _repeated_ratios(counts)
+    try:
+        want = accumulate_pdf(ratios, spec)
+    except PdfError as exc:  # no ratio, or one log-uniform ratio repeated
+        with pytest.raises(type(exc)):
+            count_pdf(counts, spec)
+        return
+    got = count_pdf(counts, spec)
+    assert np.array_equal(got.bin_edges, want.bin_edges)
+    assert np.array_equal(got.density, want.density)
+    assert got.count == want.count == ratios.size
+
+
+def test_queue_table_costs_under_60_bytes_a_pair():
+    # test_records' deep golden config: 60 levels of about 40 orders, whose
+    # queue tables hold 2,454 (buy) and 2,562 (sell) distinct (k, n) pairs.
+    # A table keyed by (k, n) tuples read about 86 B a pair here, rows keyed
+    # by n about 44 B. The copy is the one a pool worker's profile arrives as.
+    config = GenConfig(seed=7, n_events=20_000, instrument="DEEP02", initial_levels=60,
+                       initial_queue=40, level_law=TruncLogNormalLaw(-2.14, 1.11),
+                       queue_law=ExpProfileLaw(-25.0), limit_share=0.6,
+                       marketable_share=0.0, cancel_share=0.4)
+    day = replay_day(generate_stream(config))
+    for acc in (day.buy, day.sell):
+        pairs = sum(map(len, acc.queue_frac_counts.values()))
+        assert pairs > 2000
+        shipped = pickle.dumps(acc.queue_frac_counts)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            table = pickle.loads(shipped)
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert table == acc.queue_frac_counts
+        assert size < 60 * pairs, size / pairs
+
+
 def test_profile_accumulates_counts_not_samples(fixture_events):
     profile = profile_events(fixture_events).per_instrument["000777"]
     for acc in (profile.buy, profile.sell):
-        assert sum(acc.rel_level_counts.values()) == sum(acc.queue_frac_counts.values()) == 4
+        assert table_total(acc.rel_level_counts) == table_total(acc.queue_frac_counts) == 4
         assert len(acc.norm_levels) == 4
     assert not hasattr(ProfileRun([]), "observations")
 
