@@ -622,39 +622,49 @@ def _block_samples(norm_samples: dict, instrument: str, side: str) -> list:
     return [norm_samples[instrument, code]] if (instrument, code) in norm_samples else []
 
 
-def _powerlaw_outcome(instrument: str, side: str, norm_samples: dict | None):
-    """The power-law tail entry's params, or its error text."""
+def _powerlaw_outcomes(jobs: list, norm_samples: dict | None) -> list:
+    """Each job's power-law tail entry: its params, or its error text.
+
+    A block's samples are fitted as loaded; only the ensemble of several
+    instruments concatenates its arrays, one side at a time.
+    """
     import numpy as np
 
     from . import distfit
 
     if norm_samples is None:
-        return "cancels.csv with raw samples not available"
-    xs = np.concatenate([np.empty(0), *_block_samples(norm_samples, instrument, side)])
-    try:
-        return dataclasses.asdict(distfit.fit_powerlaw_tail(xs))
-    except distfit.FitError as exc:
-        return f"{type(exc).__name__}: {exc}"
+        return ["cancels.csv with raw samples not available"] * len(jobs)
+    outcomes = []
+    for instrument, side, _ in jobs:
+        parts = _block_samples(norm_samples, instrument, side)
+        xs = parts[0] if len(parts) == 1 else np.concatenate([np.empty(0), *parts])
+        try:
+            outcomes.append(dataclasses.asdict(distfit.fit_powerlaw_tail(xs)))
+        except distfit.FitError as exc:
+            outcomes.append(f"{type(exc).__name__}: {exc}")
+    return outcomes
 
 
 def _fit_entries(
     jobs: list[tuple[str, str, dict[str, EmpiricalPdf | None]]],
     models: list[str],
-    norm_samples: dict | None,
+    tails: list | None,
     repeats: int,
     seed: int,
 ) -> list[dict]:
     """One fits.json entry per job (instrument, side, densities) and model, in that order.
 
-    Each body model is fitted to every job's density in one batch, and the
-    log-normal's bootstrap refits of every job run in one batch too.
+    ``tails`` holds each job's power-law outcome (see ``_powerlaw_outcomes``),
+    fitted before this call. Each body model is fitted to every job's density
+    in one batch, and the log-normal's bootstrap refits of every job run in
+    one batch too.
     """
     from . import distfit
 
     outcome: dict[str, list] = {}  # model -> each job's params, or its error text
     for model in models:
         if model == "powerlaw":
-            outcome[model] = [_powerlaw_outcome(i, s, norm_samples) for i, s, _ in jobs]
+            outcome[model] = tails
             continue
         key, missing = _BODY_MODELS[model]
         found = [k for k, (_, _, pdfs) in enumerate(jobs) if pdfs[key] is not None]
@@ -725,7 +735,12 @@ def cmd_fit(args) -> int:
                     raise InputDataError(
                         f"{cancels_path} does not match {args.profiles} at {where}: {rows} "
                         f"in-profile rows, but pdf_norm_level counts {count!r}")
-    entries = _fit_entries(jobs, models, norm_samples, args.repeats, args.seed)
+    # The tails are fitted first and their samples let go: the body fits and
+    # the bootstrap, whose numpy.random import alone is about 6 MB, run
+    # without cancels.csv's samples held.
+    tails = _powerlaw_outcomes(jobs, norm_samples) if "powerlaw" in models else None
+    del norm_samples
+    entries = _fit_entries(jobs, models, tails, args.repeats, args.seed)
     config = {"models": models, "repeats": args.repeats, "seed": args.seed}
     with _writing(args.out):
         reportio.write_text(args.out, reportio.render_json(reportio.fits_payload(entries, config)))

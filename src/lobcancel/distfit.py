@@ -75,8 +75,9 @@ MIN_TAIL_SIZE = 50
 MAX_TAIL_CANDIDATES = 500
 _KS_POINTS = 128  # fit_powerlaw_tail bounds each candidate's KS distance on 128 of its tail points
 # Values per array of the bound pass, which takes its candidates in blocks of
-# whole rows: 64 KB arrays stay on malloc's heap, where one array of all 500
-# candidates (0.5 MB each) raised fit's peak RSS by 2 MB on the panel benchmark.
+# whole rows, and of a full-tail distance, which takes its tail in slices:
+# 64 KB arrays stay on malloc's heap, where one array of all 500 candidates
+# (0.5 MB each) raised fit's peak RSS by 2 MB on the panel benchmark.
 _KS_BLOCK = 8192
 EXP_SAMPLE_GRID = 4096  # points of sample_exp_profile's tabulated inverse CDF
 _XATOL = 1e-7  # Nelder-Mead refinement tolerance in parameter space
@@ -561,11 +562,20 @@ def pareto_alpha_mle(tail: np.ndarray, xmin: float) -> float:
 def _ks_distance(xs: np.ndarray, i: int, xmin: float, alpha: float) -> float:
     """KS distance between the sorted tail ``xs[i:]`` and the fitted power law.
 
-    The empirical CDF is rank/m, evaluated at the tail points only.
+    The empirical CDF is rank/m, evaluated at the tail points only. The
+    tail is taken ``_KS_BLOCK`` points at a time, so the temporaries stay
+    that size whatever the size of the tail; each point's difference is the
+    same float in any slice, and the largest of the slices' maxima is the
+    maximum.
     """
     m = xs.size - i
-    model = 1.0 - (xmin / xs[i:]) ** (alpha - 1.0)
-    return float(np.max(np.abs(np.arange(1, m + 1) / m - model)))
+    maxima = []
+    for lo in range(i, xs.size, _KS_BLOCK):
+        tail = xs[lo:lo + _KS_BLOCK]
+        model = 1.0 - (xmin / tail) ** (alpha - 1.0)
+        ecdf = np.arange(lo - i + 1, lo - i + 1 + tail.size) / m
+        maxima.append(np.max(np.abs(ecdf - model)))
+    return float(np.max(maxima))
 
 
 def _ks_lower_bounds(xs: np.ndarray, first: np.ndarray, xmin: np.ndarray,

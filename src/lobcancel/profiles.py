@@ -22,6 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime, time
 from enum import Enum
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .lob import (
@@ -433,7 +434,12 @@ class ProfileRun:
         profile.add_day(day)
 
     def ensemble(self) -> InstrumentProfile:
-        """Pooled accumulator over all instruments (raw-sample weighting)."""
+        """Pooled accumulator over all instruments (raw-sample weighting).
+
+        It copies every instrument's tables and samples. ``profiles.json``'s
+        ensemble block is not built from it: ``reportio.profiles_payload``
+        sums the instruments' bin counts, which renders the same.
+        """
         pooled = InstrumentProfile("__ensemble__")
         for code in sorted(self.per_instrument):
             pooled.merge(self.per_instrument[code])
@@ -573,28 +579,32 @@ def accumulate_pdf(samples, spec: BinSpec, weights=None) -> EmpiricalPdf:
     on no data and SampleOutsideDomain when a sample falls outside (0, 1]
     for uniform bins or outside the positive reals for log-uniform bins.
     """
+    pdf = pooled_pdfs([(samples, weights)], spec)[-1]
+    if isinstance(pdf, PdfError):
+        raise pdf
+    return pdf
+
+
+def table_ratios(counts: dict[int, dict[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The ratios k/n of a count table ``{n: {k: count}}`` and their counts,
+    as a float64 and an int64 array, in row order.
+
+    The table is read into int64 arrays in one pass and divided at once, so
+    no Python float is built per (k, n) pair. Each ratio is Python's
+    ``k / n``: book counts, far below 2**53, convert to float64 exactly, and
+    one IEEE division rounds them alike.
+    """
     import numpy as np
 
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.int64)
-    xs = np.asarray(samples, dtype=float)
-    if xs.size == 0:
-        raise EmptySample("no samples to bin")
-    if spec.kind == "uniform":
-        if np.any(xs <= 0.0) or np.any(xs > 1.0):
-            raise SampleOutsideDomain("samples must lie in (0, 1]")
-        edges, domain = np.linspace(0.0, 1.0, spec.bins + 1), UNIT_INTERVAL
-    else:
-        if np.any(xs <= 0.0):
-            raise SampleOutsideDomain("samples must be positive")
-        lo, hi = float(xs.min()), float(xs.max())
-        if not hi > lo:
-            raise PdfError("degenerate bin range: all samples identical")
-        edges, domain = np.geomspace(lo, hi, spec.bins + 1), POSITIVE_RAY
-        edges[0] = lo
-        edges[-1] = hi
-    counts, _ = np.histogram(xs, bins=edges, weights=weights)
-    return pdf_from_counts(counts, edges, domain)
+    if 0 in counts:
+        raise ZeroDivisionError("a count table row has n = 0")
+    rows = counts.values()
+    sizes = np.fromiter(map(len, rows), np.intp, len(counts))
+    pairs = int(sizes.sum())
+    ks = np.fromiter(chain.from_iterable(rows), np.int64, pairs)
+    weights = np.fromiter(chain.from_iterable(row.values() for row in rows), np.int64, pairs)
+    ns = np.repeat(np.fromiter(counts, np.int64, len(counts)), sizes)
+    return ks / ns, weights
 
 
 def count_pdf(counts: dict[int, dict[int, int]], spec: BinSpec) -> EmpiricalPdf:
@@ -602,12 +612,91 @@ def count_pdf(counts: dict[int, dict[int, int]], spec: BinSpec) -> EmpiricalPdf:
     weighted by its count.
 
     Equal to ``accumulate_pdf`` of every ratio repeated by its count: the
-    ratios are the same floats, and a weighted histogram bins each one by
-    the same comparisons with the edges.
+    ratios are the same floats (see ``table_ratios``), and a weighted
+    histogram bins each one by the same comparisons with the edges.
     """
-    ratios: list[float] = []
-    weights: list[int] = []
-    for n, row in counts.items():
-        ratios += [k / n for k in row]
-        weights += row.values()
+    ratios, weights = table_ratios(counts)
     return accumulate_pdf(ratios, spec, weights)
+
+
+def pooled_pdfs(parts: Iterable, spec: BinSpec) -> list:
+    """The density of each part of ``parts``, then that of all of them pooled,
+    each an EmpiricalPdf or the PdfError that stopped it.
+
+    A part is a ``(samples, weights)`` pair as ``accumulate_pdf`` takes them,
+    and the pool's density is ``accumulate_pdf`` of the parts' samples
+    concatenated, with no concatenated copy: the pool adds the parts' int64
+    bin counts, and ``np.histogram`` bins each sample on its own, so the
+    sums are the counts of the concatenation. Uniform bins are the same for
+    every part, and each part's counts are taken once, in one pass over
+    ``parts``. Log-uniform bins span a part's own min and max, and the pool's
+    span the pooled min and max, on which a part is binned again unless its
+    own span is the pool's. The pool has no density when no part has a
+    sample, or when a part has a sample outside the domain.
+    """
+    import numpy as np
+
+    uniform = spec.kind == "uniform"
+    domain = UNIT_INTERVAL if uniform else POSITIVE_RAY
+    unit_edges = np.linspace(0.0, 1.0, spec.bins + 1) if uniform else None
+    pdfs, binned = [], []  # binned: each part's (samples, weights, span, counts)
+    total = np.zeros(spec.bins, np.int64)
+    pool_error = None
+    sampled = False
+    for samples, weights in parts:
+        if weights is not None:
+            weights = np.asarray(weights, dtype=np.int64)
+        xs = np.asarray(samples, dtype=float)  # a view of an array('d'): no copy
+        if xs.size == 0:
+            pdfs.append(EmptySample("no samples to bin"))
+            continue
+        sampled = True
+        if uniform:
+            if np.any(xs <= 0.0) or np.any(xs > 1.0):
+                pdfs.append(pool_error := SampleOutsideDomain("samples must lie in (0, 1]"))
+                continue
+            counts, _ = np.histogram(xs, bins=unit_edges, weights=weights)
+            total += counts
+            pdfs.append(pdf_from_counts(counts, unit_edges, domain))
+            continue
+        if np.any(xs <= 0.0):
+            pdfs.append(pool_error := SampleOutsideDomain("samples must be positive"))
+            continue
+        span = float(xs.min()), float(xs.max())
+        try:
+            edges = _log_edges(*span, spec.bins)
+        except PdfError as exc:
+            pdfs.append(exc)
+            binned.append((xs, weights, span, None))
+            continue
+        counts, _ = np.histogram(xs, bins=edges, weights=weights)
+        pdfs.append(pdf_from_counts(counts, edges, domain))
+        binned.append((xs, weights, span, counts))
+    if not sampled:
+        pool_error = EmptySample("no samples to bin")
+    if pool_error is not None:
+        return [*pdfs, pool_error]
+    if uniform:
+        return [*pdfs, pdf_from_counts(total, unit_edges, domain)]
+    span = min(lo for _, _, (lo, _), _ in binned), max(hi for _, _, (_, hi), _ in binned)
+    try:
+        edges = _log_edges(*span, spec.bins)
+    except PdfError as exc:
+        return [*pdfs, exc]
+    for xs, weights, own_span, counts in binned:
+        if own_span != span:
+            counts, _ = np.histogram(xs, bins=edges, weights=weights)
+        total += counts
+    return [*pdfs, pdf_from_counts(total, edges, domain)]
+
+
+def _log_edges(lo: float, hi: float, bins: int) -> np.ndarray:
+    """``bins`` log-uniform bins from ``lo`` to ``hi``, with those two ends exactly."""
+    import numpy as np
+
+    if not hi > lo:
+        raise PdfError("degenerate bin range: all samples identical")
+    edges = np.geomspace(lo, hi, bins + 1)
+    edges[0] = lo
+    edges[-1] = hi
+    return edges

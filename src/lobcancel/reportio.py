@@ -22,9 +22,9 @@ from .profiles import (
     PdfError,
     ProfileRun,
     SideAccumulator,
-    accumulate_pdf,
-    count_pdf,
+    pooled_pdfs,
     ratio_report,
+    table_ratios,
 )
 
 SCHEMA_VERSION = 1
@@ -63,37 +63,56 @@ def write_lines(path: str | os.PathLike, lines: Iterable[str], *, append: bool =
 # -- profiles.json -----------------------------------------------------------
 
 
-def _side_payload(acc: SideAccumulator, unit_bins: int, log_bins: int) -> dict:
-    return {
-        **ratio_report(acc),
-        "pdf_rel_level": _safe_pdf(count_pdf, acc.rel_level_counts, BinSpec("uniform", unit_bins)),
-        "pdf_norm_level": _safe_pdf(accumulate_pdf, acc.norm_levels,
-                                    BinSpec("log_uniform", log_bins)),
-        "pdf_queue_frac": _safe_pdf(count_pdf, acc.queue_frac_counts,
-                                    BinSpec("uniform", unit_bins)),
+def _side_payloads(accs: list[SideAccumulator], unit_bins: int, log_bins: int) -> list[dict]:
+    """The profiles.json side block of each of ``accs``, then that of their sum.
+
+    The sum's densities add the sides' integer bin counts (see
+    ``pooled_pdfs``) and its ratios their class counts, so no pooled copy of
+    the count tables or of the normalized levels is made.
+    """
+    unit, log = BinSpec("uniform", unit_bins), BinSpec("log_uniform", log_bins)
+    densities = {
+        "pdf_rel_level": pooled_pdfs((table_ratios(a.rel_level_counts) for a in accs), unit),
+        "pdf_norm_level": pooled_pdfs(((a.norm_levels, None) for a in accs), log),
+        "pdf_queue_frac": pooled_pdfs((table_ratios(a.queue_frac_counts) for a in accs), unit),
     }
-
-
-def _safe_pdf(build, data, spec: BinSpec) -> dict | None:
-    try:
-        return build(data, spec).to_dict()
-    except PdfError:  # EmptySample included
-        return None
-
-
-def _instrument_payload(profile: InstrumentProfile, unit_bins: int, log_bins: int) -> dict:
-    return {
-        "instrument": profile.instrument,
-        "days": profile.days,
-        "diagnostics": dict(profile.diagnostics),
-        "sides": {
-            "buy": _side_payload(profile.buy, unit_bins, log_bins),
-            "sell": _side_payload(profile.sell, unit_bins, log_bins),
-        },
-    }
+    pooled = SideAccumulator()
+    for acc in accs:
+        pooled.merge(SideAccumulator(orders_by_class=acc.orders_by_class,
+                                     cancelled_by_class=acc.cancelled_by_class,
+                                     cancel_events=acc.cancel_events))
+    return [
+        {**ratio_report(acc),
+         **{key: None if isinstance(pdfs[k], PdfError) else pdfs[k].to_dict()
+            for key, pdfs in densities.items()}}
+        for k, acc in enumerate([*accs, pooled])
+    ]
 
 
 def profiles_payload(run: ProfileRun, unit_bins: int, log_bins: int) -> dict:
+    """The profiles.json object of ``run``: a block per instrument, in code
+    order, and the ensemble's block, which pools every instrument's cancels.
+
+    The ensemble is summed from the instruments' counts (see
+    ``_side_payloads``), not built by ``ProfileRun.ensemble``, whose pooled
+    accumulator would copy every table and sample; it renders the same.
+    """
+    profiles = [run.per_instrument[code] for code in sorted(run.per_instrument)]
+    ensemble = InstrumentProfile("__ensemble__")
+    for profile in profiles:
+        ensemble.diagnostics.update(profile.diagnostics)
+        ensemble.days += profile.days
+    sides = {side: _side_payloads([getattr(p, side) for p in profiles], unit_bins, log_bins)
+             for side in ("buy", "sell")}
+    blocks = [
+        {
+            "instrument": profile.instrument,
+            "days": profile.days,
+            "diagnostics": dict(profile.diagnostics),
+            "sides": {side: sides[side][k] for side in ("buy", "sell")},
+        }
+        for k, profile in enumerate([*profiles, ensemble])
+    ]
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "profiles",
@@ -102,11 +121,8 @@ def profiles_payload(run: ProfileRun, unit_bins: int, log_bins: int) -> dict:
             "log_bins": log_bins,
             "pooling": "cancel_count",  # ensemble pools raw samples across instruments
         },
-        "instruments": [
-            _instrument_payload(run.per_instrument[code], unit_bins, log_bins)
-            for code in sorted(run.per_instrument)
-        ],
-        "ensemble": _instrument_payload(run.ensemble(), unit_bins, log_bins),
+        "instruments": blocks[:-1],
+        "ensemble": blocks[-1],
     }
 
 

@@ -431,6 +431,50 @@ def test_fit_writes_what_the_single_fitters_give(profile_dir, tmp_path):
     assert sum("p_value" in e.get("params", {}) for e in entries) == 6
 
 
+def test_fit_lets_the_tail_samples_go_before_the_body_fits(profile_dir, tmp_path, monkeypatch):
+    # The power-law tails are fitted first; cancels.csv's samples are then
+    # released, so the body fits and the bootstrap run without them, even
+    # when the log-normal is named before the power law.
+    import weakref
+
+    from lobcancel import distfit
+
+    _, _, out = profile_dir
+    loaded, alive_at_body_fits = [], []
+
+    def load(path, load=cli._load_norm_level_samples):
+        samples = load(path)
+        loaded.extend(weakref.ref(xs) for xs in samples.values())
+        return samples
+
+    def fit_batch(*args, fit=distfit.fit_batch):
+        alive_at_body_fits.append(sum(ref() is not None for ref in loaded))
+        return fit(*args)
+
+    monkeypatch.setattr(cli, "_load_norm_level_samples", load)
+    monkeypatch.setattr(distfit, "fit_batch", fit_batch)
+    assert run(["fit", "--profiles", str(out / "profiles.json"), "--out",
+                str(tmp_path / "fits.json"), "--models", "lognormal,powerlaw,exp,gamma",
+                "--repeats", "2"]) == 0
+    assert len(loaded) == 4  # two instruments, two sides
+    assert alive_at_body_fits == [0, 0, 0]  # lognormal, exp, gamma
+
+
+def test_fit_entries_do_not_depend_on_the_model_order(profile_dir, tmp_path):
+    _, _, out = profile_dir
+    by_order = {}
+    for models in ("lognormal,powerlaw,exp,gamma", "powerlaw,gamma,exp,lognormal"):
+        fits_path = tmp_path / f"{models}.json"
+        assert run(["fit", "--profiles", str(out / "profiles.json"), "--out", str(fits_path),
+                    "--models", models, "--repeats", "5", "--seed", "4"]) == 0
+        entries = json.loads(fits_path.read_text())["fits"]
+        # each block side's entries, in the order --models names them
+        assert [e["model"] for e in entries] == models.split(",") * 6
+        by_order[models] = {(e["instrument"], e["side"], e["model"]): e for e in entries}
+    first, second = by_order.values()
+    assert len(first) == 24 and first == second
+
+
 def test_fit_unknown_model_exits_2(profile_dir, tmp_path):
     _, _, out = profile_dir
     assert run(

@@ -407,6 +407,45 @@ def test_pruned_scan_makes_few_full_ks_passes(monkeypatch):
     assert 1 <= len(full_passes) <= 10  # of MAX_TAIL_CANDIDATES = 500 candidates
 
 
+def _ks_distance_whole_tail(xs, i, xmin, alpha):
+    """The KS distance as one expression over the whole tail, unsliced."""
+    m = xs.size - i
+    model = 1.0 - (xmin / xs[i:]) ** (alpha - 1.0)
+    return float(np.max(np.abs(np.arange(1, m + 1) / m - model)))
+
+
+def test_sliced_ks_distance_equals_the_whole_tail_expression():
+    # The slices' elementwise floats are the whole expression's, so the
+    # distances agree bit for bit, tails shorter and longer than a slice and
+    # ones ending a point past a slice's end included.
+    rng = RNG(36)
+    xs = np.sort(df.sample_pareto(3 * df._KS_BLOCK + 1, 2.5, 1.0, rng))
+    starts = [0, 1, df._KS_BLOCK - 1, df._KS_BLOCK, 2 * df._KS_BLOCK + 1, xs.size - 60]
+    starts += rng.integers(0, xs.size - 50, 40).tolist()
+    for i in starts:
+        xmin, alpha = float(xs[max(i - 1, 0)]), 1.0 + 3.0 * float(rng.random())
+        assert df._ks_distance(xs, i, xmin, alpha) == _ks_distance_whole_tail(xs, i, xmin, alpha)
+
+
+def test_full_ks_distance_memory_does_not_grow_with_the_tail():
+    import tracemalloc
+
+    peaks = []
+    for n in (50_000, 1_000_000):
+        xs = np.sort(df.sample_pareto(n, 2.5, 1.0, RNG(37)))
+        tracemalloc.start()
+        try:
+            df._ks_distance(xs, 0, float(xs[0]), 2.5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # a few slices of _KS_BLOCK floats whatever n is (the peaks read 5 with
+    # numpy 2.4), where the whole-tail expression built about seven arrays of
+    # n floats
+    assert max(peaks) < 10 * df._KS_BLOCK * 8
+    assert peaks[1] < 1.1 * peaks[0]
+
+
 def test_the_bound_pass_memory_does_not_grow_with_the_tail():
     import tracemalloc
 

@@ -13,7 +13,11 @@ edges and densities differ in their last bits from one CPU to another
 they differ), so its digest is taken with those floats cut to 10 significant
 digits (`conftest.profiles_sha256`). The opening-call digests were taken while the
 replay still held a day's opening-call and cool events back and applied them
-at its first 09:30 event.
+at its first 09:30 event. The deep config's fits.json digest was taken while
+`fit` still held cancels.csv's samples through the body fits and the
+bootstrap; it is taken with the gamma entries' floats cut to 10 significant
+digits (`conftest.fits_sha256`), the only ones that read differently with
+numpy's AVX-512 kernels on and off.
 """
 import hashlib
 import json
@@ -23,7 +27,7 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from conftest import profiles_sha256
+from conftest import fits_sha256, profiles_sha256
 from lobcancel.cli import main
 from lobcancel.lob import CancellationRecord, Trade
 from lobcancel.orderflow import HEADER, EventKind, OrderEvent, SessionPhase, Side
@@ -49,6 +53,10 @@ DEEP_GEN = [
 DEEP_CSV_SHA256 = "bba4f39aa444a2d6ceccc9b0d219cd29ccc04771b95df2e91da622ea5422589b"
 DEEP_CANCELS_SHA256 = "7718ed62e82a2a501ae4e2a3f6bd9d6de3fc26dda92b584440f2676f874b46c6"
 DEEP_PROFILES_SHA256 = "59e51c6d5ba537fd08d0460854e6f88cf56459f18f59d7ce12e21cdd89acdbe8"
+# fits.json of the deep config's profile, every model, 5 bootstrap repeats;
+# taken through `conftest.fits_sha256`, which cuts the gamma entries' floats.
+DEEP_FIT = ["--models", "lognormal,powerlaw,exp,gamma", "--repeats", "5", "--seed", "7"]
+DEEP_FITS_SHA256 = "174b670a2564cd0ac40492b7158c77af0d15de5b17eaee25c602ad1f7af898c3"
 
 
 # Two instruments whose first CALL_ROWS rows each are restamped across the
@@ -89,6 +97,14 @@ def test_golden_gen_csv_and_cancels_csv_bytes(tmp_path):
 def test_golden_deep_book_bytes(tmp_path):
     assert _pipeline_digests(tmp_path, DEEP_GEN) == (
         DEEP_CSV_SHA256, DEEP_CANCELS_SHA256, DEEP_PROFILES_SHA256)
+
+
+def test_golden_deep_book_fits_bytes(tmp_path):
+    assert _pipeline_digests(tmp_path, DEEP_GEN)[2] == DEEP_PROFILES_SHA256
+    fits = tmp_path / "fits.json"
+    assert main(["fit", "--profiles", str(tmp_path / "prof" / "profiles.json"),
+                 "--out", str(fits), *DEEP_FIT]) == 0
+    assert fits_sha256(fits) == DEEP_FITS_SHA256
 
 
 def test_golden_opening_call_and_cool_bytes(tmp_path):

@@ -48,15 +48,21 @@ from lobcancel.orderflow import (
     split_days,
 )
 from lobcancel.profiles import (
+    CANCELLABLE_CLASSES,
+    AggressivenessClass,
     BinSpec,
+    InstrumentProfile,
     PdfError,
     ProfileRun,
     accumulate_pdf,
     count_pdf,
+    pdf_from_counts,
     profile_events,
+    ratio_report,
     replay_day,
     replay_days,
 )
+from lobcancel.reportio import render_json
 from lobcancel.synth import ExpProfileLaw, GenConfig, TruncLogNormalLaw, generate_stream
 
 
@@ -214,6 +220,179 @@ def test_profile_accumulates_counts_not_samples(fixture_events):
         assert table_total(acc.rel_level_counts) == table_total(acc.queue_frac_counts) == 4
         assert len(acc.norm_levels) == 4
     assert not hasattr(ProfileRun([]), "observations")
+
+
+# -- the ensemble summed from per-instrument counts ---------------------------------
+
+
+def _reference_pdf(samples, spec: BinSpec, weights=None) -> dict | None:
+    """A density as profiles.json held it when the ensemble was a pooled copy:
+    one np.histogram of every sample; None where there is none."""
+    xs = np.asarray(samples, dtype=float)
+    if xs.size == 0:
+        return None
+    if spec.kind == "uniform":
+        if (xs <= 0.0).any() or (xs > 1.0).any():
+            return None
+        edges, domain = np.linspace(0.0, 1.0, spec.bins + 1), "unit_interval"
+    else:
+        if (xs <= 0.0).any():
+            return None
+        lo, hi = float(xs.min()), float(xs.max())
+        if not hi > lo:
+            return None
+        edges, domain = np.geomspace(lo, hi, spec.bins + 1), "positive_ray"
+        edges[0], edges[-1] = lo, hi
+    counts, _ = np.histogram(xs, bins=edges, weights=weights)
+    return pdf_from_counts(counts, edges, domain).to_dict()
+
+
+def _reference_block(profile: InstrumentProfile, unit_bins: int, log_bins: int) -> dict:
+    """An instrument's profiles.json block, each ratio k / n a Python float."""
+    unit, log = BinSpec("uniform", unit_bins), BinSpec("log_uniform", log_bins)
+
+    def table_pdf(table):
+        ratios = [k / n for n, row in table.items() for k in row]
+        weights = np.array([c for row in table.values() for c in row.values()], np.int64)
+        return _reference_pdf(ratios, unit, weights)
+
+    return {
+        "instrument": profile.instrument,
+        "days": profile.days,
+        "diagnostics": dict(profile.diagnostics),
+        "sides": {side: {**ratio_report(acc),
+                         "pdf_rel_level": table_pdf(acc.rel_level_counts),
+                         "pdf_norm_level": _reference_pdf(acc.norm_levels, log),
+                         "pdf_queue_frac": table_pdf(acc.queue_frac_counts)}
+                  for side, acc in (("buy", profile.buy), ("sell", profile.sell))},
+    }
+
+
+def _assert_ensemble_renders_as_the_pooled_copy(run: ProfileRun, unit_bins=50, log_bins=60):
+    payload = reportio.profiles_payload(run, unit_bins, log_bins)
+    pooled = _reference_block(run.ensemble(), unit_bins, log_bins)
+    for side in ("buy", "sell"):
+        assert render_json(payload["ensemble"]["sides"][side]) == render_json(
+            pooled["sides"][side])
+    assert render_json(payload["ensemble"]) == render_json(pooled)
+    assert render_json(payload["instruments"]) == render_json(
+        [_reference_block(run.per_instrument[code], unit_bins, log_bins)
+         for code in sorted(run.per_instrument)])
+    return payload
+
+
+def _add_cancel(acc, level_rank, side_levels, queue_rank, level_orders, side_orders):
+    """Count one in-profile cancel into ``acc`` as the replay does."""
+    for table, n, k in ((acc.rel_level_counts, side_levels, level_rank),
+                        (acc.queue_frac_counts, level_orders, queue_rank)):
+        row = table.setdefault(n, {})
+        row[k] = row.get(k, 0) + 1
+    acc.norm_levels.append((level_rank * side_orders) / (side_levels * level_orders))
+
+
+@st.composite
+def _cancels(draw, depth: int):
+    """A cancel's book counts: the side's orders run to ``depth`` per level, so
+    instruments of another depth span another range of normalized levels."""
+    side_levels = draw(st.integers(1, 8))
+    level_orders = draw(st.integers(1, 6))
+    return (draw(st.integers(1, side_levels)), side_levels, draw(st.integers(1, level_orders)),
+            level_orders, draw(st.integers(level_orders, level_orders + depth * side_levels)))
+
+
+@st.composite
+def _runs(draw) -> ProfileRun:
+    """One to four instruments; a side may have no cancel, or one cancel repeated."""
+    run = ProfileRun()
+    codes = draw(st.lists(st.sampled_from(["AAA", "BBB", "CCC", "DDD"]), min_size=1,
+                          max_size=4, unique=True))
+    for code in codes:
+        profile = run.per_instrument[code] = InstrumentProfile(code, days=draw(st.integers(1, 3)))
+        profile.diagnostics.update(draw(st.dictionaries(
+            st.sampled_from(["held_events", "dangling_cancels"]), st.integers(0, 4))))
+        depth = draw(st.sampled_from([0, 2, 30]))
+        for acc in (profile.buy, profile.sell):
+            cancels = draw(st.one_of(
+                st.lists(_cancels(depth), max_size=25),
+                st.builds(lambda c, n: [c] * n, _cancels(depth), st.integers(1, 5))))
+            for cancel in cancels:
+                _add_cancel(acc, *cancel)
+            for klass in AggressivenessClass:
+                orders = draw(st.integers(0, 6))
+                acc.orders_by_class[klass] = orders
+                if klass in CANCELLABLE_CLASSES:
+                    acc.cancelled_by_class[klass] = draw(st.integers(0, orders))
+            acc.cancel_events = draw(st.integers(0, 40))
+    return run
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_runs(), st.sampled_from([(50, 60), (7, 3)]))
+def test_summed_ensemble_renders_as_the_pooled_copy(run, bins):
+    _assert_ensemble_renders_as_the_pooled_copy(run, *bins)
+
+
+def test_summed_ensemble_edges_match_no_instrument_and_nulls_stay_null():
+    run = ProfileRun()
+    # Three instruments whose normalized levels span (0.25, 2], [1, 12] and
+    # [0.5, 40]: the ensemble's bins run from 0.25 to 40, which no one spans.
+    for code, cancels in (("LOW", [(1, 4, 1, 1, 1), (2, 2, 1, 1, 2)]),
+                          ("MID", [(1, 1, 1, 2, 2), (3, 4, 1, 2, 32)]),
+                          ("TOP", [(1, 4, 1, 2, 4), (4, 4, 2, 3, 120)])):
+        profile = run.per_instrument[code] = InstrumentProfile(code, days=1)
+        for cancel in cancels:
+            _add_cancel(profile.buy, *cancel)
+    # The sell side: empty on LOW, one cancel on MID and on TOP, with the same
+    # normalized level (1.0), so every sell log-uniform density is null.
+    _add_cancel(run.per_instrument["MID"].sell, 1, 2, 1, 1, 2)
+    _add_cancel(run.per_instrument["TOP"].sell, 2, 3, 1, 2, 3)
+    payload = _assert_ensemble_renders_as_the_pooled_copy(run)
+    spans = {(min(p.buy.norm_levels), max(p.buy.norm_levels))
+             for p in run.per_instrument.values()}
+    assert spans == {(0.25, 2.0), (1.0, 12.0), (0.5, 40.0)}
+    edges = payload["ensemble"]["sides"]["buy"]["pdf_norm_level"]["edges"]
+    assert (edges[0], edges[-1]) == (0.25, 40.0)
+    sell = [block["sides"]["sell"] for block in (*payload["instruments"], payload["ensemble"])]
+    assert [s["pdf_norm_level"] for s in sell] == [None] * 4
+    assert sell[0]["pdf_rel_level"] is sell[0]["pdf_queue_frac"] is None  # LOW's empty side
+    assert sell[-1]["pdf_rel_level"]["count"] == 2
+    # a run whose sides are all empty has no ensemble densities either
+    empty = ProfileRun({"NIL": InstrumentProfile("NIL", days=1)})
+    ensemble = _assert_ensemble_renders_as_the_pooled_copy(empty)["ensemble"]
+    assert all(pdf is None for side in ensemble["sides"].values()
+               for key, pdf in side.items() if key.startswith("pdf_"))
+
+
+def test_profiles_payload_makes_no_pooled_copy():
+    # Four instruments of 20,000 events. The pooled copy of their tables and
+    # samples that the ensemble was built from read 1.2 times the run's own
+    # size here; summed from per-instrument counts, the payload peaks at
+    # about a quarter of it, most of that the payload itself.
+    runs = [profile_events(generate_stream(GenConfig(
+        seed=60 + i, n_events=20_000, instrument=f"TM{i}", initial_levels=20 + 10 * i,
+        initial_queue=6))) for i in range(4)]
+    shipped = pickle.dumps(ProfileRun({code: profile for one in runs
+                                       for code, profile in one.per_instrument.items()}))
+    del runs
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run = pickle.loads(shipped)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    want = render_json(reportio.profiles_payload(run, 50, 60))  # numpy's lazy imports, outside
+    gc.collect()
+    tracemalloc.start()
+    try:
+        payload = reportio.profiles_payload(run, 50, 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert render_json(payload) == want
+    assert sum(len(p.buy.norm_levels) + len(p.sell.norm_levels)
+               for p in run.per_instrument.values()) > 20_000
+    assert peak < size / 2, (peak, size)
 
 
 # -- lazy input -------------------------------------------------------------------
